@@ -117,158 +117,7 @@ let print_report (r : report) =
   Printf.printf "  trace/packed_slab_words                    %12d words (%d slots)\n%!"
     r.slab_words r.events
 
-let report_to_json (r : report) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"processors\": %d,\n  \"events\": %d,\n  \"packed_slab_words\": %d,\n  \"schemes\": [\n"
-       r.processors r.events r.slab_words);
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scheme\": \"%s\", \"events_per_sec_packed\": %.0f, \"events_per_sec_boxed\": %.0f, \"speedup\": %.3f, \"gc_minor_words_per_event\": %.3f, \"bit_identical\": %b}%s\n"
-           row.scheme row.packed_eps row.boxed_eps row.speedup row.minor_words_per_event
-           row.identical
-           (if i = List.length r.rows - 1 then "" else ",")))
-    r.rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
 let engine_throughput () = print_report (measure ())
-
-(* --- sharded replay: aggregate throughput and shard-scaling efficiency --- *)
-
-type shard_row = {
-  sh_scheme : string;
-  sh_shards : int;
-  sh_eps : float;  (** aggregate events/sec: total slots over wall-clock *)
-  sh_speedup : float;  (** over the inline shards=1 run of the same scheme *)
-  sh_utilization : float;  (** speedup / shards: per-domain efficiency *)
-  sh_minor_words_per_event : float;  (** minor words/event on the timing domain *)
-  sh_engine_eps : float;  (** sequential-engine ev/s for this scheme, same basis *)
-  sh_identical : bool;  (** equals the shards=1 result, bit for bit *)
-  sh_engine_identical : bool;  (** equals {!Engine.run} on this fixture *)
-}
-
-type shard_report = {
-  shp_processors : int;
-  shp_events : int;
-  shp_domains : int;  (** [Domain.recommended_domain_count ()] on this host *)
-  shp_rows : shard_row list;
-}
-
-(* engine/sharded_events_per_sec: the same jacobi trace replayed through
-   the sharded engine at increasing shard counts, on the domain team.
-   Aggregate ev/s is total slots over wall-clock (the number that must
-   scale); utilization = speedup/shards shows how much of each added
-   domain the run actually converts into throughput. The shards=1 inline
-   run is the baseline and every row is compared against it bit for bit;
-   jacobi is order-free for BASE and TPI, so each row is also pinned to
-   the sequential {!Engine.run} result. Timings here include machine
-   construction (caches, directory, network model) — a whole
-   simulation, the unit the sweep pool schedules — so ev/s on a small
-   fixture is construction-dominated and lower than the engine-only
-   rows above; the engine reference column uses the same basis. *)
-let measure_sharded ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3)
-    ?(shard_counts = [ 1; 2; 4; 8 ]) ?(schemes = [ Run.Base; Run.TPI ]) () =
-  let cfg = Config.validate { Config.default with processors } in
-  let prog = Hscd_workloads.Kernels.jacobi1d ~n ~iters () in
-  let c = Run.compile ~cfg ~cache:false prog in
-  let p = c.Run.packed_trace in
-  let events = p.Trace.n_slots in
-  let fev = float_of_int events in
-  let time_run f =
-    (* best-of-reps: wall clock on a shared box is noise-dominated *)
-    ignore (f ());
-    let best = ref infinity and words = ref 0.0 and res = ref None in
-    for _ = 1 to reps do
-      let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      words := Gc.minor_words () -. w0;
-      res := Some r
-    done;
-    (Option.get !res, !best, !words)
-  in
-  let rows =
-    List.concat_map
-      (fun kind ->
-        let engine_r, engine_dt, _ =
-          time_run (fun () -> Run.simulate_packed ~cfg kind p)
-        in
-        let engine_eps = fev /. engine_dt in
-        let reference, ref_dt, _ =
-          time_run (fun () -> Run.simulate_packed_sharded ~cfg ~parallel:false ~shards:1 kind p)
-        in
-        let ref_eps = fev /. ref_dt in
-        List.map
-          (fun shards ->
-            let r, dt, words =
-              time_run (fun () ->
-                  Run.simulate_packed_sharded ~cfg ~parallel:(shards > 1) ~shards kind p)
-            in
-            let eps = fev /. dt in
-            {
-              sh_scheme = Run.scheme_name kind;
-              sh_shards = shards;
-              sh_eps = eps;
-              sh_speedup = eps /. ref_eps;
-              sh_utilization = eps /. ref_eps /. float_of_int shards;
-              sh_minor_words_per_event = words /. fev;
-              sh_engine_eps = engine_eps;
-              sh_identical = r = reference;
-              sh_engine_identical = r = engine_r;
-            })
-          shard_counts)
-      schemes
-  in
-  {
-    shp_processors = processors;
-    shp_events = events;
-    shp_domains = Domain.recommended_domain_count ();
-    shp_rows = rows;
-  }
-
-let print_shard_report (r : shard_report) =
-  Printf.printf
-    "  sharded replay (P=%d, %d events, %d domain(s) available; whole-simulation basis)\n"
-    r.shp_processors r.shp_events r.shp_domains;
-  List.iter
-    (fun row ->
-      Printf.printf
-        "  engine/sharded_events_per_sec (%-4s x%d)    %12.0f ev/s (seq engine %.0f, \
-         speedup %.2fx, util %.2f, %.2f w/ev, %s)\n"
-        row.sh_scheme row.sh_shards row.sh_eps row.sh_engine_eps row.sh_speedup
-        row.sh_utilization row.sh_minor_words_per_event
-        (if row.sh_identical && row.sh_engine_identical then "bit-identical"
-         else "DIVERGED"))
-    r.shp_rows;
-  flush stdout
-
-let shard_report_to_json (r : shard_report) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"processors\": %d,\n  \"events\": %d,\n  \"domains_available\": %d,\n  \
-        \"rows\": [\n"
-       r.shp_processors r.shp_events r.shp_domains);
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scheme\": \"%s\", \"shards\": %d, \"events_per_sec\": %.0f, \
-            \"sequential_engine_events_per_sec\": %.0f, \"speedup\": %.3f, \
-            \"utilization\": %.3f, \"gc_minor_words_per_event\": %.3f, \
-            \"bit_identical\": %b}%s\n"
-           row.sh_scheme row.sh_shards row.sh_eps row.sh_engine_eps row.sh_speedup
-           row.sh_utilization row.sh_minor_words_per_event
-           (row.sh_identical && row.sh_engine_identical)
-           (if i = List.length r.shp_rows - 1 then "" else ",")))
-    r.shp_rows;
-  Buffer.add_string b "  ]\n}";
-  Buffer.contents b
 
 (* --- compile side: trace generation throughput --- *)
 
@@ -357,14 +206,6 @@ let print_compile_row (r : compile_row) =
   Printf.printf "  tracegen/gc_minor_words_per_event (boxed)  %12.2f words\n%!"
     r.gen_boxed_words_per_event
 
-let compile_row_to_json (r : compile_row) =
-  Printf.sprintf
-    "{\"events\": %d, \"events_per_sec_streaming\": %.0f, \"events_per_sec_boxed_pack\": %.0f, \
-     \"speedup\": %.3f, \"gc_minor_words_per_event_streaming\": %.3f, \
-     \"gc_minor_words_per_event_boxed_pack\": %.3f, \"bit_identical\": %b}"
-    r.gen_events r.gen_stream_eps r.gen_boxed_eps r.gen_speedup r.gen_stream_words_per_event
-    r.gen_boxed_words_per_event r.gen_identical
-
 (* --- compile cache: a sweep over a timing-side knob must generate each
    model's trace exactly once --- *)
 
@@ -395,10 +236,6 @@ let print_cache_row (r : cache_row) =
      2-point timetag sweep)\n%!"
     (if r.cache_ok then "shared" else "NOT SHARED")
     r.cache_generations r.cache_hits
-
-let cache_row_to_json (r : cache_row) =
-  Printf.sprintf "{\"trace_generations\": %d, \"memory_hits\": %d, \"shared\": %b}"
-    r.cache_generations r.cache_hits r.cache_ok
 
 (* compare_all_schemes: the paper's methodology (one trace, every scheme)
    at jobs=1 vs jobs=N — the multicore experiment-runner speedup. Results

@@ -9,12 +9,8 @@
                    crosses its per-scheme minor-words/event ceiling, when
                    the streaming trace builder diverges from
                    boxed-generation + pack or allocates too much per
-                   generated event, when a timing-knob sweep fails to
-                   share compiled traces, or when the sharded engine
-                   diverges from the shards=1 result, grossly regresses
-                   the single-core loop, or allocates words/event that
-                   scale with the shard count (the @perf-smoke alias)
-     --json PATH   also write the measurements as JSON *)
+                   generated event, or when a timing-knob sweep fails to
+                   share compiled traces (the @perf-smoke alias) *)
 
 (* replay side: the engine decodes events without constructing variants.
    Per-scheme minor-words/event ceilings at roughly 2x the measured smoke
@@ -26,15 +22,6 @@ let replay_words_cap = function
   | "HW" | "LimitLESS" -> 16.0
   | _ -> 8.0 (* SC, INV, VC, TPI *)
 
-(* sharded replay must not multiply allocation by shard count: each extra
-   shard adds only its slice bookkeeping, so words/event at the highest
-   shard count stays within a small factor (plus absolute slack for tiny
-   baselines) of the shards=1 run. This is the regression gate for the
-   per-shard machine-construction blowup, which scaled words/event
-   linearly in the shard count before lazy cache materialization. *)
-let sharded_scaling_factor = 1.5
-let sharded_scaling_slack = 8.0
-
 (* compile side: streaming generation appends into preallocated slabs, so
    per-slot allocation is interpreter overhead only (measured ~4.1 words
    at full scale, ~4.7 on the smoke workload; the boxed path is ~29) *)
@@ -42,13 +29,6 @@ let gen_words_cap = 6.0
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let json_path =
-    let r = ref None in
-    Array.iteri
-      (fun i a -> if a = "--json" && i + 1 < Array.length Sys.argv then r := Some Sys.argv.(i + 1))
-      Sys.argv;
-    !r
-  in
   let report =
     if smoke then
       Perf.measure ~processors:16 ~n:512 ~iters:2 ~reps:1
@@ -63,30 +43,6 @@ let () =
   Perf.print_compile_row gen;
   let cache = Perf.measure_cache () in
   Perf.print_cache_row cache;
-  (* sharded engine: aggregate ev/s, per-domain utilization and the
-     bit-identity gate; the full run adds the P=1024 scaling point *)
-  let sharded =
-    if smoke then
-      [ Perf.measure_sharded ~processors:16 ~n:512 ~iters:2 ~reps:1
-          ~shard_counts:[ 1; 2; 4 ] () ]
-    else
-      [ Perf.measure_sharded ();
-        Perf.measure_sharded ~processors:1024 ~n:8192 ~iters:2 ~reps:1 () ]
-  in
-  List.iter Perf.print_shard_report sharded;
-  (match json_path with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Printf.sprintf
-         "{\n\"engine\": %s,\n\"tracegen\": %s,\n\"compile_cache\": %s,\n\"sharded_replay\": [\n%s\n]\n}\n"
-         (String.trim (Perf.report_to_json report))
-         (Perf.compile_row_to_json gen)
-         (Perf.cache_row_to_json cache)
-         (String.concat ",\n" (List.map Perf.shard_report_to_json sharded)));
-    close_out oc;
-    Printf.printf "  json written to %s\n%!" path
-  | None -> ());
   if not smoke then Perf.compare_wall_clock ();
   let bad =
     List.filter
@@ -112,73 +68,4 @@ let () =
       "throughput: FAIL compile cache (second sweep point regenerated traces: %d generations, \
        %d hits)\n"
       cache.Perf.cache_generations cache.Perf.cache_hits;
-  (* hard gate: every sharded row bit-identical to shards=1 and to the
-     sequential engine on this (order-free) fixture. Soft wall-clock gate:
-     the sharded run at shards=1 must not be grossly slower than the
-     sequential engine on the same whole-simulation basis — a generous 5x
-     bound so shared-box noise cannot trip it, while a pathological
-     per-event slowdown still fails. *)
-  let shard_bad =
-    List.concat_map
-      (fun (rep : Perf.shard_report) ->
-        List.filter_map
-          (fun (row : Perf.shard_row) ->
-            if not (row.Perf.sh_identical && row.Perf.sh_engine_identical) then
-              Some (rep, row, "diverged")
-            else if
-              row.Perf.sh_shards = 1 && row.Perf.sh_eps *. 5.0 < row.Perf.sh_engine_eps
-            then Some (rep, row, "single-core regression > 5x")
-            else None)
-          rep.Perf.shp_rows)
-      sharded
-  in
-  (* allocation-scaling gate: compare each scheme's highest-shard-count
-     row against its shards=1 row within the same report *)
-  let shard_alloc_bad =
-    List.concat_map
-      (fun (rep : Perf.shard_report) ->
-        let schemes =
-          List.sort_uniq compare
-            (List.map (fun (r : Perf.shard_row) -> r.Perf.sh_scheme) rep.Perf.shp_rows)
-        in
-        List.filter_map
-          (fun scheme ->
-            let rows =
-              List.filter
-                (fun (r : Perf.shard_row) -> r.Perf.sh_scheme = scheme)
-                rep.Perf.shp_rows
-            in
-            let at shards =
-              List.find_opt (fun (r : Perf.shard_row) -> r.Perf.sh_shards = shards) rows
-            in
-            let max_shards =
-              List.fold_left (fun m (r : Perf.shard_row) -> max m r.Perf.sh_shards) 1 rows
-            in
-            match (at 1, at max_shards) with
-            | Some one, Some top when max_shards > 1 ->
-              let cap =
-                (one.Perf.sh_minor_words_per_event *. sharded_scaling_factor)
-                +. sharded_scaling_slack
-              in
-              if top.Perf.sh_minor_words_per_event > cap then Some (rep, one, top, cap)
-              else None
-            | _ -> None)
-          schemes)
-      sharded
-  in
-  List.iter
-    (fun ((rep : Perf.shard_report), (one : Perf.shard_row), (top : Perf.shard_row), cap) ->
-      Printf.eprintf
-        "throughput: FAIL sharded %s at P=%d: words/event scales with shard count (%.2f at \
-         x%d vs %.2f at x1, cap %.2f)\n"
-        top.Perf.sh_scheme rep.Perf.shp_processors top.Perf.sh_minor_words_per_event
-        top.Perf.sh_shards one.Perf.sh_minor_words_per_event cap)
-    shard_alloc_bad;
-  List.iter
-    (fun ((rep : Perf.shard_report), (row : Perf.shard_row), why) ->
-      Printf.eprintf "throughput: FAIL sharded %s x%d at P=%d (%s; %.0f ev/s vs %.0f engine)\n"
-        row.Perf.sh_scheme row.Perf.sh_shards rep.Perf.shp_processors why row.Perf.sh_eps
-        row.Perf.sh_engine_eps)
-    shard_bad;
-  if bad <> [] || gen_bad || (not cache.Perf.cache_ok) || shard_bad <> [] || shard_alloc_bad <> []
-  then exit 1
+  if bad <> [] || gen_bad || not cache.Perf.cache_ok then exit 1

@@ -247,64 +247,24 @@ let trace_cmd =
     Term.(const run $ program_arg $ out_arg $ binary_arg)
 
 let replay_cmd =
-  let run path scheme procs line tag boxed binary jobs shards =
+  let run path scheme procs line tag binary =
     let cfg = cfg_of procs line tag in
-    (* --shards (or --jobs as a shorthand for shards = worker count) selects
-       the sharded engine; the default path is the sequential engine,
-       unchanged. Binary traces are sniffed by magic; --binary forces the
-       attempt. The non-boxed binary path memory-maps the file and
-       validates slab checksums lazily as replay enters each epoch. *)
-    let is_bin = binary || Hscd_sim.Trace_io.is_binary path in
-    let sharded = shards <> None || jobs <> None in
+    (* Binary traces are sniffed by magic; --binary forces the attempt.
+       They are memory-mapped and their slab checksums validated lazily as
+       replay enters each epoch. *)
     let r =
-      if sharded then begin
-        if boxed then
-          Err.fail Err.Usage "--boxed replays the legacy loop; it cannot be sharded";
-        let shards =
-          match shards with Some s -> s | None -> resolve_jobs jobs
-        in
-        let parallel = match jobs with Some j when j <= 1 -> false | _ -> true in
-        if is_bin then
-          Hscd_sim.Run.simulate_mapped_sharded ~cfg ~parallel ~shards scheme
-            (Hscd_sim.Trace_io.map_packed path)
-        else
-          Hscd_sim.Run.simulate_packed_sharded ~cfg ~parallel ~shards scheme
-            (Hscd_sim.Trace.pack (Hscd_sim.Trace_io.load path))
-      end
-      else if is_bin then begin
-        if boxed then
-          Hscd_sim.Run.simulate_boxed ~cfg scheme
-            (Hscd_sim.Trace.unpack (Hscd_sim.Trace_io.read_packed path))
-        else
-          Hscd_sim.Run.simulate_mapped ~cfg scheme (Hscd_sim.Trace_io.map_packed path)
-      end
-      else
-        let trace = Hscd_sim.Trace_io.load path in
-        if boxed then Hscd_sim.Run.simulate_boxed ~cfg scheme trace
-        else Hscd_sim.Run.simulate ~cfg scheme trace
+      if binary || Hscd_sim.Trace_io.is_binary path then
+        Hscd_sim.Run.simulate_mapped ~cfg scheme (Hscd_sim.Trace_io.map_packed path)
+      else Hscd_sim.Run.simulate ~cfg scheme (Hscd_sim.Trace_io.load path)
     in
     print_metrics scheme r
   in
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE") in
-  let boxed_arg =
-    Arg.(
-      value & flag
-      & info [ "boxed" ]
-          ~doc:"Replay through the legacy boxed event loop instead of the packed engine path")
-  in
   let binary_arg =
     Arg.(
       value & flag
       & info [ "binary" ]
           ~doc:"Force reading the binary packed format (auto-detected by magic otherwise)")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Replay through the sharded engine with $(docv) address-partitioned slices \
-                (default when only $(b,--jobs) is given: the resolved job count). Results \
-                are bit-identical for every shard count; requires static scheduling")
   in
   Cmd.v
     (Cmd.info "replay"
@@ -312,18 +272,12 @@ let replay_cmd =
        ~man:
          [
            `S Manpage.s_description;
-           `P "Replays a trace written by $(b,hscd trace). Binary packed traces \
-               ($(b,--binary) or auto-detected) are memory-mapped and their slab \
-               checksums validated lazily, one epoch span at a time, so replaying the \
-               first epoch touches O(header + epoch) bytes of the file.";
-           `P "$(b,--shards)/$(b,--jobs) switch to the sharded engine: the trace is \
-               partitioned by cache-set group into independent replay slices, merged at \
-               every epoch barrier. The result is bit-identical at any shard count; with \
-               $(b,--jobs) > 1 (or $(b,HSCD_JOBS)) the slices run on a persistent domain \
-               team.";
+           `P "Replays a trace written by $(b,hscd trace) through the timing engine. \
+               Binary packed traces ($(b,--binary) or auto-detected) are memory-mapped \
+               and their slab checksums validated lazily, one epoch span at a time, so \
+               replaying the first epoch touches O(header + epoch) bytes of the file.";
          ])
-    Term.(const run $ path_arg $ scheme_arg $ procs_arg $ line_arg $ tag_arg $ boxed_arg
-          $ binary_arg $ jobs_arg $ shards_arg)
+    Term.(const run $ path_arg $ scheme_arg $ procs_arg $ line_arg $ tag_arg $ binary_arg)
 
 let fuzz_cmd =
   let module F = Hscd_check.Fuzz in

@@ -24,8 +24,7 @@ type line = {
 (* Sets materialize on first allocation into them: [ [||] ] marks an
    untouched set. A P=1024 machine has 4M cache lines of which a typical
    trace touches a small fraction; building them all eagerly used to
-   dominate whole-simulation time and minor-heap churn (and multiplied
-   per shard slice). [used] lists the materialized set indices densely so
+   dominate whole-simulation time and minor-heap churn. [used] lists the materialized set indices densely so
    whole-cache walks are O(resident), not O(capacity). *)
 type t = {
   sets : line array array;

@@ -23,8 +23,7 @@ val invalid_state : int
 
 (** Sets materialize lazily on first allocation: creation is O(sets)
     pointer words, not O(lines × line_words) — the difference between
-    milliseconds and seconds when building a P=1024 machine (or one
-    machine per shard slice). *)
+    milliseconds and seconds when building a P=1024 machine. *)
 val create : Hscd_arch.Config.t -> t
 
 (** Frames per set (1 = direct-mapped); snapshot encoders need it to

@@ -59,9 +59,6 @@ let wrap fault ~processors:(_ : int) (Scheme.Packed ((module S), s)) : Scheme.pa
       | Skip_epoch_boundary -> Array.fill stalls 0 (Array.length stalls) 0
       | _ -> S.epoch_boundary s ~stalls
 
-    (* fault-injected instances are never sharded *)
-    let boundary_exchange (_ : t array) = ()
-
     let stats () = S.stats s
     let memory_image () = S.memory_image s
     let snapshot () = S.snapshot s

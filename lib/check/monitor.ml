@@ -124,9 +124,6 @@ let wrap m (Scheme.Packed ((module S), s)) : Scheme.packed =
       S.epoch_boundary s ~stalls;
       on_boundary m stalls
 
-    (* monitored instances are never sharded *)
-    let boundary_exchange (_ : t array) = ()
-
     let stats () = S.stats s
     let memory_image () = S.memory_image s
     let snapshot () = S.snapshot s

@@ -48,9 +48,6 @@ let write t ~proc ~addr ~array:(_ : int) ~value ~mark:_ =
 
 let epoch_boundary (_ : t) ~stalls = Array.fill stalls 0 (Array.length stalls) 0
 
-(* all state is per memory line, which the sharded engine never splits *)
-let boundary_exchange (_ : t array) = ()
-
 let stats t = t.st
 
 let memory_image t = t.mem.Memstate.values

@@ -210,10 +210,6 @@ let write t ~proc ~addr ~array:(_ : int) ~value ~mark:_ =
 
 let epoch_boundary (_ : t) ~stalls = Array.fill stalls 0 (Array.length stalls) 0
 
-(* directory entries, caches and memory are all per-line — no cross-shard
-   state to reconcile *)
-let boundary_exchange (_ : t array) = ()
-
 let stats t = t.st
 
 let memory_image t = t.mem.Memstate.values

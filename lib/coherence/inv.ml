@@ -67,9 +67,6 @@ let epoch_boundary t ~stalls =
   done;
   Array.fill stalls 0 (Array.length stalls) 0
 
-(* caches and memory are per line; no cross-shard state *)
-let boundary_exchange (_ : t array) = ()
-
 let stats t = t.w.st
 
 let memory_image t = t.w.Wt_common.mem.Memstate.values

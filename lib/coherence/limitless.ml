@@ -54,9 +54,6 @@ let write t ~proc ~addr ~array ~value ~mark =
 
 let epoch_boundary t ~stalls = Hwdir.epoch_boundary t.hw ~stalls
 
-(* per-line like the underlying directory; trap accounting is per access *)
-let boundary_exchange (_ : t array) = ()
-
 let stats t = Hwdir.stats t.hw
 
 let traps t = t.traps

@@ -166,18 +166,6 @@ module type S = sig
       allocation-free. *)
   val epoch_boundary : t -> stalls:int array -> unit
 
-  (** Sharded replay support: called once per epoch boundary with every
-      shard's scheme slice (the whole team, index = shard id), after all
-      shards finished the epoch's accesses and {e before} any slice runs
-      {!epoch_boundary}. Schemes whose state is fully partitioned by
-      memory line (every scheme here except VC) need no cross-shard
-      exchange and leave this a no-op; VC merges its per-variable
-      written-this-epoch flags so every slice bumps the same version
-      numbers. Must be deterministic and independent of the team size:
-      a single-slice team must behave exactly like the unsharded
-      scheme (the sharded engine's bit-identity gate relies on it). *)
-  val boundary_exchange : t array -> unit
-
   val stats : t -> stats
 
   (** Final memory image, for end-of-run comparison against the golden

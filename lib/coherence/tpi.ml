@@ -175,11 +175,6 @@ let epoch_boundary t ~stalls =
   end
   else Array.fill stalls 0 (Array.length stalls) 0
 
-(* the epoch counter (and with it the lazy reset cutoff) advances in
-   lockstep in every slice and word timetags are per cache line — nothing
-   to exchange *)
-let boundary_exchange (_ : t array) = ()
-
 let stats t = t.w.st
 
 let memory_image t = t.w.Wt_common.mem.Memstate.values

@@ -86,22 +86,6 @@ let write t ~proc ~addr ~array ~value ~mark =
     Wt_common.write_through t.w ~proc ~addr ~value ~meta:next ~other_meta:(cvn t array - 1)
   | Event.Bypass_write -> Wt_common.write_bypass t.w ~proc ~addr ~value ~meta:next
 
-(* Sharded replay: each shard slice only sees the writes whose lines it
-   owns, but an array spans many lines, so its dirty flag may be set in
-   several slices. Union the flags (growing every table to the common
-   size first) so each slice's [epoch_boundary] bumps exactly the CVNs
-   the unsharded scheme would — keeping the per-access [cvn] reads
-   identical in every slice for the whole next epoch. *)
-let boundary_exchange (slices : t array) =
-  if Array.length slices > 1 then begin
-    let width = Array.fold_left (fun m s -> max m (Array.length s.versions)) 0 slices in
-    Array.iter (fun s -> if width > 0 then ensure s (width - 1)) slices;
-    for id = 0 to width - 1 do
-      if Array.exists (fun s -> Bytes.get s.written_this_epoch id = '\001') slices then
-        Array.iter (fun s -> Bytes.set s.written_this_epoch id '\001') slices
-    done
-  end
-
 let epoch_boundary t ~stalls =
   Wt_common.drain_buffers t.w;
   (* bump the CVN of every variable written during the epoch *)

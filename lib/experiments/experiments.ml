@@ -365,7 +365,7 @@ let characterization ?(small = false) ?jobs:_ () =
     (fun (e : Hscd_workloads.Perfect.entry) ->
       let prog = if small then e.build_small () else e.build () in
       let c = Run.compile prog in
-      let s = Hscd_sim.Trace_stats.of_trace Config.default (Run.boxed_trace c) in
+      let s = Hscd_sim.Trace_stats.of_trace Config.default c.Run.packed_trace in
       Table.add_row t
         [
           e.name;

@@ -337,458 +337,6 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sharded replay: one trace, many domains                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The sharded engine partitions a single trace's memory accesses by
-   cache-set group ({!Trace.Shard}), replays each shard's slots in trace
-   order against a private scheme slice on its own domain, and
-   reconstructs the sequential engine's timing at each epoch barrier
-   from per-bin latency sums plus a single ticket-chain pass. The replay
-   presents every slice its accesses in slot (trace) order — the golden
-   interpreter's race-free order — so the result is deterministic and
-   identical at every shard count by construction: shard membership only
-   decides *which* slice an access updates, never the order of accesses
-   within a line's history, and the merge formulas below are sums, maxes
-   and a serial chain that cannot observe the partition. *)
-
-type shard_ctx = {
-  c_metrics : Metrics.t;
-  c_bin_lat : int array;  (** per-bin access latencies of the current epoch *)
-  mutable c_viols : (int * violation) list;  (** keyed by slot for a stable global order *)
-  mutable c_nviol : int;
-}
-
-(* Raised inside a shard worker when a sibling has failed: unwinds this
-   worker past its barriers so the team can join instead of deadlocking. *)
-exception Shard_abort
-
-(* Per-epoch slice replay. The three copies below (generic, BASE, TPI)
-   share this body; the scheme-specific ones call the scheme's functions
-   directly so the per-event dispatch is a known call, not an indirection
-   through a first-class module. *)
-let replay_slice (type st) (module S : Scheme.S with type t = st) (sch : st)
-    (trace : Trace.packed) (plan : Trace.Shard.plan) (c : shard_ctx) ~shard ~epoch =
-  let ep = plan.Trace.Shard.sh_epochs.(epoch) in
-  Array.fill c.c_bin_lat 0 ep.Trace.Shard.sp_nbins 0;
-  let slots = plan.Trace.Shard.sh_slots.(shard) in
-  let bins = plan.Trace.Shard.sh_bins.(shard) in
-  let lo = plan.Trace.Shard.sh_off.(shard).(epoch) in
-  let hi = plan.Trace.Shard.sh_off.(shard).(epoch + 1) in
-  let ops = trace.Trace.ops in
-  let addrs = trace.Trace.addrs in
-  let values = trace.Trace.values in
-  let marks = trace.Trace.marks in
-  let arrs = trace.Trace.arrs in
-  let rmark_table = trace.Trace.rmark_table in
-  let bin_lat = c.c_bin_lat in
-  let metrics = c.c_metrics in
-  for j = lo to hi - 1 do
-    let i = Slab.get slots j in
-    let b = Slab.get bins j in
-    let proc = ep.Trace.Shard.sp_bin_proc.(b) in
-    let addr = Slab.get addrs i in
-    if Slab.get ops i = Event.Code.read then begin
-      let r =
-        S.read sch ~proc ~addr ~array:(Slab.get arrs i)
-          ~mark:rmark_table.(Slab.get marks i)
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_read metrics r;
-      let golden = Slab.get values i in
-      if r.Scheme.value <> golden then begin
-        if c.c_nviol < max_violations then
-          c.c_viols <-
-            (i, { epoch; proc; addr; expected = golden; got = r.Scheme.value }) :: c.c_viols;
-        c.c_nviol <- c.c_nviol + 1
-      end
-    end
-    else begin
-      let r =
-        S.write sch ~proc ~addr ~array:(Slab.get arrs i) ~value:(Slab.get values i)
-          ~mark:(Event.Code.wmark_of (Slab.get marks i))
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_write metrics r
-    end
-  done
-
-let replay_slice_base (sch : Hscd_coherence.Base.t) (trace : Trace.packed)
-    (plan : Trace.Shard.plan) (c : shard_ctx) ~shard ~epoch =
-  let module B = Hscd_coherence.Base in
-  let ep = plan.Trace.Shard.sh_epochs.(epoch) in
-  Array.fill c.c_bin_lat 0 ep.Trace.Shard.sp_nbins 0;
-  let slots = plan.Trace.Shard.sh_slots.(shard) in
-  let bins = plan.Trace.Shard.sh_bins.(shard) in
-  let lo = plan.Trace.Shard.sh_off.(shard).(epoch) in
-  let hi = plan.Trace.Shard.sh_off.(shard).(epoch + 1) in
-  let ops = trace.Trace.ops in
-  let addrs = trace.Trace.addrs in
-  let values = trace.Trace.values in
-  let marks = trace.Trace.marks in
-  let arrs = trace.Trace.arrs in
-  let rmark_table = trace.Trace.rmark_table in
-  let bin_lat = c.c_bin_lat in
-  let metrics = c.c_metrics in
-  for j = lo to hi - 1 do
-    let i = Slab.get slots j in
-    let b = Slab.get bins j in
-    let proc = ep.Trace.Shard.sp_bin_proc.(b) in
-    let addr = Slab.get addrs i in
-    if Slab.get ops i = Event.Code.read then begin
-      let r =
-        B.read sch ~proc ~addr ~array:(Slab.get arrs i) ~mark:rmark_table.(Slab.get marks i)
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_read metrics r;
-      let golden = Slab.get values i in
-      if r.Scheme.value <> golden then begin
-        if c.c_nviol < max_violations then
-          c.c_viols <-
-            (i, { epoch; proc; addr; expected = golden; got = r.Scheme.value }) :: c.c_viols;
-        c.c_nviol <- c.c_nviol + 1
-      end
-    end
-    else begin
-      let r =
-        B.write sch ~proc ~addr ~array:(Slab.get arrs i) ~value:(Slab.get values i)
-          ~mark:(Event.Code.wmark_of (Slab.get marks i))
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_write metrics r
-    end
-  done
-
-let replay_slice_tpi (sch : Hscd_coherence.Tpi.t) (trace : Trace.packed)
-    (plan : Trace.Shard.plan) (c : shard_ctx) ~shard ~epoch =
-  let module T = Hscd_coherence.Tpi in
-  let ep = plan.Trace.Shard.sh_epochs.(epoch) in
-  Array.fill c.c_bin_lat 0 ep.Trace.Shard.sp_nbins 0;
-  let slots = plan.Trace.Shard.sh_slots.(shard) in
-  let bins = plan.Trace.Shard.sh_bins.(shard) in
-  let lo = plan.Trace.Shard.sh_off.(shard).(epoch) in
-  let hi = plan.Trace.Shard.sh_off.(shard).(epoch + 1) in
-  let ops = trace.Trace.ops in
-  let addrs = trace.Trace.addrs in
-  let values = trace.Trace.values in
-  let marks = trace.Trace.marks in
-  let arrs = trace.Trace.arrs in
-  let rmark_table = trace.Trace.rmark_table in
-  let bin_lat = c.c_bin_lat in
-  let metrics = c.c_metrics in
-  for j = lo to hi - 1 do
-    let i = Slab.get slots j in
-    let b = Slab.get bins j in
-    let proc = ep.Trace.Shard.sp_bin_proc.(b) in
-    let addr = Slab.get addrs i in
-    if Slab.get ops i = Event.Code.read then begin
-      let r =
-        T.read sch ~proc ~addr ~array:(Slab.get arrs i) ~mark:rmark_table.(Slab.get marks i)
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_read metrics r;
-      let golden = Slab.get values i in
-      if r.Scheme.value <> golden then begin
-        if c.c_nviol < max_violations then
-          c.c_viols <-
-            (i, { epoch; proc; addr; expected = golden; got = r.Scheme.value }) :: c.c_viols;
-        c.c_nviol <- c.c_nviol + 1
-      end
-    end
-    else begin
-      let r =
-        T.write sch ~proc ~addr ~array:(Slab.get arrs i) ~value:(Slab.get values i)
-          ~mark:(Event.Code.wmark_of (Slab.get marks i))
-      in
-      bin_lat.(b) <- bin_lat.(b) + r.Scheme.latency;
-      Metrics.record_write metrics r
-    end
-  done
-
-(* Everything the shard driver needs from a scheme, pre-applied to one
-   concrete slice type so BASE and TPI can plug in monomorphic replay
-   loops while the other schemes go through the generic one. *)
-type 'st shard_ops = {
-  o_create : memory_words:int -> network:Kruskal_snir.t -> traffic:Traffic.t -> 'st;
-  o_replay :
-    'st -> Trace.packed -> Trace.Shard.plan -> shard_ctx -> shard:int -> epoch:int -> unit;
-  o_exchange : 'st array -> unit;
-  o_boundary : 'st -> stalls:int array -> unit;
-  o_stats : 'st -> Scheme.stats;
-  o_image : 'st -> int array;
-}
-
-let run_sharded_with (type st) ?(parallel = true) (cfg : Config.t) (ops : st shard_ops)
-    ~shards (trace : Trace.packed) : result =
-  let plan = Trace.Shard.build cfg ~shards trace in
-  let memory_words = Trace.packed_memory_words trace in
-  let nets = Array.init shards (fun _ -> Kruskal_snir.create cfg) in
-  let traffics = Array.init shards (fun _ -> Traffic.create cfg) in
-  let slices =
-    Array.init shards (fun s ->
-        ops.o_create ~memory_words ~network:nets.(s) ~traffic:traffics.(s))
-  in
-  let ctxs =
-    Array.init shards (fun _ ->
-        { c_metrics = Metrics.create ();
-          c_bin_lat = Array.make plan.Trace.Shard.sh_max_bins 0;
-          c_viols = [];
-          c_nviol = 0 })
-  in
-  let procs = cfg.processors in
-  let n_eps = Array.length trace.Trace.p_epochs in
-  let stalls = Array.make_matrix shards procs 0 in
-  (* merged timing state, only ever touched single-threaded: in the
-     caller on the sequential path, by the last barrier arriver on the
-     parallel one *)
-  let global = ref 0 in
-  let clock = Array.make procs 0 in
-  let cursor = Array.make procs 0 in
-  let lock_wait = ref 0 in
-  let lock_acq = ref 0 in
-  let compute = ref 0 in
-  let n_barriers = ref 0 in
-  let window_words = ref 0 in
-  let window_cycle = ref 0 in
-  (* Reconstruct the sequential engine's epoch timing. Each processor
-     enters the epoch having executed its first cost bin; every ticket in
-     global order then replays Lock (wait on the previous release, pay
-     lock_cycles), the critical-section bin, Unlock (publish the release
-     time) and the following open bin — exactly the coupling the
-     min-clock engine resolves event by event. *)
-  let merge_epoch e =
-    let ep = plan.Trace.Shard.sh_epochs.(e) in
-    let cost b =
-      let c = ref ep.Trace.Shard.sp_bin_static.(b) in
-      for s = 0 to shards - 1 do
-        c := !c + ctxs.(s).c_bin_lat.(b)
-      done;
-      !c
-    in
-    for p = 0 to procs - 1 do
-      cursor.(p) <- ep.Trace.Shard.sp_proc_bin0.(p);
-      clock.(p) <- !global + cost cursor.(p)
-    done;
-    let release = ref 0 in
-    Array.iter
-      (fun pr ->
-        let ready = max clock.(pr) !release in
-        lock_wait := !lock_wait + (ready - clock.(pr));
-        incr lock_acq;
-        let after_cs = ready + cfg.lock_cycles + cost (cursor.(pr) + 1) in
-        release := after_cs;
-        clock.(pr) <- after_cs + cost (cursor.(pr) + 2);
-        cursor.(pr) <- cursor.(pr) + 2)
-      ep.Trace.Shard.sp_ticket_proc;
-    compute := !compute + ep.Trace.Shard.sp_compute_total;
-    let finish = ref !global in
-    for p = 0 to procs - 1 do
-      let smax = ref 0 in
-      for s = 0 to shards - 1 do
-        if stalls.(s).(p) > !smax then smax := stalls.(s).(p)
-      done;
-      let c = clock.(p) + !smax in
-      if c > !finish then finish := c
-    done;
-    incr n_barriers;
-    global := !finish + cfg.barrier_cycles;
-    (* one shared interconnect: offered load over the epoch window is
-       computed from the summed raw word counts with a single division —
-       summing per-slice [window_load] results instead would drift from
-       the sequential engine in the last float bit and break the
-       shard-count bit-identity gate. Every slice's network model sees
-       the same total. *)
-    let words = ref 0 in
-    for s = 0 to shards - 1 do
-      words := !words + Traffic.total_words traffics.(s)
-    done;
-    let cycles = max 1 (!global - !window_cycle) in
-    let rho =
-      float_of_int (!words - !window_words) /. float_of_int (cycles * cfg.processors)
-    in
-    window_words := !words;
-    window_cycle := !global;
-    for s = 0 to shards - 1 do
-      Kruskal_snir.set_load nets.(s) rho
-    done
-  in
-  let epoch_step_tail e s =
-    (* each slice fills its own row of the reusable stall matrix in place *)
-    ops.o_boundary slices.(s) ~stalls:stalls.(s);
-    ignore e
-  in
-  let run_parallel () =
-    let first_error = Atomic.make None in
-    let failed = Atomic.make false in
-    let bar_count = Atomic.make 0 in
-    let bar_sense = Atomic.make 0 in
-    (* sense-reversing barrier; the last arriver runs [action]. A raise
-       anywhere poisons the barrier so nobody spins forever. *)
-    let barrier action =
-      let sense = Atomic.get bar_sense in
-      if 1 + Atomic.fetch_and_add bar_count 1 = shards then begin
-        (try action ()
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           ignore (Atomic.compare_and_set first_error None (Some (e, bt)));
-           Atomic.set failed true);
-        Atomic.set bar_count 0;
-        Atomic.set bar_sense (1 - sense)
-      end
-      else begin
-        let spins = ref 0 in
-        while Atomic.get bar_sense = sense && not (Atomic.get failed) do
-          incr spins;
-          if !spins land 4095 = 0 then Unix.sleepf 0.0001 else Domain.cpu_relax ()
-        done
-      end;
-      if Atomic.get failed then raise Shard_abort
-    in
-    let worker s =
-      try
-        for e = 0 to n_eps - 1 do
-          ops.o_replay slices.(s) trace plan ctxs.(s) ~shard:s ~epoch:e;
-          barrier (fun () -> ops.o_exchange slices);
-          epoch_step_tail e s;
-          barrier (fun () -> merge_epoch e)
-        done
-      with
-      | Shard_abort -> ()
-      | e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set first_error None (Some (e, bt)));
-        Atomic.set failed true
-    in
-    match Hscd_util.Pool.team ~members:shards worker with
-    | None -> false
-    | Some _ ->
-      (match Atomic.get first_error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ());
-      true
-  in
-  let run_sequential () =
-    for e = 0 to n_eps - 1 do
-      for s = 0 to shards - 1 do
-        ops.o_replay slices.(s) trace plan ctxs.(s) ~shard:s ~epoch:e
-      done;
-      ops.o_exchange slices;
-      for s = 0 to shards - 1 do
-        epoch_step_tail e s
-      done;
-      merge_epoch e
-    done
-  in
-  (* The parallel path interleaves only operations on disjoint slices
-     between barriers, so its state evolution is identical to the
-     sequential one — which therefore doubles as the fallback when the
-     team cannot be spawned. *)
-  if not (parallel && shards > 1 && run_parallel ()) then run_sequential ();
-  (* merge: counters are sums over slices, stalls maxes, violations the
-     globally first [max_violations] in slot order *)
-  let metrics = Metrics.create () in
-  Array.iter
-    (fun c ->
-      let m = c.c_metrics in
-      for k = 0 to Metrics.n_classes - 1 do
-        metrics.read_classes.(k) <- metrics.read_classes.(k) + m.read_classes.(k);
-        metrics.write_classes.(k) <- metrics.write_classes.(k) + m.write_classes.(k)
-      done;
-      metrics.read_miss_count <- metrics.read_miss_count + m.read_miss_count;
-      metrics.read_miss_cycles <- metrics.read_miss_cycles + m.read_miss_cycles)
-    ctxs;
-  metrics.compute_cycles <- !compute;
-  metrics.barriers <- !n_barriers;
-  metrics.lock_acquires <- !lock_acq;
-  metrics.lock_wait_cycles <- !lock_wait;
-  metrics.cycles <- !global;
-  metrics.traffic <-
-    Array.fold_left
-      (fun acc t ->
-        let s = Traffic.snapshot t in
-        { Traffic.reads = acc.Traffic.reads + s.Traffic.reads;
-          writes = acc.Traffic.writes + s.Traffic.writes;
-          coherence = acc.Traffic.coherence + s.Traffic.coherence;
-          control = acc.Traffic.control + s.Traffic.control })
-      { Traffic.reads = 0; writes = 0; coherence = 0; control = 0 }
-      traffics;
-  let st = Scheme.fresh_stats () in
-  Array.iter
-    (fun sl ->
-      let x = ops.o_stats sl in
-      st.Scheme.invalidations_sent <- st.Scheme.invalidations_sent + x.Scheme.invalidations_sent;
-      st.Scheme.dirty_recalls <- st.Scheme.dirty_recalls + x.Scheme.dirty_recalls;
-      st.Scheme.upgrades <- st.Scheme.upgrades + x.Scheme.upgrades;
-      st.Scheme.writebacks <- st.Scheme.writebacks + x.Scheme.writebacks;
-      (* every slice's epoch counter trips the same resets *)
-      if x.Scheme.two_phase_resets > st.Scheme.two_phase_resets then
-        st.Scheme.two_phase_resets <- x.Scheme.two_phase_resets)
-    slices;
-  metrics.scheme_stats <- st;
-  metrics.violations <- Array.fold_left (fun a c -> a + c.c_nviol) 0 ctxs;
-  let violations =
-    (* each slice keeps its first [max_violations] in slot order, so the
-       union's smallest slots are complete: a globally-early violation is
-       necessarily early within its own shard *)
-    let all = Array.fold_left (fun acc c -> List.rev_append c.c_viols acc) [] ctxs in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) all in
-    List.filteri (fun k _ -> k < max_violations) sorted |> List.map snd
-  in
-  let golden = trace.Trace.p_golden in
-  let images = Array.map ops.o_image slices in
-  let memory_ok =
-    Array.for_all (fun img -> Array.length img = Array.length golden) images
-    &&
-    let ok = ref true in
-    Array.iteri
-      (fun i g ->
-        if images.(Trace.Shard.shard_of_addr cfg ~shards i).(i) <> g then ok := false)
-      golden;
-    !ok
-  in
-  {
-    cycles = !global;
-    metrics;
-    violations;
-    memory_ok;
-    network_load = (if shards > 0 then Kruskal_snir.load nets.(0) else 0.0);
-  }
-
-let run_sharded ?parallel (cfg : Config.t) (m : (module Hscd_coherence.Scheme.S)) ~shards
-    trace =
-  let (module S) = m in
-  run_sharded_with ?parallel cfg
-    { o_create = S.create cfg;
-      o_replay = (fun sch -> replay_slice (module S) sch);
-      o_exchange = S.boundary_exchange;
-      o_boundary = S.epoch_boundary;
-      o_stats = S.stats;
-      o_image = S.memory_image }
-    ~shards trace
-
-let run_sharded_base ?parallel (cfg : Config.t) ~shards trace =
-  let module B = Hscd_coherence.Base in
-  run_sharded_with ?parallel cfg
-    { o_create = B.create cfg;
-      o_replay = replay_slice_base;
-      o_exchange = B.boundary_exchange;
-      o_boundary = B.epoch_boundary;
-      o_stats = B.stats;
-      o_image = B.memory_image }
-    ~shards trace
-
-let run_sharded_tpi ?parallel (cfg : Config.t) ~shards trace =
-  let module T = Hscd_coherence.Tpi in
-  run_sharded_with ?parallel cfg
-    { o_create = T.create cfg;
-      o_replay = replay_slice_tpi;
-      o_exchange = T.boundary_exchange;
-      o_boundary = T.epoch_boundary;
-      o_stats = T.stats;
-      o_image = T.memory_image }
-    ~shards trace
-
-(* ------------------------------------------------------------------ *)
 (* Legacy boxed replay (equivalence baseline)                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -29,38 +29,6 @@ val run :
   Trace.packed ->
   result
 
-(** Sharded replay: partition the trace's accesses by cache-set group
-    ({!Trace.Shard}), replay each shard against a private scheme slice —
-    on its own domain when [parallel] (the default) and a team can be
-    spawned, inline otherwise — and reconstruct the sequential timing at
-    every epoch barrier. Deterministic and bit-identical across shard
-    counts by construction: [run_sharded ~shards:n] equals
-    [run_sharded ~shards:1] for every [n] (asserted by the test suite).
-    Each slice replays its accesses in trace (slot) order — the golden
-    interpreter's race-free order — where {!run} interleaves by clock;
-    on fixtures where no scheme latency or classification depends on
-    that interleaving the two engines agree exactly (asserted per
-    curated fixture), and the final-memory verdict agrees always.
-    Requires static scheduling and [migration_rate = 0]; callers go
-    through {!Run.simulate_packed_sharded} for the typed error.
-    Raises [Invalid_argument] on [shards < 1]. *)
-val run_sharded :
-  ?parallel:bool ->
-  Hscd_arch.Config.t ->
-  (module Hscd_coherence.Scheme.S) ->
-  shards:int ->
-  Trace.packed ->
-  result
-
-(** {!run_sharded} with the replay loop monomorphized to the BASE
-    scheme: the per-event dispatch is a direct call. Same semantics. *)
-val run_sharded_base :
-  ?parallel:bool -> Hscd_arch.Config.t -> shards:int -> Trace.packed -> result
-
-(** {!run_sharded} monomorphized to TPI. Same semantics. *)
-val run_sharded_tpi :
-  ?parallel:bool -> Hscd_arch.Config.t -> shards:int -> Trace.packed -> result
-
 (** Legacy replay of the boxed event stream through the same timing
     model; bit-identical to {!run} on the packed form of the same trace
     (asserted by the test suite). *)

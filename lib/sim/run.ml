@@ -71,7 +71,7 @@ let boxed_trace (c : compiled) = Trace.unpack c.packed_trace
 (* most points share the reference stream — only the trace-relevant     *)
 (* knobs (line size, scheduling staticness, marking flags) change it.   *)
 (* The in-memory table shares [compiled] across a process; the optional *)
-(* on-disk store (binary v2 traces) shares them across processes.       *)
+(* on-disk store (binary traces) shares them across processes.          *)
 (* ------------------------------------------------------------------ *)
 
 type cache_stats = { trace_generations : int; memory_hits : int; disk_hits : int }
@@ -190,34 +190,6 @@ let simulate_packed ?(cfg = Config.default) kind (trace : Trace.packed) =
   let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
   Engine.run cfg packed ~net:network ~traffic trace
 
-let scheme_module : scheme_kind -> (module Scheme.S) = function
-  | Base -> (module Hscd_coherence.Base)
-  | SC -> (module Hscd_coherence.Sc)
-  | TPI -> (module Hscd_coherence.Tpi)
-  | HW -> (module Hscd_coherence.Hwdir)
-  | LimitLESS -> (module Hscd_coherence.Limitless)
-  | VC -> (module Hscd_coherence.Vc)
-  | INV -> (module Hscd_coherence.Inv)
-
-(** One scheme over a packed trace, sharded across [shards] replay slices
-    (on a domain team when [parallel], the default). Bit-identical at
-    every shard count; requires static scheduling and no migration. BASE
-    and TPI dispatch to the engine's monomorphized replay loops. *)
-let simulate_packed_sharded ?(cfg = Config.default) ?parallel ~shards kind
-    (trace : Trace.packed) =
-  let cfg = Config.validate cfg in
-  if shards < 1 then Err.fail Err.Usage "shards must be >= 1 (got %d)" shards;
-  if not (Schedule.is_static cfg) then
-    Err.fail Err.Usage
-      "sharded replay requires a static scheduling policy (block or cyclic), not dynamic";
-  if cfg.Config.migration_rate > 0.0 then
-    Err.fail Err.Usage "sharded replay requires migration_rate = 0 (got %g)"
-      cfg.Config.migration_rate;
-  match kind with
-  | Base -> Engine.run_sharded_base ?parallel cfg ~shards trace
-  | TPI -> Engine.run_sharded_tpi ?parallel cfg ~shards trace
-  | kind -> Engine.run_sharded ?parallel cfg (scheme_module kind) ~shards trace
-
 (** One scheme over a memory-mapped binary trace: slab chunks are
     checksum-validated lazily, as replay first enters each epoch — a
     corrupt byte in epoch [e]'s span surfaces as a typed [Corrupt] error
@@ -230,13 +202,6 @@ let simulate_mapped ?(cfg = Config.default) kind (m : Trace_io.Mapped.t) =
   let traffic = Traffic.create cfg in
   let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
   Engine.run ~on_epoch:(Trace_io.Mapped.validate_epoch m) cfg packed ~net:network ~traffic trace
-
-(** Sharded replay of a memory-mapped trace. The shard planner reads the
-    whole trace up front, so the map is validated in full first (still
-    O(1) resident until then). *)
-let simulate_mapped_sharded ?cfg ?parallel ~shards kind (m : Trace_io.Mapped.t) =
-  Trace_io.Mapped.validate_all m;
-  simulate_packed_sharded ?cfg ?parallel ~shards kind (Trace_io.Mapped.trace m)
 
 (** One scheme over a boxed trace via the legacy replay loop —
     bit-identical to {!simulate_packed} on [Trace.pack trace]. *)

@@ -461,10 +461,8 @@ module Builder = struct
     b.e_ntickets.(i) <- b.ticket;
     b.n_epochs <- i + 1
 
-  (** Close the builder. [total_events] overrides the builder's own count
-      (used when re-packing a boxed trace whose count follows different
-      bookkeeping, e.g. loaded corpus traces that exclude lock events). *)
-  let finish ?total_events b ~golden =
+  (** Close the builder. *)
+  let finish b ~golden =
     let layout =
       match b.layout with
       | Some l -> l
@@ -504,7 +502,7 @@ module Builder = struct
       rmark_table = Event.Code.rmark_table ~max_code:b.max_rcode;
       p_layout = layout;
       p_golden = golden;
-      p_total_events = (match total_events with Some n -> n | None -> b.total);
+      p_total_events = b.total;
       n_slots = b.pos;
       p_max_tickets = b.max_tickets;
     }
@@ -547,44 +545,9 @@ let of_program_packed ?(check_races = true) ?(line_words = 4) (program : Ast.pro
   let result = Eval.run ~hooks:(Builder.hooks b) ~check_races ~line_words program in
   Builder.finish b ~golden:result.Eval.final_memory
 
-(** Stream an existing boxed trace through the builder — the packed result
-    is slot-for-slot identical to {!pack} (compute slots are emitted raw,
-    not re-coalesced), with exact initial capacity. *)
-let pack_streaming (t : t) =
-  let n_slots =
-    Array.fold_left
-      (fun acc e ->
-        Array.fold_left (fun acc (task : task) -> acc + Array.length task.events) acc e.tasks)
-      0 t.epochs
-  in
-  let b = Builder.create ~capacity:(max 1 n_slots) () in
-  Builder.init b t.layout;
-  Array.iter
-    (fun (e : epoch) ->
-      Builder.epoch_begin b e.kind;
-      Array.iter
-        (fun (task : task) ->
-          Builder.task_begin b ~iter:task.iter;
-          Array.iter
-            (fun ev ->
-              match ev with
-              | Event.Compute n -> Builder.emit_compute b n
-              | Event.Read { addr; mark; value; array } ->
-                Builder.emit_read b ~array ~addr ~value ~rcode:(Event.Code.of_rmark mark)
-              | Event.Write { addr; mark; value; array } ->
-                Builder.emit_write b ~array ~addr ~value ~wcode:(Event.Code.of_wmark mark)
-              | Event.Lock -> Builder.emit_lock b
-              | Event.Unlock -> Builder.emit_unlock b)
-            task.events;
-          Builder.task_end b)
-        e.tasks;
-      Builder.epoch_end b)
-    t.epochs;
-  Builder.finish b ~total_events:t.total_events ~golden:t.golden_memory
-
 (** Reconstruct the boxed form from a packed trace — exact inverse of
-    {!pack}/{!pack_streaming}, for text serialization and differential
-    tests against the legacy replay loop. *)
+    {!pack}, for text serialization and differential tests against the
+    legacy replay loop. *)
 let unpack (p : packed) : t =
   let epochs =
     Array.map
@@ -661,173 +624,6 @@ let packed_access_counts (p : packed) =
   done;
   (!reads, !writes)
 
-(* ------------------------------------------------------------------ *)
-(* Shard plan: address partition for multi-domain replay               *)
-(* ------------------------------------------------------------------ *)
-
-(** Partition of a packed trace's memory accesses across replay shards,
-    plus everything the sharded engine needs to reconstruct the
-    sequential engine's timing without replaying in clock order.
-
-    The partition is by cache-set group: an address's shard is
-    [set_index(line) mod shards], so every access to one memory line —
-    and every line competing for the same cache set — lands in the same
-    shard. Caches (LRU within a set), directory entries, and per-line
-    memory state therefore decompose exactly: each shard replays its
-    slots in trace order against its own scheme slice and no slice ever
-    observes another's lines.
-
-    Timing is reconstructed per epoch from *cost bins*: each processor's
-    event stream in an epoch is cut into segments at its Lock/Unlock
-    events (2·locks+1 segments). Static compute cost per bin is
-    precomputed here; shards accumulate dynamic access latencies into
-    per-bin counters during replay; at the epoch barrier a single pass
-    over the tickets in global order reproduces the engine's
-    critical-section serialization (lock waits, release times) exactly —
-    valid because under static scheduling a processor's events execute
-    in slot order and only lock grants couple processors inside an
-    epoch. *)
-module Shard = struct
-  type epoch_plan = {
-    sp_nbins : int;
-    sp_bin_proc : int array;  (** bin -> executing processor *)
-    sp_bin_static : int array;  (** bin -> compute cycles (work statements) *)
-    sp_proc_bin0 : int array;  (** proc -> its first bin this epoch *)
-    sp_ticket_proc : int array;  (** ticket -> processor holding it *)
-    sp_compute_total : int;  (** sum of all compute cycles in the epoch *)
-  }
-
-  type plan = {
-    sh_shards : int;
-    sh_epochs : epoch_plan array;
-    sh_slots : Slab.t array;  (** shard -> owned read/write slots, ascending *)
-    sh_bins : Slab.t array;  (** shard -> epoch-local bin of each owned slot *)
-    sh_off : int array array;  (** shard -> epoch -> first index in [sh_slots] *)
-    sh_max_bins : int;  (** max [sp_nbins] over epochs (scratch sizing) *)
-  }
-
-  (** Owning shard of an address: the line's cache-set index modulo the
-      shard count. Also the owner used when merging final memory images. *)
-  let shard_of_addr (cfg : Hscd_arch.Config.t) ~shards addr =
-    ((addr / cfg.line_words) land (Hscd_arch.Config.sets cfg - 1)) mod shards
-
-  let build (cfg : Hscd_arch.Config.t) ~shards (p : packed) =
-    if shards < 1 then invalid_arg "Trace.Shard.build: shards must be >= 1";
-    let procs = cfg.processors in
-    let n_eps = Array.length p.p_epochs in
-    let shard_of = shard_of_addr cfg ~shards in
-    (* pass 1: per-shard, per-epoch slot counts *)
-    let counts = Array.init shards (fun _ -> Array.make n_eps 0) in
-    Array.iteri
-      (fun e (pe : pepoch) ->
-        Array.iter
-          (fun (t : ptask) ->
-            for i = t.off to t.off + t.len - 1 do
-              let op = Slab.get p.ops i in
-              if op = Event.Code.read || op = Event.Code.write then
-                let s = shard_of (Slab.get p.addrs i) in
-                counts.(s).(e) <- counts.(s).(e) + 1
-            done)
-          pe.p_tasks)
-      p.p_epochs;
-    let sh_off =
-      Array.init shards (fun s ->
-          let off = Array.make (n_eps + 1) 0 in
-          for e = 0 to n_eps - 1 do
-            off.(e + 1) <- off.(e) + counts.(s).(e)
-          done;
-          off)
-    in
-    let sh_slots = Array.init shards (fun s -> Slab.create sh_off.(s).(n_eps)) in
-    let sh_bins = Array.init shards (fun s -> Slab.create sh_off.(s).(n_eps)) in
-    let cursor = Array.make shards 0 in
-    let seg = Array.make procs 0 in
-    let max_bins = ref 0 in
-    (* pass 2: fill shard slots (trace order within each shard) and build
-       every epoch's bin structure and ticket->proc map *)
-    let sh_epochs =
-      Array.map
-        (fun (pe : pepoch) ->
-          let ntasks = Array.length pe.p_tasks in
-          let serial = match pe.p_kind with Serial -> true | Parallel _ -> false in
-          let proc_of rank = if serial then 0 else Schedule.static_proc cfg ~ntasks rank in
-          let nsegs = Array.make procs 1 in
-          Array.iteri
-            (fun rank (t : ptask) ->
-              let pr = proc_of rank in
-              nsegs.(pr) <- nsegs.(pr) + (2 * t.n_locks))
-            pe.p_tasks;
-          let sp_proc_bin0 = Array.make procs 0 in
-          for pr = 1 to procs - 1 do
-            sp_proc_bin0.(pr) <- sp_proc_bin0.(pr - 1) + nsegs.(pr - 1)
-          done;
-          let sp_nbins = sp_proc_bin0.(procs - 1) + nsegs.(procs - 1) in
-          if sp_nbins > !max_bins then max_bins := sp_nbins;
-          let sp_bin_proc = Array.make sp_nbins 0 in
-          for pr = 0 to procs - 1 do
-            for k = 0 to nsegs.(pr) - 1 do
-              sp_bin_proc.(sp_proc_bin0.(pr) + k) <- pr
-            done
-          done;
-          let sp_bin_static = Array.make sp_nbins 0 in
-          let sp_ticket_proc = Array.make pe.p_n_tickets 0 in
-          let total = ref 0 in
-          Array.fill seg 0 procs 0;
-          Array.iteri
-            (fun rank (t : ptask) ->
-              let pr = proc_of rank in
-              for k = 0 to t.n_locks - 1 do
-                sp_ticket_proc.(t.ticket0 + k) <- pr
-              done;
-              for i = t.off to t.off + t.len - 1 do
-                let op = Slab.get p.ops i in
-                if op = Event.Code.compute then begin
-                  let n = Slab.get p.addrs i in
-                  sp_bin_static.(sp_proc_bin0.(pr) + seg.(pr)) <-
-                    sp_bin_static.(sp_proc_bin0.(pr) + seg.(pr)) + n;
-                  total := !total + n
-                end
-                else if op = Event.Code.read || op = Event.Code.write then begin
-                  let s = shard_of (Slab.get p.addrs i) in
-                  let j = cursor.(s) in
-                  Slab.set sh_slots.(s) j i;
-                  Slab.set sh_bins.(s) j (sp_proc_bin0.(pr) + seg.(pr));
-                  cursor.(s) <- j + 1
-                end
-                else
-                  (* lock or unlock: a segment boundary in [pr]'s stream *)
-                  seg.(pr) <- seg.(pr) + 1
-              done)
-            pe.p_tasks;
-          { sp_nbins; sp_bin_proc; sp_bin_static; sp_proc_bin0; sp_ticket_proc;
-            sp_compute_total = !total })
-        p.p_epochs
-    in
-    { sh_shards = shards; sh_epochs; sh_slots; sh_bins; sh_off; sh_max_bins = max 1 !max_bins }
-end
-
 let n_epochs t = Array.length t.epochs
 
-let n_parallel_epochs t =
-  Array.fold_left
-    (fun acc e -> match e.kind with Parallel _ -> acc + 1 | Serial -> acc)
-    0 t.epochs
-
 let memory_words t = max 1 t.layout.Shape.total_words
-
-(** Count memory accesses (reads, writes) in the whole trace. *)
-let access_counts t =
-  let reads = ref 0 and writes = ref 0 in
-  Array.iter
-    (fun e ->
-      Array.iter
-        (fun task ->
-          Array.iter
-            (function
-              | Event.Read _ -> incr reads
-              | Event.Write _ -> incr writes
-              | Event.Compute _ | Event.Lock | Event.Unlock -> ())
-            task.events)
-        e.tasks)
-    t.epochs;
-  (!reads, !writes)

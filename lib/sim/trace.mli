@@ -94,18 +94,12 @@ module Builder : sig
 
   val create : ?capacity:int -> unit -> t
 
-  (** Seed the interner from the address map (canonical layout-order ids).
-      Must run before the first emit; {!hooks} wires it to [on_init]. *)
-  val init : t -> Hscd_lang.Shape.layout -> unit
-
   (** Eval hooks that stream events straight into the slabs. *)
   val hooks : t -> Hscd_lang.Eval.hooks
 
   (** Close the builder into a packed trace. Slabs keep their grown
-      capacity (only [n_slots] entries are live). [total_events] overrides
-      the builder's own count when re-packing a trace whose bookkeeping
-      differs (e.g. corpus traces loaded by {!Trace_io.load}). *)
-  val finish : ?total_events:int -> t -> golden:int array -> packed
+      capacity (only [n_slots] entries are live). *)
+  val finish : t -> golden:int array -> packed
 end
 
 (** Generate the packed trace directly — instrumented interpreter with
@@ -113,10 +107,6 @@ end
     bit-identical to [pack (of_program p)]. *)
 val of_program_packed :
   ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -> packed
-
-(** Stream an existing boxed trace through the builder; slot-for-slot
-    identical to {!pack}. *)
-val pack_streaming : t -> packed
 
 (** Reconstruct the boxed form (exact inverse of {!pack}), for text
     serialization and differential tests. *)
@@ -129,42 +119,6 @@ val packed_memory_words : packed -> int
     including builder growth headroom), for footprint reporting. *)
 val packed_slab_words : packed -> int
 
-(** Address partition and timing-reconstruction plan for the sharded
-    multi-domain replay ({!Engine.run_sharded}). Accesses are partitioned
-    by cache-set group, so lines, cache sets, directory entries and
-    per-line memory state never split across shards; per-epoch cost bins
-    (processor event segments delimited by Lock/Unlock) let the epoch
-    barrier reproduce the sequential engine's lock serialization from
-    per-bin latency sums. Requires static scheduling. *)
-module Shard : sig
-  type epoch_plan = {
-    sp_nbins : int;
-    sp_bin_proc : int array;  (** bin -> executing processor *)
-    sp_bin_static : int array;  (** bin -> compute cycles (work statements) *)
-    sp_proc_bin0 : int array;  (** proc -> its first bin this epoch *)
-    sp_ticket_proc : int array;  (** ticket -> processor holding it *)
-    sp_compute_total : int;  (** sum of all compute cycles in the epoch *)
-  }
-
-  type plan = {
-    sh_shards : int;
-    sh_epochs : epoch_plan array;
-    sh_slots : Slab.t array;  (** shard -> owned read/write slots, ascending *)
-    sh_bins : Slab.t array;  (** shard -> epoch-local bin of each owned slot *)
-    sh_off : int array array;  (** shard -> epoch -> first index in [sh_slots] *)
-    sh_max_bins : int;  (** max [sp_nbins] over epochs (scratch sizing) *)
-  }
-
-  (** Owning shard of an address: the line's cache-set index modulo the
-      shard count. Also the owner used when merging final memory images. *)
-  val shard_of_addr : Hscd_arch.Config.t -> shards:int -> int -> int
-
-  (** Build the partition. Raises [Invalid_argument] on [shards < 1] or
-      dynamic scheduling (use {!Run.simulate_packed_sharded} for the typed
-      error). *)
-  val build : Hscd_arch.Config.t -> shards:int -> packed -> plan
-end
-
 val packed_n_epochs : packed -> int
 val packed_n_parallel_epochs : packed -> int
 
@@ -172,10 +126,7 @@ val packed_n_parallel_epochs : packed -> int
 val packed_access_counts : packed -> int * int
 
 val n_epochs : t -> int
-val n_parallel_epochs : t -> int
 
 (** At least 1, for allocating scheme memory images. *)
 val memory_words : t -> int
 
-(** (reads, writes) over the whole trace. *)
-val access_counts : t -> int * int

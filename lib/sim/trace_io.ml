@@ -193,10 +193,10 @@ let equal (a : Trace.t) (b : Trace.t) =
   && a.layout.Shape.total_words = b.layout.Shape.total_words
 
 (* ------------------------------------------------------------------ *)
-(* Binary trace formats: direct dumps of the packed slabs.             *)
-(*                                                                     *)
-(* v2 layout (all ints 8-byte little-endian two's complement):         *)
-(*   magic "HSCDTRC2"                                                  *)
+(* Binary trace format: a direct dump of the packed slabs, mappable    *)
+(* with [Unix.map_file] and validated lazily. All ints are 8-byte      *)
+(* little-endian two's complement.                                     *)
+(*   magic "HSCDTRC3"                                                  *)
 (*   total_words, n_arrays, then per array: name, base, n_dims, dims   *)
 (*   golden_len, n_nonzero, then (index, value) pairs                  *)
 (*   n_symbols, then names in id order                                 *)
@@ -204,27 +204,22 @@ let equal (a : Trace.t) (b : Trace.t) =
 (*   total_events, n_slots, max_tickets                                *)
 (*   n_epochs, then per epoch: kind (0 serial | 1 lo hi), n_tickets,   *)
 (*     n_tasks, then per task: iter off len ticket0 n_locks            *)
-(*   five slabs, live slots only: ops addrs values marks arrs          *)
-(*   checksum (avalanche mix folded over every value above)            *)
-(*                                                                     *)
-(* v3 ("HSCDTRC3", written by [write_packed], mappable) moves all      *)
-(* integrity data into the header so the slabs can be loaded zero-copy *)
-(* with [Unix.map_file] and validated lazily:                          *)
-(*   header identical to v2 through the epoch/task descriptors, then   *)
 (*   chunk_words, and per slab ceil(n_slots/chunk_words) chunk         *)
-(*   checksums (row-major: slab 0's chunks, then slab 1's, ...), each  *)
-(*   seeded with the slab and chunk index so swapped or relocated      *)
-(*   chunks cannot cancel out; then the header checksum (raw, over     *)
-(*   everything above including the chunk table); then zero padding to *)
-(*   an 8-byte file offset; then the five slabs as raw unchecksummed   *)
-(*   words (their integrity is the chunk table's). Nothing follows the *)
-(*   slabs, so the expected file length is known from the header.      *)
+(*     checksums (row-major: slab 0's chunks, then slab 1's, ...),     *)
+(*     each seeded with the slab and chunk index so swapped or         *)
+(*     relocated chunks cannot cancel out                              *)
+(*   header checksum (avalanche mix folded over every value above,     *)
+(*     written raw)                                                    *)
+(*   zero padding to an 8-byte file offset                             *)
+(*   five slabs, live slots only, as raw unchecksummed words (their    *)
+(*     integrity is the chunk table's): ops addrs values marks arrs    *)
+(* Nothing follows the slabs, so the expected file length is known     *)
+(* from the header. Any other magic is a foreign file.                 *)
 (* ------------------------------------------------------------------ *)
 
-let binary_magic_v2 = "HSCDTRC2"
 let binary_magic = "HSCDTRC3"
 
-(** Slab words covered by one v3 chunk checksum (512 KiB of file). *)
+(** Slab words covered by one chunk checksum (512 KiB of file). *)
 let chunk_words = 65536
 
 module Slab = Trace.Slab
@@ -439,16 +434,12 @@ let read_seq n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
 
-type version = V2 | V3
-
 let read_magic r =
   if r.rlimit - tell r < 8 then corrupt "not a binary trace: short file";
   ensure r 8;
   let m = Bytes.sub_string r.rbuf r.rpos 8 in
   r.rpos <- r.rpos + 8;
-  if m = binary_magic then V3
-  else if m = binary_magic_v2 then V2
-  else corrupt "not a binary trace: bad magic"
+  if m <> binary_magic then corrupt "not a binary trace: bad magic"
 
 (* everything before the slab region, parsed and validated eagerly by
    both the buffered and the mmap loaders *)
@@ -463,12 +454,12 @@ type header = {
   h_n_slots : int;
   h_max_tickets : int;
   h_epochs : Trace.pepoch array;
-  h_chunk_words : int;  (** v3 only; 0 for v2 *)
-  h_sums : int array;  (** v3 only; [5 * nchunks], row-major by slab *)
-  h_slab_base : int;  (** v3 only; absolute file offset of the slab region *)
+  h_chunk_words : int;
+  h_sums : int array;  (** [5 * nchunks], row-major by slab *)
+  h_slab_base : int;  (** absolute file offset of the slab region *)
 }
 
-let read_header r version : header =
+let read_header r : header =
   let total_words = get_count r "total_words" in
   let n_arrays = get_count r "array count" in
   let array_list =
@@ -530,44 +521,37 @@ let read_header r version : header =
         in
         { Trace.p_kind; p_tasks = Array.of_list task_list; p_n_tickets })
   in
-  let p_epochs = Array.of_list epoch_list in
-  let h =
-    {
-      h_layout = layout;
-      h_golden = golden;
-      h_symtab = symtab;
-      h_n_syms = n_syms;
-      h_max_code = max_code;
-      h_rmark_table = rmark_table;
-      h_total_events = p_total_events;
-      h_n_slots = n_slots;
-      h_max_tickets = p_max_tickets;
-      h_epochs = p_epochs;
-      h_chunk_words = 0;
-      h_sums = [||];
-      h_slab_base = 0;
-    }
-  in
-  match version with
-  | V2 -> h
-  | V3 ->
-    (* not an item count (a small trace still records the full chunk
-       granule), so range-check directly instead of via [get_count] *)
-    let cw = get_int r in
-    if cw < 1 || cw > 1 lsl 30 then corrupt "chunk words";
-    let nchunks = chunks_of ~n:n_slots ~cw in
-    let sums = Array.make (5 * nchunks) 0 in
-    for i = 0 to (5 * nchunks) - 1 do
-      sums.(i) <- get_int r
-    done;
-    let sum = r.rsum in
-    if get_raw_int r <> sum then corrupt "header checksum mismatch";
-    skip r ((8 - (tell r mod 8)) mod 8);
-    let slab_base = tell r in
-    (* nothing follows the slabs, so truncation (and trailing junk) is
-       caught before any slab word is read or mapped *)
-    if r.rlimit <> slab_base + (5 * n_slots * 8) then corrupt "file length";
-    { h with h_chunk_words = cw; h_sums = sums; h_slab_base = slab_base }
+  (* not an item count (a small trace still records the full chunk
+     granule), so range-check directly instead of via [get_count] *)
+  let cw = get_int r in
+  if cw < 1 || cw > 1 lsl 30 then corrupt "chunk words";
+  let nchunks = chunks_of ~n:n_slots ~cw in
+  let sums = Array.make (5 * nchunks) 0 in
+  for i = 0 to (5 * nchunks) - 1 do
+    sums.(i) <- get_int r
+  done;
+  let sum = r.rsum in
+  if get_raw_int r <> sum then corrupt "header checksum mismatch";
+  skip r ((8 - (tell r mod 8)) mod 8);
+  let slab_base = tell r in
+  (* nothing follows the slabs, so truncation (and trailing junk) is
+     caught before any slab word is read or mapped *)
+  if r.rlimit <> slab_base + (5 * n_slots * 8) then corrupt "file length";
+  {
+    h_layout = layout;
+    h_golden = golden;
+    h_symtab = symtab;
+    h_n_syms = n_syms;
+    h_max_code = max_code;
+    h_rmark_table = rmark_table;
+    h_total_events = p_total_events;
+    h_n_slots = n_slots;
+    h_max_tickets = p_max_tickets;
+    h_epochs = Array.of_list epoch_list;
+    h_chunk_words = cw;
+    h_sums = sums;
+    h_slab_base = slab_base;
+  }
 
 (* per-slot structural validation; ops/marks/arrs interplay means it runs
    over a slot range, not per chunk *)
@@ -600,9 +584,9 @@ let packed_of_header (h : header) slabs : Trace.packed =
     p_max_tickets = h.h_max_tickets;
   }
 
-(* one v3 slab via the buffered reader, verifying each chunk as it
-   streams past *)
-let read_slab_v3 r ~n ~cw ~sums ~slab =
+(* one slab via the buffered reader, verifying each chunk as it streams
+   past *)
+let read_slab r ~n ~cw ~sums ~slab =
   let s = Slab.create (max 1 n) in
   let nchunks = chunks_of ~n ~cw in
   for c = 0 to nchunks - 1 do
@@ -618,35 +602,13 @@ let read_slab_v3 r ~n ~cw ~sums ~slab =
 
 let read_packed_channel ic : Trace.packed =
   let r = reader ic in
-  let version = read_magic r in
-  let h = read_header r version in
+  read_magic r;
+  let h = read_header r in
   let n = h.h_n_slots in
-  let slabs =
-    match version with
-    | V2 ->
-      (* slabs at [pack]'s canonical capacity *)
-      let slab () =
-        let s = Slab.create (max 1 n) in
-        for i = 0 to n - 1 do
-          Slab.set s i (get_int r)
-        done;
-        s
-      in
-      let ops = slab () in
-      let addrs = slab () in
-      let values = slab () in
-      let marks = slab () in
-      let arrs = slab () in
-      let sum = r.rsum in
-      if get_raw_int r <> sum then corrupt "checksum mismatch";
-      [| ops; addrs; values; marks; arrs |]
-    | V3 ->
-      let out = Array.make 5 (Slab.create 1) in
-      for j = 0 to 4 do
-        out.(j) <- read_slab_v3 r ~n ~cw:h.h_chunk_words ~sums:h.h_sums ~slab:j
-      done;
-      out
-  in
+  let slabs = Array.make 5 (Slab.create 1) in
+  for j = 0 to 4 do
+    slabs.(j) <- read_slab r ~n ~cw:h.h_chunk_words ~sums:h.h_sums ~slab:j
+  done;
   validate_slots ~ops:slabs.(0) ~marks:slabs.(3) ~arrs:slabs.(4) ~n_syms:h.h_n_syms
     ~max_code:h.h_max_code 0 n;
   packed_of_header h slabs
@@ -679,7 +641,7 @@ let load_result path =
   Err.guard ~default:Err.Parse ~context:path (fun () -> load path)
 
 (* ------------------------------------------------------------------ *)
-(* Zero-copy loading: the v3 slab region [Unix.map_file]d straight into  *)
+(* Zero-copy loading: the slab region [Unix.map_file]d straight into     *)
 (* the packed trace's Bigarray slabs. The header is parsed and verified  *)
 (* eagerly (it is small); slab words are faulted in by the kernel on     *)
 (* first access and checked lazily, one 512 KiB chunk at a time, as the  *)
@@ -755,8 +717,8 @@ module Mapped = struct
       Bytes.set m.m_epoch_ok e '\001'
     end
 
-  (** Force full validation (all chunks, all epochs) — the sharded replay
-      planner walks every slot up front, so it calls this first. *)
+  (** Force full validation (all chunks, all epochs), for callers that
+      read slots outside replay order. *)
   let validate_all m =
     for j = 0 to 4 do
       for c = 0 to m.m_nchunks - 1 do
@@ -785,9 +747,9 @@ module Mapped = struct
 end
 
 (** Open a binary packed trace with the slab region memory-mapped
-    zero-copy. v2 traces, big-endian hosts, and empty slab regions fall
-    back to the buffered reader (returning a fully validated {!Mapped.t});
-    v3 traces on little-endian hosts map the file and validate lazily.
+    zero-copy. Big-endian hosts and empty slab regions fall back to the
+    buffered reader (returning a fully validated {!Mapped.t}); otherwise
+    the file is mapped and validated lazily.
     Raises [Hscd_error.Error]: [Io] for OS/mmap failures, [Corrupt] for
     header damage (slab damage surfaces from {!Mapped.validate_epoch}). *)
 let map_packed path : Mapped.t =
@@ -795,41 +757,37 @@ let map_packed path : Mapped.t =
   let m =
     try
       let r = reader ic in
-      let version = read_magic r in
-      let fallback () =
+      read_magic r;
+      let h = read_header r in
+      if Sys.big_endian || h.h_n_slots = 0 then begin
         seek_in ic 0;
         Mapped.of_validated (read_packed_channel ic)
-      in
-      match version with
-      | V2 -> fallback ()
-      | V3 ->
-        let h = read_header r V3 in
-        if Sys.big_endian || h.h_n_slots = 0 then fallback ()
-        else begin
-          let region =
-            try
-              Bigarray.array1_of_genarray
-                (Unix.map_file (Unix.descr_of_in_channel ic)
-                   ~pos:(Int64.of_int h.h_slab_base) Bigarray.int Bigarray.c_layout false
-                   [| 5 * h.h_n_slots |])
-            with Unix.Unix_error (e, _, _) ->
-              Err.fail Err.Io "Trace_io: mmap %s: %s" path (Unix.error_message e)
-          in
-          let slab j = Slab.sub region (j * h.h_n_slots) h.h_n_slots in
-          let p = packed_of_header h [| slab 0; slab 1; slab 2; slab 3; slab 4 |] in
-          let nchunks = chunks_of ~n:h.h_n_slots ~cw:h.h_chunk_words in
-          {
-            Mapped.m_trace = p;
-            m_chunk_words = h.h_chunk_words;
-            m_nchunks = nchunks;
-            m_sums = h.h_sums;
-            m_chunk_ok = Bytes.make (5 * nchunks) '\000';
-            m_epoch_ok = Bytes.make (Array.length h.h_epochs) '\000';
-            m_spans = epoch_spans p;
-            m_n_syms = h.h_n_syms;
-            m_max_code = h.h_max_code;
-          }
-        end
+      end
+      else begin
+        let region =
+          try
+            Bigarray.array1_of_genarray
+              (Unix.map_file (Unix.descr_of_in_channel ic)
+                 ~pos:(Int64.of_int h.h_slab_base) Bigarray.int Bigarray.c_layout false
+                 [| 5 * h.h_n_slots |])
+          with Unix.Unix_error (e, _, _) ->
+            Err.fail Err.Io "Trace_io: mmap %s: %s" path (Unix.error_message e)
+        in
+        let slab j = Slab.sub region (j * h.h_n_slots) h.h_n_slots in
+        let p = packed_of_header h [| slab 0; slab 1; slab 2; slab 3; slab 4 |] in
+        let nchunks = chunks_of ~n:h.h_n_slots ~cw:h.h_chunk_words in
+        {
+          Mapped.m_trace = p;
+          m_chunk_words = h.h_chunk_words;
+          m_nchunks = nchunks;
+          m_sums = h.h_sums;
+          m_chunk_ok = Bytes.make (5 * nchunks) '\000';
+          m_epoch_ok = Bytes.make (Array.length h.h_epochs) '\000';
+          m_spans = epoch_spans p;
+          m_n_syms = h.h_n_syms;
+          m_max_code = h.h_max_code;
+        }
+      end
     with exn ->
       close_in_noerr ic;
       raise exn
@@ -840,7 +798,7 @@ let map_packed path : Mapped.t =
 (** {!map_packed} as a [result], mirroring {!read_packed_result}. *)
 let map_packed_result path = Err.guard ~context:path (fun () -> map_packed path)
 
-(** Cheap sniff: does [path] start with a binary magic (either version)?
+(** Cheap sniff: does [path] start with the binary magic?
     (Lets the CLI auto-detect binary vs. text traces.) *)
 let is_binary path =
   match open_in_bin path with
@@ -854,7 +812,7 @@ let is_binary path =
     try
       really_input ic b 0 (Bytes.length b);
       let m = Bytes.to_string b in
-      m = binary_magic || m = binary_magic_v2
+      m = binary_magic
     with End_of_file | Sys_error _ -> false
   in
   close_in_noerr ic;

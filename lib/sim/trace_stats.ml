@@ -19,64 +19,65 @@ type t = {
   marked_reads : int;  (** reads carrying a Time-Read/Bypass mark *)
 }
 
-let of_trace (cfg : Config.t) (trace : Trace.t) =
-  let touched : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  (* bit set of processors per word, as an int mask (<= 62 procs) *)
+let of_trace (cfg : Config.t) (p : Trace.packed) =
+  (* bit set of processors per word, as an int mask (<= 62 procs); a
+     touched word's mask is never 0 *)
+  let touched = Array.make (Trace.packed_memory_words p) 0 in
   let reads = ref 0 and writes = ref 0 and compute = ref 0 and locks = ref 0 in
   let marked = ref 0 and tasks = ref 0 and par_epochs = ref 0 and par_tasks = ref 0 in
   Array.iter
-    (fun (epoch : Trace.epoch) ->
-      let ntasks = Array.length epoch.tasks in
-      (match epoch.kind with
+    (fun (epoch : Trace.pepoch) ->
+      let ntasks = Array.length epoch.p_tasks in
+      (match epoch.p_kind with
       | Trace.Parallel _ ->
         incr par_epochs;
         par_tasks := !par_tasks + ntasks
       | Trace.Serial -> ());
       Array.iteri
-        (fun rank (task : Trace.task) ->
+        (fun rank (task : Trace.ptask) ->
           incr tasks;
           let proc =
-            match epoch.kind with
+            match epoch.p_kind with
             | Trace.Serial -> 0
             | Trace.Parallel _ ->
               if Schedule.is_static cfg then Schedule.static_proc cfg ~ntasks rank
               else rank mod cfg.processors
           in
           let bit = 1 lsl min proc 61 in
-          let touch addr =
-            let old = try Hashtbl.find touched addr with Not_found -> 0 in
-            Hashtbl.replace touched addr (old lor bit)
-          in
-          Array.iter
-            (fun (e : Event.t) ->
-              match e with
-              | Event.Read { addr; mark; _ } ->
+          for i = task.off to task.off + task.len - 1 do
+            let op = Trace.Slab.get p.ops i in
+            if op = Event.Code.read || op = Event.Code.write then begin
+              let addr = Trace.Slab.get p.addrs i in
+              touched.(addr) <- touched.(addr) lor bit;
+              if op = Event.Code.write then incr writes
+              else begin
                 incr reads;
-                (match mark with
+                match p.rmark_table.(Trace.Slab.get p.marks i) with
                 | Event.Time_read _ | Event.Bypass_read -> incr marked
-                | Event.Normal_read | Event.Unmarked -> ());
-                touch addr
-              | Event.Write { addr; _ } ->
-                incr writes;
-                touch addr
-              | Event.Compute n -> compute := !compute + n
-              | Event.Lock -> incr locks
-              | Event.Unlock -> ())
-            task.events)
-        epoch.tasks)
-    trace.epochs;
-  let footprint = Hashtbl.length touched in
-  let shared = Hashtbl.fold (fun _ mask acc -> if mask land (mask - 1) <> 0 then acc + 1 else acc) touched 0 in
+                | Event.Normal_read | Event.Unmarked -> ()
+              end
+            end
+            else if op = Event.Code.compute then compute := !compute + Trace.Slab.get p.addrs i
+            else if op = Event.Code.lock then incr locks
+          done)
+        epoch.p_tasks)
+    p.p_epochs;
+  let footprint = ref 0 and shared = ref 0 in
+  Array.iter
+    (fun mask ->
+      if mask <> 0 then incr footprint;
+      if mask land (mask - 1) <> 0 then incr shared)
+    touched;
   {
-    epochs = Array.length trace.epochs;
+    epochs = Array.length p.p_epochs;
     parallel_epochs = !par_epochs;
     tasks = !tasks;
     reads = !reads;
     writes = !writes;
     compute_cycles = !compute;
     lock_events = !locks;
-    footprint_words = footprint;
-    shared_words = shared;
+    footprint_words = !footprint;
+    shared_words = !shared;
     avg_parallelism =
       (if !par_epochs = 0 then 0.0 else float_of_int !par_tasks /. float_of_int !par_epochs);
     marked_reads = !marked;

@@ -14,7 +14,7 @@ type t = {
   marked_reads : int;  (** reads carrying a Time-Read/Bypass mark *)
 }
 
-val of_trace : Hscd_arch.Config.t -> Trace.t -> t
+val of_trace : Hscd_arch.Config.t -> Trace.packed -> t
 
 (** Fraction of reads the compiler could not prove safe. *)
 val marked_read_fraction : t -> float

@@ -53,59 +53,6 @@ let try_spawn fn =
   end
   else match Domain.spawn fn with d -> Some d | exception _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Barrier team: [members] workers that are all guaranteed to be live  *)
-(* at once (caller included), so they may rendezvous at barriers — a   *)
-(* guarantee the queue-based pools above deliberately do not make (one *)
-(* domain may run several tasks back to back). Used by the sharded     *)
-(* replay engine, which synchronizes shards at every epoch boundary.   *)
-(* ------------------------------------------------------------------ *)
-
-let team ~members (f : int -> 'a) : 'a array option =
-  if members <= 0 then invalid_arg "Pool.team: members must be >= 1";
-  if members = 1 then Some [| f 0 |]
-  else begin
-    (* 0 = hold, 1 = run, -1 = abort (a sibling failed to spawn) *)
-    let go = Atomic.make 0 in
-    let slots : 'a slot array = Array.make members Empty in
-    let run w =
-      slots.(w) <-
-        (match f w with
-        | v -> Ok_slot v
-        | exception e -> Exn_slot (e, Printexc.get_raw_backtrace ()))
-    in
-    let member w () =
-      while Atomic.get go = 0 do
-        Domain.cpu_relax ()
-      done;
-      if Atomic.get go > 0 then run w
-    in
-    let domains = Array.make (members - 1) None in
-    let ok = ref true in
-    for w = 1 to members - 1 do
-      if !ok then
-        match try_spawn (member w) with
-        | Some d -> domains.(w - 1) <- Some d
-        | None -> ok := false
-    done;
-    if not !ok then begin
-      (* a partial team would deadlock at its first barrier: release the
-         members that did spawn without running anything, and decline *)
-      Atomic.set go (-1);
-      Array.iter (function Some d -> Domain.join d | None -> ()) domains;
-      None
-    end
-    else begin
-      Atomic.set go 1;
-      run 0;
-      Array.iter (function Some d -> Domain.join d | None -> ()) domains;
-      Array.iter
-        (function Exn_slot (e, bt) -> Printexc.raise_with_backtrace e bt | _ -> ())
-        slots;
-      Some (Array.map (function Ok_slot v -> v | Empty | Exn_slot _ -> assert false) slots)
-    end
-  end
-
 let error_of_task_exn e bt =
   let t = Hscd_error.of_exn ~default:Hscd_error.Worker e in
   { t with Hscd_error.backtrace = Some (Printexc.raw_backtrace_to_string bt) }

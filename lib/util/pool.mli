@@ -43,19 +43,6 @@ val map_exn : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [iter ~jobs f xs] is [ignore (map_exn ~jobs f xs)]. *)
 val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
 
-(** [team ~members f] runs [f 0 .. f (members-1)] with {e every} member
-    live on its own domain simultaneously (the caller is member [0]), so
-    the members may rendezvous at barriers — which {!map}'s shared-queue
-    model must not promise (one domain can run several tasks back to
-    back). Returns [None] without calling [f] at all when the full team
-    cannot be spawned (the caller then falls back to a sequential path);
-    [Some results] in member order otherwise. If a member raises, the
-    first failure is re-raised in the caller after all members have
-    terminated — [f] must therefore guarantee that a sibling's failure
-    cannot strand the others at a barrier (the engine's shard barrier
-    carries a poison flag for exactly this). *)
-val team : members:int -> (int -> 'a) -> 'a array option
-
 (** {1 Supervised execution} *)
 
 (** Final per-task verdict. [Timed_out] carries the seconds the last

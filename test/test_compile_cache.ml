@@ -128,7 +128,7 @@ let test_disk_cache_survives_corruption () =
   Array.iter
     (fun f ->
       let oc = open_out_bin (Filename.concat dir f) in
-      output_string oc "HSCDTRC2garbage";
+      output_string oc "HSCDTRC3garbage";
       close_out oc)
     (Sys.readdir dir);
   Run.reset_compile_cache ();

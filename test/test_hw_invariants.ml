@@ -203,6 +203,22 @@ let test_tpi_lazy_matches_eager_reset () =
       Alcotest.(check bool) "two resets actually fired" true (se.Scheme.two_phase_resets >= 2))
     [ 3; 4 ]
 
+(* The same oracle end to end: with 3-bit tags (phase = 4 epochs) a
+   jacobi run crosses several resets, so the whole Engine.result —
+   metrics, classes, final-memory verdict — must be bit-identical between
+   the lazy and the eager reset models. *)
+let test_tpi_lazy_matches_eager_engine () =
+  let module Run = Hscd_sim.Run in
+  let cfg = Config.validate { Config.default with timetag_bits = 3 } in
+  let eager_cfg = { cfg with Config.tpi_eager_reset = true } in
+  let c = Run.compile ~cfg ~cache:false (Hscd_workloads.Kernels.jacobi1d ~n:64 ~iters:6 ()) in
+  let lz = Run.simulate_packed ~cfg Run.TPI c.Run.packed_trace in
+  let eg = Run.simulate_packed ~cfg:eager_cfg Run.TPI c.Run.packed_trace in
+  Alcotest.(check bool) "resets fired" true
+    (lz.Hscd_sim.Engine.metrics.Hscd_sim.Metrics.scheme_stats.Hscd_coherence.Scheme.two_phase_resets
+    > 0);
+  Alcotest.(check bool) "engine: lazy = eager" true (lz = eg)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_directory_invariants;
@@ -211,4 +227,6 @@ let suite =
       test_tpi_timetag_wrap_reset;
     Alcotest.test_case "TPI lazy reset = eager reset (unit differential)" `Quick
       test_tpi_lazy_matches_eager_reset;
+    Alcotest.test_case "TPI lazy reset = eager oracle, engine" `Quick
+      test_tpi_lazy_matches_eager_engine;
   ]

@@ -19,7 +19,6 @@ let () =
       ("hw-invariants", Test_hw_invariants.suite);
       ("trace-io", Test_trace_io.suite);
       ("packed", Test_packed.suite);
-      ("sharded", Test_sharded.suite);
       ("fuzz", Test_fuzz.suite);
       ("monitor", Test_monitor.suite);
       ("mc", Test_mc.suite);

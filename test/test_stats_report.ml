@@ -10,7 +10,7 @@ module Parser = Hscd_lang.Parser
 
 let test_trace_stats_jacobi () =
   let c = Run.compile (Hscd_workloads.Kernels.jacobi1d ~n:64 ~iters:2 ()) in
-  let s = Trace_stats.of_trace Config.default (Run.boxed_trace c) in
+  let s = Trace_stats.of_trace Config.default c.Run.packed_trace in
   Alcotest.(check int) "epochs" 11 s.epochs;
   Alcotest.(check int) "parallel epochs" 5 s.parallel_epochs;
   (* init: 64 tasks; 4 stencil/copy epochs: 62 tasks each; + serial tasks *)
@@ -24,12 +24,12 @@ let test_trace_stats_jacobi () =
 
 let test_trace_stats_reduction_locks () =
   let c = Run.compile (Hscd_workloads.Kernels.reduction ~n:32 ()) in
-  let s = Trace_stats.of_trace Config.default (Run.boxed_trace c) in
+  let s = Trace_stats.of_trace Config.default c.Run.packed_trace in
   Alcotest.(check int) "one lock per task" 32 s.lock_events
 
 let test_trace_stats_fractions () =
   let c = Run.compile (Hscd_workloads.Kernels.gather ~n:64 ~iters:2 ()) in
-  let s = Trace_stats.of_trace Config.default (Run.boxed_trace c) in
+  let s = Trace_stats.of_trace Config.default c.Run.packed_trace in
   (* gather reads through blackbox permutations: most reads are marked *)
   Alcotest.(check bool) "marked fraction positive" true (Trace_stats.marked_read_fraction s > 0.3);
   Alcotest.(check bool) "fractions in range" true

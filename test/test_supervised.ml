@@ -114,7 +114,7 @@ let test_journal_bit_flip_drops_suffix () =
 let test_journal_foreign_magic () =
   let path = tmp "hscd_jnl_foreign.jnl" in
   let oc = open_out_bin path in
-  output_string oc "HSCDTRC2not a journal";
+  output_string oc "HSCDTRC3not a journal";
   close_out oc;
   (match Journal.load path with
   | Error e -> Alcotest.(check bool) "corrupt kind" true (e.kind = Err.Corrupt)

@@ -134,7 +134,7 @@ let test_roundtrip_degenerate () =
       Alcotest.(check bool) (name ^ " round-trips") true (Trace_io.equal trace loaded))
     [ ("empty", empty); ("single", single) ]
 
-(* ---------- binary format v2 ---------- *)
+(* ---------- binary format ---------- *)
 
 let binary_roundtrip name packed =
   let path = tmp ("hscd_bin_" ^ name ^ ".hscdtrc") in
@@ -233,9 +233,25 @@ let test_binary_rejects_corruption () =
   write_variant ("XXXXXXXX" ^ String.sub content 8 (len - 8));
   expect_corrupt "bad magic" path;
   Alcotest.(check bool) "bad magic not sniffed as binary" false (Trace_io.is_binary path);
-  (* a foreign format that happens to share a prefix length *)
-  write_variant "HSCDJNL1\x00\x00\x00\x00\x00\x00\x00\x00";
-  expect_corrupt "foreign magic" path;
+  (* foreign formats that happen to share the magic's length: a journal,
+     and the retired version-2 trace magic in front of an intact body *)
+  let v2_magic = String.sub Trace_io.binary_magic 0 7 ^ "2" in
+  List.iter
+    (fun (name, s) ->
+      write_variant s;
+      expect_corrupt name path;
+      (match Trace_io.map_packed_result path with
+      | Error e ->
+        Alcotest.(check bool) (name ^ ": map corrupt kind") true
+          (e.kind = Hscd_util.Hscd_error.Corrupt)
+      | Ok _ -> Alcotest.fail (name ^ ": map accepted a foreign file")
+      | exception e ->
+        Alcotest.fail
+          (Printf.sprintf "%s: exception escaped map_packed_result: %s" name
+             (Printexc.to_string e)));
+      Alcotest.(check bool) (name ^ " not sniffed as binary") false (Trace_io.is_binary path))
+    [ ("foreign magic", "HSCDJNL1\x00\x00\x00\x00\x00\x00\x00\x00");
+      ("v2 magic", v2_magic ^ String.sub content 8 (len - 8)) ];
   (* short file / empty file *)
   write_variant "HS";
   expect_corrupt "short file" path;

@@ -1,5 +1,5 @@
-(** Wall-clock performance probes shared by the full bench harness and the
-    standalone [throughput] runner: packed-vs-boxed engine event
+(** Wall-clock performance probes behind the [throughput] runner and
+    its [@perf-smoke] gate: packed-vs-boxed engine event
     throughput at P=64 (with allocation-per-event accounting) and the
     multicore all-schemes comparison at jobs=1 vs jobs=N. *)
 
@@ -116,8 +116,6 @@ let print_report (r : report) =
     r.rows;
   Printf.printf "  trace/packed_slab_words                    %12d words (%d slots)\n%!"
     r.slab_words r.events
-
-let engine_throughput () = print_report (measure ())
 
 (* --- compile side: trace generation throughput --- *)
 

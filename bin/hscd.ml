@@ -195,14 +195,10 @@ let experiment_cmd =
   let run id small jobs resume retries timeout =
     install_exit_signals ();
     let jobs = resolve_jobs jobs in
-    (* --resume (or a non-default policy) switches every run_all onto the
-       supervised pool; cell keys embed the config, so one journal file
-       serves the whole 'all' sweep *)
-    if resume <> None || timeout <> None
-       || retries <> Hscd_util.Pool.default_policy.Hscd_util.Pool.retries
-    then
-      Hscd_experiments.Common.set_supervision ~policy:(policy_of retries timeout)
-        ?checkpoint:resume ();
+    (* every run_all is supervised; the flags only tune it. Cell keys
+       embed the config, so one journal file serves the whole 'all' sweep *)
+    Hscd_experiments.Common.set_supervision ~policy:(policy_of retries timeout)
+      ?checkpoint:resume ();
     match id with
     | "all" ->
       List.iter

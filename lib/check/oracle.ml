@@ -20,6 +20,7 @@ module Engine = Hscd_sim.Engine
 module Trace = Hscd_sim.Trace
 module Kruskal_snir = Hscd_network.Kruskal_snir
 module Traffic = Hscd_network.Traffic
+module Pool = Hscd_util.Pool
 
 type scheme_report = {
   kind : Run.scheme_kind;
@@ -49,10 +50,11 @@ let run ?(schemes = Run.all_schemes) ?fault ?jobs (cfg : Config.t) (trace : Trac
   let n_epochs = Trace.n_epochs trace in
   (* pack once; the slabs are immutable and shared read-only by the domains *)
   let ptrace = Trace.pack trace in
-  let runs =
+  let outcomes, _ =
     (* one domain per scheme: every run builds its own network, traffic,
        scheme state and monitor, so the fan-out is bit-deterministic *)
-    Hscd_util.Pool.map_exn ?jobs
+    Pool.supervise ?jobs
+      ~policy:{ Pool.default_policy with retries = 0 }
       (fun kind ->
         let network = Kruskal_snir.create cfg in
         let traffic = Traffic.create cfg in
@@ -75,6 +77,14 @@ let run ?(schemes = Run.all_schemes) ?fault ?jobs (cfg : Config.t) (trace : Trac
           },
           final ))
       schemes
+  in
+  let runs =
+    List.map
+      (function
+        | Pool.Done r -> r
+        | Pool.Failed e -> raise (Hscd_util.Hscd_error.Error e)
+        | Pool.Timed_out _ -> assert false (* no deadline *))
+      outcomes
   in
   let memories_agree =
     match List.map snd runs with [] -> true | m0 :: rest -> List.for_all (( = ) m0) rest

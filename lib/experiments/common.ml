@@ -9,7 +9,6 @@ module Trace = Hscd_sim.Trace
 module Perfect = Hscd_workloads.Perfect
 module Err = Hscd_util.Hscd_error
 module Pool = Hscd_util.Pool
-module Journal = Hscd_util.Journal
 
 type bench_result = {
   bench : string;
@@ -19,168 +18,71 @@ type bench_result = {
   by_scheme : (Run.scheme_kind * Hscd_sim.Engine.result) list;
 }
 
-let cfg_key (c : Config.t) ~intertask ~small =
-  Printf.sprintf "p%d-c%d-a%d-l%d-t%d-%s-%s-%s-m%.2f-%b-%b" c.processors c.cache_bytes c.assoc
-    c.line_words c.timetag_bits
-    (Config.scheduling_name c.scheduling)
-    (match c.write_buffer with Config.Plain_buffer -> "plain" | Config.Write_cache n -> Printf.sprintf "wc%d" n)
-    (Config.consistency_name c.consistency)
-    c.migration_rate intertask small
-
 let cache : (string, bench_result list) Hashtbl.t = Hashtbl.create 16
 
-(* Tail-recursive split into chunks of [n] (the sim grid can be large). *)
-let chunk n xs =
-  if n <= 0 then invalid_arg "Common.chunk";
-  let take n xs =
-    let rec go n acc = function
-      | x :: rest when n > 0 -> go (n - 1) (x :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    go n [] xs
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | xs ->
-      let h, t = take n xs in
-      go (h :: acc) t
-  in
-  go [] xs
+(* The sweep identity: the whole machine configuration (by digest, so no
+   field can be forgotten), the marking flag and the benchmark scale. *)
+let sweep_id cfg ~intertask ~small =
+  Printf.sprintf "%s|%b|%b" (Run.config_digest cfg) intertask small
 
 (* ------------------------------------------------------------------ *)
-(* Supervised sweep with checkpoint-resume: the crash-tolerant variant  *)
-(* of [run_all]. Each (bench, scheme) cell of the simulation grid is    *)
-(* one supervised-pool task; completed cells are journaled (marshalled  *)
-(* [Engine.result]) as they finish, so an interrupted sweep rerun with  *)
-(* the same [checkpoint] path re-simulates only the missing cells and   *)
+(* The simulation grid: each (bench, scheme) cell is one task of        *)
+(* {!Run.run_cells} on the supervised pool; with a checkpoint, completed *)
+(* cells are journaled as they finish, so an interrupted sweep rerun    *)
+(* with the same journal re-simulates only the missing cells and        *)
 (* reproduces the full result bit-identically.                          *)
 (* ------------------------------------------------------------------ *)
 
-let decode_cell payload =
-  match (Marshal.from_string payload 0 : Hscd_sim.Engine.result) with
-  | r -> Some r
-  | exception _ -> None
-
-(** Crash-tolerant [run_all]. [policy] governs per-cell retry/timeout
+(** [run_all] as a [result]. [policy] governs per-cell retry/timeout
     (default: {!Hscd_util.Pool.default_policy}); [checkpoint] enables
     journaling + resume; [inject] is the chaos harness's hook, called at
     the start of every cell attempt (so injected crashes and hangs
     exercise the retry path). Results are not memoized — the journal is
     the cache. On [Error], the journal still holds every completed cell. *)
 let run_all_result ?(cfg = Config.default) ?(schemes = Run.all_schemes) ?(intertask = true)
-    ?(small = false) ?jobs ?(policy = Pool.default_policy) ?checkpoint
+    ?(small = false) ?jobs ?policy ?checkpoint
     ?(inject : (bench:string -> kind:Run.scheme_kind -> unit) option) () =
-  let compiled =
-    List.fold_left
-      (fun acc (e : Perfect.entry) ->
-        match acc with
-        | Error _ as err -> err
-        | Ok done_ -> (
-          let prog = if small then e.build_small () else e.build () in
-          match Run.compile_result ~cfg ~intertask prog with
-          | Ok c -> Ok ((e.name, c) :: done_)
-          | Error err -> Error (Err.add_context ("compile " ^ e.name) err)))
-      (Ok []) Perfect.all
-    |> Result.map List.rev
+  let rec compile_all acc = function
+    | [] -> Ok (List.rev acc)
+    | (e : Perfect.entry) :: rest -> (
+      match Run.compile_result ~cfg ~intertask (if small then e.build_small () else e.build ()) with
+      | Ok c -> compile_all ((e.name, c) :: acc) rest
+      | Error err -> Error (Err.add_context ("compile " ^ e.name) err))
   in
-  match compiled with
-  | Error e -> Error e
-  | Ok compiled ->
-    let sweep_id = cfg_key cfg ~intertask ~small in
-    let key bench (c : Run.compiled) kind =
-      Printf.sprintf "sweep|%s|%s|%s|%s" sweep_id bench
-        (Digest.to_hex (Digest.string (Hscd_lang.Printer.program_to_string c.marked)))
-        (Run.scheme_name kind)
-    in
-    let with_journal k =
-      match checkpoint with
-      | None -> k None []
-      | Some path -> (
-        match Journal.open_append path with
-        | Error e -> Error (Err.add_context "checkpoint" e)
-        | Ok j ->
-          Fun.protect ~finally:(fun () -> Journal.close j) (fun () ->
-              k (Some j) (Journal.entries j)))
-    in
-    with_journal @@ fun journal entries ->
-    let prior = Hashtbl.create 64 in
-    List.iter (fun (k, payload) -> Hashtbl.replace prior k payload) entries;
-    let prior_cell bench c kind =
-      Option.bind (Hashtbl.find_opt prior (key bench c kind)) decode_cell
-    in
-    let grid =
-      List.concat_map (fun (name, c) -> List.map (fun kind -> (name, c, kind)) schemes) compiled
-    in
-    let todo = List.filter (fun (name, c, kind) -> prior_cell name c kind = None) grid in
-    let todo_arr = Array.of_list todo in
-    let outcomes, _stats =
-      Pool.supervise ?jobs ~policy
-        ~on_done:(fun i oc ->
-          match (journal, oc) with
-          | Some j, Pool.Done (r : Hscd_sim.Engine.result) ->
-            let name, c, kind = todo_arr.(i) in
-            Journal.append j ~key:(key name c kind) (Marshal.to_string r [])
-          | _ -> ())
-        (fun (name, (c : Run.compiled), kind) ->
-          (match inject with Some f -> f ~bench:name ~kind | None -> ());
-          Run.simulate_packed ~cfg kind c.packed_trace)
-        todo
-    in
-    let fresh = Hashtbl.create 64 in
-    List.iteri
-      (fun i oc ->
-        let name, c, kind = todo_arr.(i) in
-        Hashtbl.replace fresh (key name c kind) oc)
-      outcomes;
-    let cell name c kind =
-      let ctx = Printf.sprintf "cell %s/%s" name (Run.scheme_name kind) in
-      match Hashtbl.find_opt fresh (key name c kind) with
-      | Some (Pool.Done r) -> Ok r
-      | Some (Pool.Failed e) -> Error (Err.add_context ctx e)
-      | Some (Pool.Timed_out s) ->
-        Err.error ~context:[ ctx ] Err.Timeout "simulation gave up after %.1fs" s
-      | None -> (
-        match prior_cell name c kind with
-        | Some r -> Ok r
-        | None -> Err.error ~context:[ ctx ] Err.Internal "missing cell")
-    in
-    let rec collect acc = function
-      | [] -> Ok (List.rev acc)
-      | (name, (c : Run.compiled)) :: rest -> (
-        let rec row acc_row = function
-          | [] -> Ok (List.rev acc_row)
-          | kind :: ks -> (
-            match cell name c kind with
-            | Ok r -> row ((kind, r) :: acc_row) ks
-            | Error e -> Error e)
-        in
-        match row [] schemes with
-        | Error e -> Error e
-        | Ok by_scheme ->
-          collect
-            ({
+  Result.bind (compile_all [] Perfect.all) @@ fun compiled ->
+  let sweep = sweep_id cfg ~intertask ~small in
+  let grid =
+    List.concat_map (fun (name, c) -> List.map (fun kind -> (name, c, kind)) schemes) compiled
+  in
+  Run.run_cells ?jobs ?policy ?checkpoint
+    ~key:(fun (name, c, kind) ->
+      Printf.sprintf "sweep|%s|%s|%s|%s" sweep name (Run.compiled_digest c) (Run.scheme_name kind))
+    ~label:(fun (name, _, kind) -> Printf.sprintf "cell %s/%s" name (Run.scheme_name kind))
+    (fun (name, (c : Run.compiled), kind) ->
+      (match inject with Some f -> f ~bench:name ~kind | None -> ());
+      Run.simulate_packed ~cfg kind c.packed_trace)
+    grid
+  |> Result.map (fun results ->
+         let results = Array.of_list results and width = List.length schemes in
+         List.mapi
+           (fun b (name, (c : Run.compiled)) ->
+             {
                bench = name;
                census = c.census;
                trace_epochs = Trace.packed_n_epochs c.packed_trace;
                trace_events = c.packed_trace.Trace.p_total_events;
-               by_scheme;
-             }
-             :: acc)
-            rest)
-    in
-    collect [] compiled
+               by_scheme = List.mapi (fun s kind -> (kind, results.((b * width) + s))) schemes;
+             })
+           compiled)
 
-
-(** Ambient supervision setting: when set (the CLI's [--resume]), every
-    {!run_all} routes through {!run_all_result} with this retry policy
-    and checkpoint journal, so all experiments become crash-tolerant and
-    resumable without threading parameters through each table builder. *)
-let supervision : (Pool.policy * string option) option ref = ref None
+(** Ambient supervision setting for every {!run_all}: the retry policy
+    and, for the CLI's [--resume], the checkpoint journal — so all
+    experiments are crash-tolerant and resumable without threading
+    parameters through each table builder. *)
+let supervision : (Pool.policy * string option) ref = ref (Pool.default_policy, None)
 
 let set_supervision ?(policy = Pool.default_policy) ?checkpoint () =
-  supervision := Some (policy, checkpoint)
-
-let clear_supervision () = supervision := None
+  supervision := (policy, checkpoint)
 
 (** Run all six Perfect Club models under [schemes] with [cfg]. [small]
     selects the test-scale versions. [jobs] (default 1) fans the
@@ -191,53 +93,22 @@ let clear_supervision () = supervision := None
     Compilation goes through {!Run.compile}'s cache, so a sweep varying
     only timing-side knobs generates each model's trace exactly once.
 
-    With {!set_supervision} active the grid runs on the supervised pool
-    (retry/timeout, checkpoint-resume); a terminal failure raises
-    {!Hscd_util.Hscd_error.Error}. Results are bit-identical either way. *)
+    The grid runs through {!run_all_result} under the {!set_supervision}
+    policy and journal; a terminal failure raises
+    {!Hscd_util.Hscd_error.Error}. *)
 let run_all ?(cfg = Config.default) ?(schemes = Run.all_schemes) ?(intertask = true)
     ?(small = false) ?jobs () =
   (* scheme names are joined with a separator — bare concatenation would
      let distinct scheme lists collide on one memo key *)
   let key =
-    cfg_key cfg ~intertask ~small ^ "|" ^ String.concat "+" (List.map Run.scheme_name schemes)
+    sweep_id cfg ~intertask ~small ^ "|" ^ String.concat "+" (List.map Run.scheme_name schemes)
   in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
+    let policy, checkpoint = !supervision in
     let results =
-      match !supervision with
-      | Some (policy, checkpoint) ->
-        Err.get_exn (run_all_result ~cfg ~schemes ~intertask ~small ?jobs ~policy ?checkpoint ())
-      | None ->
-        (* fast path: compile sequentially (cached and cheap), then
-           simulate the whole grid in parallel on the lock-free pool:
-           6 benches x |schemes| independent engine runs *)
-        let compiled =
-          List.map
-            (fun (e : Perfect.entry) ->
-              let prog = if small then e.build_small () else e.build () in
-              (e.name, Run.compile ~cfg ~intertask prog))
-            Perfect.all
-        in
-        let grid =
-          List.concat_map (fun (_, c) -> List.map (fun k -> (c, k)) schemes) compiled
-        in
-        let sims =
-          Pool.map_exn ?jobs
-            (fun ((c : Run.compiled), kind) -> Run.simulate_packed ~cfg kind c.packed_trace)
-            grid
-        in
-        List.map2
-          (fun (name, (c : Run.compiled)) by ->
-            {
-              bench = name;
-              census = c.census;
-              trace_epochs = Trace.packed_n_epochs c.packed_trace;
-              trace_events = c.packed_trace.Trace.p_total_events;
-              by_scheme = List.combine schemes by;
-            })
-          compiled
-          (chunk (List.length schemes) sims)
+      Err.get_exn (run_all_result ~cfg ~schemes ~intertask ~small ?jobs ~policy ?checkpoint ())
     in
     Hashtbl.replace cache key results;
     results

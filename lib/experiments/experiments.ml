@@ -20,6 +20,31 @@ type t = {
 let pct = Table.fpct
 let f1 = Table.ff1
 
+(* One knob sweep: a {!Common.run_all} per knob value, one column per
+   value and one row per benchmark, where [cell] renders a benchmark's
+   result under that value. *)
+let knob_sweep ?jobs ~small ~title ~schemes ~label ~cfg ~cell knobs =
+  let per =
+    List.map (fun k -> Array.of_list (Common.run_all ?jobs ~cfg:(cfg k) ~schemes ~small ())) knobs
+  in
+  let t =
+    Table.create ~title
+      ~header:("bench" :: List.map label knobs)
+      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) knobs)
+      ()
+  in
+  Array.iteri
+    (fun i (r0 : Common.bench_result) ->
+      Table.add_row t (r0.bench :: List.map (fun results -> cell results.(i)) per))
+    (List.hd per);
+  t
+
+(* "TPI miss rate / HW miss rate" *)
+let tpi_hw_miss r =
+  Printf.sprintf "%s / %s"
+    (pct (Metrics.miss_rate (Common.result_of r Run.TPI).metrics))
+    (pct (Metrics.miss_rate (Common.result_of r Run.HW).metrics))
+
 (* --- E1: Figure 5, storage overhead --- *)
 
 let fig5 ?small:_ ?jobs:_ () =
@@ -191,31 +216,16 @@ let traffic ?(small = false) ?jobs () =
 (* --- E8: timetag size sensitivity --- *)
 
 let timetag ?(small = false) ?jobs () =
-  let bits = [ 2; 3; 4; 6; 8 ] in
   let t =
-    Table.create ~title:"Timetag size sensitivity (TPI): miss rate / resets"
-      ~header:([ "bench" ] @ List.map (fun b -> Printf.sprintf "%d-bit" b) bits)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) bits)
-      ()
+    knob_sweep ?jobs ~small ~title:"Timetag size sensitivity (TPI): miss rate / resets"
+      ~schemes:[ Run.TPI ]
+      ~label:(Printf.sprintf "%d-bit")
+      ~cfg:(fun b -> { Config.default with timetag_bits = b })
+      ~cell:(fun r ->
+        let m = (Common.result_of r Run.TPI).metrics in
+        Printf.sprintf "%s (%d)" (pct (Metrics.miss_rate m)) m.scheme_stats.two_phase_resets)
+      [ 2; 3; 4; 6; 8 ]
   in
-  let per_bits =
-    List.map
-      (fun b ->
-        Common.run_all ?jobs ~cfg:{ Config.default with timetag_bits = b } ~schemes:[ Run.TPI ] ~small ())
-      bits
-  in
-  List.iteri
-    (fun i (r0 : Common.bench_result) ->
-      Table.add_row t
-        (r0.bench
-        :: List.map
-             (fun results ->
-               let r = List.nth results i in
-               let m = (Common.result_of r Run.TPI).metrics in
-               Printf.sprintf "%s (%d)" (pct (Metrics.miss_rate m))
-                 m.scheme_stats.two_phase_resets)
-             per_bits))
-    (List.hd per_bits);
   Table.add_note t "paper: a 4-bit or 8-bit timetag is large enough";
   [ t ]
 
@@ -290,64 +300,30 @@ let abl_alignment ?(small = false) ?jobs () =
 (* --- A3: scheduling policy ablation --- *)
 
 let abl_scheduling ?(small = false) ?jobs () =
-  let policies = [ Config.Block; Config.Cyclic; Config.Dynamic ] in
-  let per =
-    List.map
-      (fun s ->
-        Common.run_all ?jobs ~cfg:{ Config.default with scheduling = s } ~schemes:[ Run.TPI ] ~small ())
-      policies
-  in
   let t =
-    Table.create ~title:"Ablation: TPI vs DOALL scheduling (miss rate; alignment off for dynamic)"
-      ~header:([ "bench" ] @ List.map Config.scheduling_name policies)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) policies)
-      ()
+    knob_sweep ?jobs ~small
+      ~title:"Ablation: TPI vs DOALL scheduling (miss rate; alignment off for dynamic)"
+      ~schemes:[ Run.TPI ] ~label:Config.scheduling_name
+      ~cfg:(fun s -> { Config.default with scheduling = s })
+      ~cell:(fun r ->
+        let res = Common.result_of r Run.TPI in
+        Printf.sprintf "%s%s" (pct (Metrics.miss_rate res.metrics))
+          (if res.metrics.violations > 0 then "!" else ""))
+      [ Config.Block; Config.Cyclic; Config.Dynamic ]
   in
-  List.iteri
-    (fun i (r0 : Common.bench_result) ->
-      Table.add_row t
-        (r0.bench
-        :: List.map
-             (fun results ->
-               let r = List.nth results i in
-               let res = Common.result_of r Run.TPI in
-               Printf.sprintf "%s%s" (pct (Metrics.miss_rate res.metrics))
-                 (if res.metrics.violations > 0 then "!" else ""))
-             per))
-    (List.hd per);
   Table.add_note t "dynamic self-scheduling disables owner-alignment in the compiler (soundness)";
   [ t ]
 
 (* --- A4: cache size sweep --- *)
 
 let abl_cache_size ?(small = false) ?jobs () =
-  let sizes = [ 2; 4; 8; 16; 64 ] in
-  let per =
-    List.map
-      (fun kb ->
-        Common.run_all ?jobs ~cfg:{ Config.default with cache_bytes = kb * 1024 }
-          ~schemes:[ Run.TPI; Run.HW ] ~small ())
-      sizes
-  in
-  let t =
-    Table.create ~title:"Ablation: miss rate vs cache size (TPI / HW)"
-      ~header:([ "bench" ] @ List.map (fun kb -> Printf.sprintf "%dKB" kb) sizes)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) sizes)
-      ()
-  in
-  List.iteri
-    (fun i (r0 : Common.bench_result) ->
-      Table.add_row t
-        (r0.bench
-        :: List.map
-             (fun results ->
-               let r = List.nth results i in
-               Printf.sprintf "%s / %s"
-                 (pct (Metrics.miss_rate (Common.result_of r Run.TPI).metrics))
-                 (pct (Metrics.miss_rate (Common.result_of r Run.HW).metrics)))
-             per))
-    (List.hd per);
-  [ t ]
+  [
+    knob_sweep ?jobs ~small ~title:"Ablation: miss rate vs cache size (TPI / HW)"
+      ~schemes:[ Run.TPI; Run.HW ]
+      ~label:(Printf.sprintf "%dKB")
+      ~cfg:(fun kb -> { Config.default with cache_bytes = kb * 1024 })
+      ~cell:tpi_hw_miss [ 2; 4; 8; 16; 64 ];
+  ]
 
 (* --- E0: workload characterization --- *)
 
@@ -385,31 +361,13 @@ let characterization ?(small = false) ?jobs:_ () =
 (* --- A5: associativity sweep --- *)
 
 let abl_assoc ?(small = false) ?jobs () =
-  let ways = [ 1; 2; 4 ] in
-  let per =
-    List.map
-      (fun assoc ->
-        Common.run_all ?jobs ~cfg:{ Config.default with assoc } ~schemes:[ Run.TPI; Run.HW ] ~small ())
-      ways
-  in
   let t =
-    Table.create ~title:"Ablation: miss rate vs associativity (TPI / HW)"
-      ~header:([ "bench" ] @ List.map (fun w -> Printf.sprintf "%d-way" w) ways)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) ways)
-      ()
+    knob_sweep ?jobs ~small ~title:"Ablation: miss rate vs associativity (TPI / HW)"
+      ~schemes:[ Run.TPI; Run.HW ]
+      ~label:(Printf.sprintf "%d-way")
+      ~cfg:(fun assoc -> { Config.default with assoc })
+      ~cell:tpi_hw_miss [ 1; 2; 4 ]
   in
-  List.iteri
-    (fun i (r0 : Common.bench_result) ->
-      Table.add_row t
-        (r0.bench
-        :: List.map
-             (fun results ->
-               let r = List.nth results i in
-               Printf.sprintf "%s / %s"
-                 (pct (Metrics.miss_rate (Common.result_of r Run.TPI).metrics))
-                 (pct (Metrics.miss_rate (Common.result_of r Run.HW).metrics)))
-             per))
-    (List.hd per);
   Table.add_note t "on these working sets conflict misses are rare at 64KB: associativity moves little";
   [ t ]
 
@@ -467,36 +425,21 @@ let consistency ?(small = false) ?jobs () =
 (* --- X3: task migration (Section 5) --- *)
 
 let migration ?(small = false) ?jobs () =
-  let rates = [ 0.0; 0.2; 0.5 ] in
-  let per =
-    List.map
-      (fun migration_rate ->
-        Common.run_all ?jobs
-          ~cfg:{ Config.default with scheduling = Config.Dynamic; migration_rate }
-          ~schemes:[ Run.TPI ] ~small ())
-      rates
-  in
   let t =
-    Table.create
+    knob_sweep ?jobs ~small
       ~title:"Extension: TPI under dynamic scheduling with mid-task migration (miss rate / migrations)"
-      ~header:([ "bench" ] @ List.map (fun r -> Printf.sprintf "rate %.1f" r) rates)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) rates)
-      ()
+      ~schemes:[ Run.TPI ]
+      ~label:(Printf.sprintf "rate %.1f")
+      ~cfg:(fun migration_rate ->
+        { Config.default with scheduling = Config.Dynamic; migration_rate })
+      ~cell:(fun r ->
+        let res = Common.result_of r Run.TPI in
+        Printf.sprintf "%s (%d)%s"
+          (pct (Metrics.miss_rate res.metrics))
+          res.metrics.migrations
+          (if res.metrics.violations > 0 then "!" else ""))
+      [ 0.0; 0.2; 0.5 ]
   in
-  List.iteri
-    (fun i (r0 : Common.bench_result) ->
-      Table.add_row t
-        (r0.bench
-        :: List.map
-             (fun results ->
-               let r = List.nth results i in
-               let res = Common.result_of r Run.TPI in
-               Printf.sprintf "%s (%d)%s"
-                 (pct (Metrics.miss_rate res.metrics))
-                 res.metrics.migrations
-                 (if res.metrics.violations > 0 then "!" else ""))
-             per))
-    (List.hd per);
   Table.add_note t "marks are compiled without owner-alignment, so migration stays coherent ('!' would flag a violation)";
   [ t ]
 

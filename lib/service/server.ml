@@ -473,11 +473,6 @@ let finish_compile st (job : job) payload =
   broadcast st job.digest (P.Done { digest = job.digest; payload });
   clear_subs st job.digest
 
-let decode_cell payload =
-  match (Marshal.from_string payload 0 : Engine.result) with
-  | r -> Some r
-  | exception _ -> None
-
 let start_job st (job : job) =
   match plan_of_spec job.spec with
   | Compile_plan run -> (
@@ -500,7 +495,7 @@ let start_job st (job : job) =
         (fun (k, payload) ->
           match Hashtbl.find_opt index k with
           | Some i when results.(i) = None -> (
-            match decode_cell payload with
+            match Run.decode_result payload with
             | Some r ->
               results.(i) <- Some r;
               incr finished
@@ -522,7 +517,7 @@ let step_cell st (r : running) =
     | Ok res ->
       r.results.(i) <- Some res;
       r.finished <- r.finished + 1;
-      Journal.append r.cjournal ~key:r.keys.(i) (Marshal.to_string (res : Engine.result) []);
+      Journal.append r.cjournal ~key:r.keys.(i) (Run.encode_result res);
       broadcast st r.job.digest
         (P.Progress { digest = r.job.digest; cell = r.keys.(i); finished = r.finished; total = n });
       if r.finished = n then finish_job st r

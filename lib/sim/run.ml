@@ -216,22 +216,6 @@ let simulate_boxed ?(cfg = Config.default) kind (trace : Trace.t) =
 let simulate ?(cfg = Config.default) kind (trace : Trace.t) =
   simulate_packed ~cfg kind (Trace.pack trace)
 
-type comparison = { kind : scheme_kind; result : Engine.result }
-
-(** Everything at once: compile once, then run each scheme on the same
-    trace (the paper's methodology: identical reference streams). The
-    trace is packed once and shared read-only. With [jobs > 1] the
-    schemes run on separate domains — each simulation owns its network,
-    traffic and scheme state and the engine's PRNG is per-run, so the
-    results are bit-identical to the sequential run. *)
-let compare ?(cfg = Config.default) ?(schemes = all_schemes) ?(intertask = true) ?cache ?jobs
-    program =
-  let c = compile ~cfg ~intertask ?cache program in
-  ( c,
-    Pool.map_exn ?jobs
-      (fun kind -> { kind; result = simulate_packed ~cfg kind c.packed_trace })
-      schemes )
-
 (** {!compile} as a [result]: sema/parse failures come back typed (kind
     [Parse]) instead of as exceptions. *)
 let compile_result ?cfg ?intertask ?check_races ?cache program =
@@ -269,74 +253,74 @@ let simulate_packed_result ?cfg kind trace =
       simulate_packed ?cfg kind trace)
 
 (* ------------------------------------------------------------------ *)
-(* Supervised comparison with checkpoint-resume. One journal record per *)
-(* (program, config, scheme) cell, appended the moment the cell's       *)
-(* simulation finishes — a crash or kill loses at most the in-flight    *)
-(* cells, and a rerun with the same [checkpoint] path resumes, reusing  *)
-(* completed cells bit-identically (the payload is the marshalled       *)
-(* [Engine.result]).                                                    *)
+(* The cell runner: every compare and experiment sweep is a list of     *)
+(* cells run on the supervised pool. With a checkpoint, one journal     *)
+(* record per cell is appended the moment its simulation finishes — a   *)
+(* crash or kill loses at most the in-flight cells, and a rerun with    *)
+(* the same journal reuses completed cells bit-identically (the payload *)
+(* is the marshalled [Engine.result]).                                  *)
 (* ------------------------------------------------------------------ *)
 
-let cell_key ~prefix ~prog_id ~cfg kind =
-  Printf.sprintf "%s|%s|%s|%s" prefix prog_id (config_digest cfg) (scheme_name kind)
+let encode_result (r : Engine.result) = Marshal.to_string r []
 
 let decode_result payload =
   match (Marshal.from_string payload 0 : Engine.result) with
   | r -> Some r
   | exception _ -> None
 
-(** Supervised {!compare}: each scheme is one supervised-pool task
-    (retried on transient failure per [policy]); with [checkpoint],
-    completed cells are journaled and a rerun resumes from them. On
-    [Error], every cell completed so far is already in the journal. *)
+let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ~key ~label f cells =
+  let with_journal k =
+    match checkpoint with
+    | None -> k None []
+    | Some path -> (
+      match Journal.open_append path with
+      | Error e -> Error (Err.add_context "checkpoint" e)
+      | Ok j -> Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> k (Some j) (Journal.entries j)))
+  in
+  with_journal @@ fun journal entries ->
+  let prior = Hashtbl.create 64 in
+  List.iter (fun (k, payload) -> Hashtbl.replace prior k payload) entries;
+  let cells = Array.of_list cells in
+  let results = Array.map (fun c -> Option.bind (Hashtbl.find_opt prior (key c)) decode_result) cells in
+  let todo = List.filter (fun i -> results.(i) = None) (List.init (Array.length cells) Fun.id) in
+  let todo_arr = Array.of_list todo in
+  let outcomes, _stats =
+    Pool.supervise ?jobs ~policy
+      ~on_done:(fun t oc ->
+        match (journal, oc) with
+        | Some j, Pool.Done r -> Journal.append j ~key:(key cells.(todo_arr.(t))) (encode_result r)
+        | _ -> ())
+      (fun i -> f cells.(i))
+      todo
+  in
+  (* the first failure in input order decides the error *)
+  let rec collect = function
+    | [] -> Ok (Array.to_list (Array.map Option.get results))
+    | (i, Pool.Done r) :: rest ->
+      results.(i) <- Some r;
+      collect rest
+    | (i, Pool.Failed e) :: _ -> Error (Err.add_context (label cells.(i)) e)
+    | (i, Pool.Timed_out s) :: _ ->
+      Err.error ~context:[ label cells.(i) ] Err.Timeout "simulation gave up after %.1fs" s
+  in
+  collect (List.combine todo outcomes)
+
+type comparison = { kind : scheme_kind; result : Engine.result }
+
 let compare_result ?(cfg = Config.default) ?(schemes = all_schemes) ?(intertask = true) ?cache
-    ?jobs ?(policy = Pool.default_policy) ?checkpoint program =
-  match compile_result ~cfg ~intertask ?cache program with
-  | Error e -> Error e
-  | Ok c ->
-    let prog_id = Digest.to_hex (Digest.string (Hscd_lang.Printer.program_to_string c.marked)) in
-    let key kind = cell_key ~prefix:"compare" ~prog_id ~cfg kind in
-    let with_journal k =
-      match checkpoint with
-      | None -> k None []
-      | Some path -> (
-        match Journal.open_append path with
-        | Error e -> Error (Err.add_context "checkpoint" e)
-        | Ok j -> Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> k (Some j) (Journal.entries j)))
-    in
-    with_journal @@ fun journal entries ->
-    let prior = Hashtbl.create 16 in
-    List.iter (fun (k, payload) -> Hashtbl.replace prior k payload) entries;
-    let prior_result kind = Option.bind (Hashtbl.find_opt prior (key kind)) decode_result in
-    let todo = List.filter (fun kind -> prior_result kind = None) schemes in
-    let todo_arr = Array.of_list todo in
-    let outcomes, _stats =
-      Pool.supervise ?jobs ~policy
-        ~on_done:(fun i oc ->
-          match (journal, oc) with
-          | Some j, Pool.Done (r : Engine.result) ->
-            Journal.append j ~key:(key todo_arr.(i)) (Marshal.to_string r [])
-          | _ -> ())
-        (fun kind -> simulate_packed ~cfg kind c.packed_trace)
-        todo
-    in
-    let fresh = Hashtbl.create 16 in
-    List.iteri (fun i oc -> Hashtbl.replace fresh (key todo_arr.(i)) oc) outcomes;
-    let rec collect acc = function
-      | [] -> Ok (c, List.rev acc)
-      | kind :: rest -> (
-        match Hashtbl.find_opt fresh (key kind) with
-        | Some (Pool.Done r) -> collect ({ kind; result = r } :: acc) rest
-        | Some (Pool.Failed e) -> Error (Err.add_context (scheme_name kind) e)
-        | Some (Pool.Timed_out s) ->
-          Err.error ~context:[ scheme_name kind ] Err.Timeout
-            "simulation gave up after %.1fs" s
-        | None -> (
-          match prior_result kind with
-          | Some r -> collect ({ kind; result = r } :: acc) rest
-          | None -> Err.error Err.Internal "missing cell %s" (scheme_name kind)))
-    in
-    collect [] schemes
+    ?jobs ?policy ?checkpoint program =
+  Result.bind (compile_result ~cfg ~intertask ?cache program) @@ fun c ->
+  let prog_id = compiled_digest c in
+  run_cells ?jobs ?policy ?checkpoint
+    ~key:(fun kind ->
+      Printf.sprintf "compare|%s|%s|%s" prog_id (config_digest cfg) (scheme_name kind))
+    ~label:scheme_name
+    (fun kind -> simulate_packed ~cfg kind c.packed_trace)
+    schemes
+  |> Result.map (fun rs -> (c, List.map2 (fun kind result -> { kind; result }) schemes rs))
+
+let compare ?cfg ?schemes ?intertask ?cache ?jobs program =
+  Err.get_exn (compare_result ?cfg ?schemes ?intertask ?cache ?jobs program)
 
 (** Convenience wrapper running one scheme from source. *)
 let run_source ?(cfg = Config.default) ?(intertask = true) kind program =

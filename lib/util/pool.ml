@@ -6,42 +6,6 @@ let default_jobs () =
     | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* ------------------------------------------------------------------ *)
-(* Fast path: lock-free slot map. Every task always runs; outcomes are *)
-(* collected per slot, so one crash never discards siblings' work.     *)
-(* ------------------------------------------------------------------ *)
-
-type 'b slot = Empty | Ok_slot of 'b | Exn_slot of exn * Printexc.raw_backtrace
-
-let raw_map ?(jobs = 1) f xs : 'b slot array =
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  let out = Array.make n Empty in
-  let run i =
-    out.(i) <-
-      (match f input.(i) with
-      | v -> Ok_slot v
-      | exception e -> Exn_slot (e, Printexc.get_raw_backtrace ()))
-  in
-  if jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      run i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false else run i
-      done
-    in
-    let spawned = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned
-  end;
-  out
-
 module For_testing = struct
   let fail_next_spawns = Atomic.make 0
 end
@@ -57,39 +21,33 @@ let error_of_task_exn e bt =
   let t = Hscd_error.of_exn ~default:Hscd_error.Worker e in
   { t with Hscd_error.backtrace = Some (Printexc.raw_backtrace_to_string bt) }
 
-let map ?jobs f xs =
-  raw_map ?jobs f xs |> Array.to_list
-  |> List.map (function
-       | Ok_slot v -> Ok v
-       | Exn_slot (e, bt) -> Result.Error (error_of_task_exn e bt)
-       | Empty -> assert false)
-
-let map_exn ?jobs f xs =
-  raw_map ?jobs f xs |> Array.to_list
-  |> List.map (function
-       | Ok_slot v -> v
-       | Exn_slot (e, bt) -> Printexc.raise_with_backtrace e bt
-       | Empty -> assert false)
-
-let iter ?jobs f xs = ignore (map_exn ?jobs f xs)
-
 (* ------------------------------------------------------------------ *)
-(* Supervised pool.                                                    *)
+(* The supervised pool: the one executor behind every sweep.           *)
 (*                                                                     *)
 (* Workers take task indices from a shared queue and report raw        *)
 (* completions; every policy decision — retry scheduling, backoff,     *)
 (* deadlines, cancellation, respawn, degradation — is made by the      *)
-(* supervisor (the calling domain), which polls a few hundred times a  *)
-(* second. Centralizing policy in one domain keeps the workers dumb    *)
-(* and the state transitions race-free: only the supervisor ever       *)
-(* touches the outcome slots.                                          *)
+(* supervisor (the calling domain). Centralizing policy in one domain  *)
+(* keeps the workers dumb and the state transitions race-free: only    *)
+(* the supervisor ever touches the outcome slots.                      *)
 (*                                                                     *)
-(* A task attempt that blows its deadline marks its worker as lost:    *)
-(* domains cannot be killed, so the hung domain is abandoned (never    *)
-(* joined) and a replacement is spawned, up to [max_respawns]. If a    *)
-(* lost worker was merely slow and eventually finishes, it rejoins the *)
-(* pool as a bonus worker and its late result is discarded if the      *)
-(* task was already resolved elsewhere — harmless when [f] is pure.    *)
+(* The caller runs in one of two modes, chosen by [policy.deadline]:   *)
+(*                                                                     *)
+(* - No deadline: the caller works the queue beside [jobs - 1] spawned *)
+(*   workers, so [jobs] domains compute. Between its own tasks it      *)
+(*   resolves completions; with nothing left to take it blocks on a    *)
+(*   condition variable until a worker reports, or sleeps until a      *)
+(*   retry's backoff expires.                                          *)
+(* - Deadline: the caller only supervises, polling a few hundred times *)
+(*   a second beside [jobs] workers, because it must stay free to      *)
+(*   notice a hung attempt. An attempt that blows its deadline marks   *)
+(*   its worker as lost: domains cannot be killed, so the hung domain  *)
+(*   is abandoned (never joined) and a replacement is spawned, up to   *)
+(*   [max_respawns]. If a lost worker was merely slow and eventually   *)
+(*   finishes, it rejoins the pool as a bonus worker and its late      *)
+(*   result is discarded if the task was already resolved elsewhere —  *)
+(*   harmless when [f] is pure.                                        *)
+(*                                                                     *)
 (* When no live workers remain (or no domain can be spawned at all),   *)
 (* the supervisor finishes the remaining tasks itself, sequentially.   *)
 (* ------------------------------------------------------------------ *)
@@ -162,14 +120,17 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
       end
     done
   in
+  (* without a deadline the caller is one of the [jobs] computing domains *)
+  let caller_works = Option.is_none policy.deadline in
   if n = 0 then ([], stats ())
-  else if jobs <= 1 then begin
+  else if jobs <= 1 || (caller_works && n = 1) then begin
     seq_complete ();
     (Array.to_list out, stats ())
   end
   else begin
     let m = Mutex.create () in
     let work_cv = Condition.create () in
+    let done_cv = Condition.create () in
     let queue = Queue.create () in
     for i = 0 to n - 1 do
       Queue.add i queue
@@ -179,7 +140,7 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
     in
     let retry_later = ref [] in
     let stop = ref false in
-    let n_workers = min jobs n in
+    let n_workers = if caller_works then min jobs n - 1 else min jobs n in
     let cap = n_workers + policy.max_respawns in
     let running = Array.make cap None in
     let lost = Array.make cap false in
@@ -208,6 +169,7 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
           Mutex.lock m;
           running.(w) <- None;
           Queue.add (i, r) completions;
+          Condition.signal done_cv;
           Mutex.unlock m
         end
       done
@@ -232,37 +194,20 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
     else begin
       (* on_done fires outside the lock (it does journal I/O) *)
       let pending_done = ref [] in
-      let resolve i oc =
+      let rec resolve i oc =
         out.(i) <- oc;
         resolved.(i) <- true;
         incr n_resolved;
         pending_done := (i, oc) :: !pending_done;
         match oc with
-        | Failed _ | Timed_out _ when not policy.keep_going ->
-          if not !cancelled then begin
-            cancelled := true;
-            (* unstarted siblings resolve immediately; running ones finish *)
-            Queue.iter
-              (fun j ->
-                if not resolved.(j) then begin
-                  out.(j) <- Failed (cancel_error j);
-                  resolved.(j) <- true;
-                  incr n_resolved;
-                  pending_done := (j, out.(j)) :: !pending_done
-                end)
-              queue;
-            Queue.clear queue;
-            List.iter
-              (fun (_, j) ->
-                if not resolved.(j) then begin
-                  out.(j) <- Failed (cancel_error j);
-                  resolved.(j) <- true;
-                  incr n_resolved;
-                  pending_done := (j, out.(j)) :: !pending_done
-                end)
-              !retry_later;
-            retry_later := []
-          end
+        | (Failed _ | Timed_out _) when (not policy.keep_going) && not !cancelled ->
+          cancelled := true;
+          (* unstarted siblings resolve immediately; running ones finish *)
+          let cancel j = if not resolved.(j) then resolve j (Failed (cancel_error j)) in
+          Queue.iter cancel queue;
+          Queue.clear queue;
+          List.iter (fun (_, j) -> cancel j) !retry_later;
+          retry_later := []
         | _ -> ()
       in
       let schedule_retry now i =
@@ -328,6 +273,19 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
           if stalled then Queue.clear queue;
           Condition.broadcast work_cv
         end;
+        (* the caller's own next step, claimed under the lock *)
+        let next =
+          if all_done || stalled || not caller_works then `Poll
+          else if not (Queue.is_empty queue) then begin
+            let i = Queue.pop queue in
+            attempts.(i) <- attempts.(i) + 1;
+            `Run i
+          end
+          else
+            match !retry_later with
+            | [] -> `Await
+            | l -> `Backoff (List.fold_left (fun a (t, _) -> Float.min a t) infinity l -. now)
+        in
         Mutex.unlock m;
         List.iter (fun (i, oc) -> on_done i oc) (List.rev !pending_done);
         pending_done := [];
@@ -336,7 +294,24 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
           degraded := true;
           seq_complete ()
         end
-        else if not all_done then Unix.sleepf 0.002
+        else
+          match next with
+          | `Poll -> if not all_done then Unix.sleepf 0.002
+          | `Run i ->
+            let r =
+              match f input.(i) with
+              | v -> Ok v
+              | exception e -> Result.Error (e, Printexc.get_raw_backtrace ())
+            in
+            Mutex.protect m (fun () -> Queue.add (i, r) completions)
+          | `Backoff d -> Unix.sleepf d
+          | `Await ->
+            (* every unresolved task is running on a worker *)
+            Mutex.lock m;
+            while Queue.is_empty completions do
+              Condition.wait done_cv m
+            done;
+            Mutex.unlock m
       done;
       Mutex.lock m;
       stop := true;

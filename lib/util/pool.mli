@@ -1,49 +1,30 @@
-(** A small domain pool (OCaml 5 [Domain] + [Atomic], no external deps)
-    for embarrassingly parallel fan-out: independent simulations of the
-    same trace under different coherence schemes, experiment sweeps and
-    the fuzz oracle's cross-scheme check.
+(** A small domain pool (OCaml 5 [Domain], no external deps) and the one
+    executor behind every fan-out in the repository: the scheme cells of
+    a compare, the bench × scheme grid of an experiment sweep, the fuzz
+    oracle's cross-scheme check and the model checker's frontier.
 
-    Two layers:
+    {!supervise} runs each task under a policy: per-task outcome slots
+    (done / failed / timed out), an optional per-task deadline, bounded
+    retry with backoff for transient failures, keep-going vs fail-fast,
+    worker respawn, and graceful degradation to in-caller sequential
+    execution when domains cannot be spawned or workers keep getting
+    lost. Partial results are always returned: a task's failure is data,
+    not an abort. Output order equals input order, so with a pure task
+    function the result is bit-identical to the sequential [List.map] —
+    parallelism never changes what is computed, only when.
 
-    - {!map} / {!map_exn} / {!iter}: the lock-free fast path. Workers
-      claim list elements through a shared counter and write results into
-      a pre-sized slot array; output order equals input order, so the
-      result is bit-identical to the sequential [List.map] — parallelism
-      never changes what is computed, only when. {!map} runs {e every}
-      task and surfaces each outcome as a [result] (one worker's crash
-      never discards completed siblings' work); {!map_exn} is the
-      fail-fast shim that re-raises the first failure after the join.
+    The calling domain runs in one of two modes, chosen by
+    [policy.deadline]:
 
-    - {!supervise}: the supervised pool for long, crash-tolerant sweeps.
-      Per-task outcome slots (done / failed / timed out), a per-task
-      deadline, bounded retry with backoff for transient failures,
-      keep-going vs fail-fast policy, worker respawn and graceful
-      degradation to in-caller sequential execution when domains cannot
-      be spawned or workers keep getting lost. Partial results are always
-      returned: a task's failure is data, not an abort. *)
+    - no deadline (the default): the caller works the task queue beside
+      [jobs - 1] spawned workers, and blocks on a condition variable
+      when every remaining task is running elsewhere;
+    - a deadline: the caller only supervises, beside [jobs] workers, so
+      that it stays free to notice an attempt that hangs. *)
 
 (** Worker count from the environment: [HSCD_JOBS] if set to a positive
     integer, else [Domain.recommended_domain_count ()]. *)
 val default_jobs : unit -> int
-
-(** [map ~jobs f xs] runs [f] over every element of [xs] on up to [jobs]
-    domains (the caller counts as one) and returns one outcome per
-    element, in input order: [Ok y], or [Error e] when that task raised
-    (classified by {!Hscd_error.of_exn} with default kind [Worker]).
-    Every task runs regardless of sibling failures. [jobs <= 1] (the
-    default) runs sequentially with no domain spawned. [f] must not
-    touch shared mutable state. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, Hscd_error.t) result list
-
-(** Fail-fast shim over {!map}: returns the plain values, re-raising the
-    first failing task's original exception (with its backtrace) after
-    all workers have joined. *)
-val map_exn : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [iter ~jobs f xs] is [ignore (map_exn ~jobs f xs)]. *)
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-
-(** {1 Supervised execution} *)
 
 (** Final per-task verdict. [Timed_out] carries the seconds the last
     attempt had been running when it was given up on. *)
@@ -54,7 +35,8 @@ type policy = {
   deadline : float option;
       (** seconds per task attempt; [None] = no timeout. Enforced only
           when running on spawned domains — the sequential fallback
-          cannot interrupt a task. *)
+          cannot interrupt a task. Also picks the caller's mode (see the
+          module header). *)
   retries : int;  (** extra attempts after the first, per task *)
   backoff : float;
       (** seconds before re-queueing attempt [k] (scaled linearly by [k]) *)
@@ -85,11 +67,14 @@ type stats = {
     input order, plus {!stats}. [on_done i outcome] fires in the
     supervising (calling) domain as each task resolves — in completion
     order, not input order — which is the checkpoint-journal hook: a
-    crash after [on_done] loses nothing for that task. Timed-out and
+    crash after [on_done] loses nothing for that task. Without a
+    deadline, a completion that arrives while the caller is running a
+    task of its own is resolved when that task ends. Timed-out and
     crashed attempts are retried up to [policy.retries] times; a retry
     that succeeds yields a normal [Done] (bit-identical to a fault-free
     run when [f] is pure). [jobs <= 1] executes sequentially in the
-    caller (retries honoured, deadlines not). *)
+    caller (retries honoured, deadlines not), as does a single task
+    without a deadline. *)
 val supervise :
   ?jobs:int ->
   ?policy:policy ->

@@ -37,6 +37,20 @@ let test_common_memoizes () =
   let b = Common.run_all ~small:true () in
   Alcotest.(check bool) "same physical result" true (a == b)
 
+let test_memo_key_covers_every_config_field () =
+  (* a timing knob the old hand-listed key left out: after a default-config
+     sweep, the changed config must be simulated, not served from the memo *)
+  let tpi rs = List.map (fun r -> (Common.result_of r Hscd_sim.Run.TPI).cycles) rs in
+  let cfg = { Hscd_arch.Config.default with miss_base_cycles = 400 } in
+  let default = Common.run_all ~schemes:[ Hscd_sim.Run.TPI ] ~small:true () in
+  let memo = Common.run_all ~cfg ~schemes:[ Hscd_sim.Run.TPI ] ~small:true () in
+  let fresh =
+    Hscd_util.Hscd_error.get_exn
+      (Common.run_all_result ~cfg ~schemes:[ Hscd_sim.Run.TPI ] ~small:true ())
+  in
+  Alcotest.(check (list int)) "memo = fresh run" (tpi fresh) (tpi memo);
+  Alcotest.(check bool) "the knob moves the cycles" true (tpi fresh <> tpi default)
+
 let test_fig11_shape () =
   (* BASE column must be 100% everywhere; TPI must beat SC everywhere *)
   let results = Common.run_all ~small:true () in
@@ -54,5 +68,7 @@ let suite =
     Alcotest.test_case "experiments produce rows" `Slow test_every_experiment_produces_rows;
     Alcotest.test_case "common all correct" `Quick test_common_all_correct;
     Alcotest.test_case "common memoizes" `Quick test_common_memoizes;
+    Alcotest.test_case "memo key covers every config field" `Quick
+      test_memo_key_covers_every_config_field;
     Alcotest.test_case "fig11 shape" `Quick test_fig11_shape;
   ]

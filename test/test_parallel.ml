@@ -14,6 +14,11 @@ module Prng = Hscd_util.Prng
 
 (* --- Pool --- *)
 
+let done_values outcomes =
+  List.map (function Pool.Done v -> v | _ -> Alcotest.fail "task did not finish") outcomes
+
+let supervise_values ~jobs f xs = done_values (fst (Pool.supervise ~jobs f xs))
+
 let test_pool_matches_list_map () =
   let xs = List.init 57 (fun i -> i - 7) in
   let f x = (x * x) - (3 * x) in
@@ -21,7 +26,7 @@ let test_pool_matches_list_map () =
     (fun jobs ->
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d" jobs)
-        (List.map f xs) (Pool.map_exn ~jobs f xs))
+        (List.map f xs) (supervise_values ~jobs f xs))
     [ 1; 2; 4; 9 ]
 
 let test_pool_preserves_order_under_skew () =
@@ -36,33 +41,54 @@ let test_pool_preserves_order_under_skew () =
     ignore !acc;
     i * 2
   in
-  Alcotest.(check (list int)) "ordered" (List.map f xs) (Pool.map_exn ~jobs:4 f xs)
+  Alcotest.(check (list int)) "ordered" (List.map f xs) (supervise_values ~jobs:4 f xs)
 
 let test_pool_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Pool.map_exn ~jobs:4 (fun x -> x) []);
-  Alcotest.(check (list int)) "singleton" [ 9 ] (Pool.map_exn ~jobs:4 (fun x -> x * 3) [ 3 ])
+  Alcotest.(check (list int)) "empty" [] (supervise_values ~jobs:4 (fun x -> x) []);
+  Alcotest.(check (list int)) "singleton" [ 9 ] (supervise_values ~jobs:4 (fun x -> x * 3) [ 3 ])
 
 exception Boom of int
 
-let test_pool_propagates_exception () =
-  Alcotest.check_raises "raises" (Boom 5) (fun () ->
-      ignore
-        (Pool.map_exn ~jobs:3 (fun x -> if x = 5 then raise (Boom 5) else x) (List.init 10 Fun.id)))
-
 let test_pool_map_surfaces_all_outcomes () =
-  (* unlike map_exn, a failing task no longer discards its siblings *)
-  let outcomes =
-    Pool.map ~jobs:3 (fun x -> if x mod 4 = 1 then raise (Boom x) else x * 10) (List.init 10 Fun.id)
+  (* keep-going: a failing task never discards its siblings *)
+  let outcomes, _ =
+    Pool.supervise ~jobs:3
+      ~policy:{ Pool.default_policy with Pool.retries = 0 }
+      (fun x -> if x mod 4 = 1 then raise (Boom x) else x * 10)
+      (List.init 10 Fun.id)
   in
   List.iteri
     (fun x oc ->
       if x mod 4 = 1 then
         match oc with
-        | Error (e : Hscd_util.Hscd_error.t) ->
+        | Pool.Failed (e : Hscd_util.Hscd_error.t) ->
           Alcotest.(check bool) "worker kind" true (e.kind = Hscd_util.Hscd_error.Worker)
-        | Ok _ -> Alcotest.fail "expected a typed error"
-      else Alcotest.(check int) "sibling survives" (x * 10) (match oc with Ok v -> v | Error _ -> -1))
+        | _ -> Alcotest.fail "expected a typed error"
+      else
+        Alcotest.(check int) "sibling survives" (x * 10)
+          (match oc with Pool.Done v -> v | _ -> -1))
     outcomes
+
+let test_pool_caller_works_without_deadline () =
+  (* without a deadline the calling domain is one of the [jobs] workers;
+     with one it only supervises. Each task sleeps, so the single spawned
+     worker cannot drain the queue before the caller takes a task. *)
+  let caller = Domain.self () in
+  let count policy =
+    let mu = Mutex.create () in
+    let by_caller = ref 0 in
+    let f x =
+      if Domain.self () = caller then Mutex.protect mu (fun () -> incr by_caller);
+      Unix.sleepf 0.01;
+      x
+    in
+    let values = done_values (fst (Pool.supervise ~jobs:2 ~policy f (List.init 8 Fun.id))) in
+    Alcotest.(check (list int)) "all done" (List.init 8 Fun.id) values;
+    !by_caller
+  in
+  Alcotest.(check bool) "caller works without a deadline" true (count Pool.default_policy >= 1);
+  Alcotest.(check int) "caller only supervises with a deadline" 0
+    (count { Pool.default_policy with Pool.deadline = Some 30.0 })
 
 let test_default_jobs_env () =
   let old = Sys.getenv_opt "HSCD_JOBS" in
@@ -158,8 +184,9 @@ let suite =
     Alcotest.test_case "pool matches List.map" `Quick test_pool_matches_list_map;
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order_under_skew;
     Alcotest.test_case "pool empty/singleton" `Quick test_pool_empty_and_singleton;
-    Alcotest.test_case "pool propagates exceptions" `Quick test_pool_propagates_exception;
     Alcotest.test_case "pool map surfaces all outcomes" `Quick test_pool_map_surfaces_all_outcomes;
+    Alcotest.test_case "pool caller works without deadline" `Quick
+      test_pool_caller_works_without_deadline;
     Alcotest.test_case "HSCD_JOBS env override" `Quick test_default_jobs_env;
     Alcotest.test_case "compare jobs=1 = jobs=4" `Quick test_compare_deterministic_across_jobs;
     Alcotest.test_case "compare extended schemes" `Quick test_compare_deterministic_extended_schemes;

@@ -277,6 +277,32 @@ let test_supervise_on_done_completion_order () =
   Alcotest.(check int) "outcomes complete" 10
     (List.length (List.filter (function Pool.Done _ -> true | _ -> false) outcomes))
 
+(* --- checkpointed compare --- *)
+
+let test_compare_checkpoint_resume () =
+  (* a rerun against the same journal reuses every cell: bit-identical
+     results and no new records *)
+  let path = tmp "hscd_compare_resume.jnl" in
+  if Sys.file_exists path then Sys.remove path;
+  let module Run = Hscd_sim.Run in
+  let prog = Hscd_workloads.Kernels.jacobi1d ~n:64 ~iters:2 () in
+  let cfg = { Hscd_arch.Config.default with processors = 4 } in
+  let run () =
+    match Run.compare_result ~cfg ~schemes:Run.extended_schemes ~jobs:2 ~checkpoint:path prog with
+    | Ok (_, rs) -> List.map (fun (c : Run.comparison) -> (c.kind, c.result)) rs
+    | Error e -> Alcotest.fail (Err.to_string e)
+  in
+  let records () =
+    match Journal.load path with Ok l -> List.length l | Error e -> Alcotest.fail (Err.to_string e)
+  in
+  let first = run () in
+  let n = records () in
+  Alcotest.(check int) "one record per scheme" (List.length Run.extended_schemes) n;
+  let second = run () in
+  Alcotest.(check bool) "rerun bit-identical" true (first = second);
+  Alcotest.(check int) "rerun appended nothing" n (records ());
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "error classification" `Quick test_error_classification;
@@ -297,4 +323,5 @@ let suite =
       test_supervise_degrades_without_domains;
     Alcotest.test_case "supervise: on_done fires per task" `Quick
       test_supervise_on_done_completion_order;
+    Alcotest.test_case "compare checkpoint resume" `Quick test_compare_checkpoint_resume;
   ]

@@ -1,16 +1,19 @@
-(* Standalone engine-throughput probe: the wall-clock benches of
-   bench/main.ml's part 3 without the full table regeneration — a quick
-   before/after check when touching the engine or trace-generation hot
-   paths.
+(* Standalone engine-throughput probe: a quick before/after check when
+   touching the engine or trace-generation hot paths, without a full
+   table regeneration.
+
+   Usage: dune exec bench/throughput.exe [-- --smoke]
 
    Flags:
      --smoke       capped workload over all seven schemes; exit 1 when a
                    packed replay is not bit-identical to the boxed one or
-                   crosses its per-scheme minor-words/event ceiling, when
-                   the streaming trace builder diverges from
-                   boxed-generation + pack or allocates too much per
-                   generated event, or when a timing-knob sweep fails to
-                   share compiled traces (the @perf-smoke alias) *)
+                   crosses its per-scheme minor-words/event ceiling (at
+                   P=16 and at P=1024, where the ready queue has 10-bit
+                   processor keys and a deep heap), when the streaming
+                   trace builder diverges from boxed-generation + pack or
+                   allocates too much per generated event, or when a
+                   timing-knob sweep fails to share compiled traces (the
+                   @perf-smoke alias) *)
 
 (* replay side: the engine decodes events without constructing variants.
    Per-scheme minor-words/event ceilings at roughly 2x the measured smoke
@@ -36,6 +39,12 @@ let () =
     else Perf.measure ~schemes:Hscd_sim.Run.extended_schemes ()
   in
   Perf.print_report report;
+  (* a small trace on the largest machine the paper simulates *)
+  let wide =
+    Perf.measure ~processors:1024 ~n:8192 ~iters:2 ~reps:1
+      ~schemes:Hscd_sim.Run.extended_schemes ()
+  in
+  Perf.print_report wide;
   let gen =
     if smoke then Perf.measure_compile ~processors:16 ~n:512 ~iters:2 ~reps:1 ()
     else Perf.measure_compile ()
@@ -45,16 +54,21 @@ let () =
   Perf.print_cache_row cache;
   if not smoke then Perf.compare_wall_clock ();
   let bad =
-    List.filter
-      (fun (r : Perf.scheme_row) ->
-        (not r.identical) || r.minor_words_per_event >= replay_words_cap r.scheme)
-      report.Perf.rows
+    List.concat_map
+      (fun (rep : Perf.report) ->
+        List.filter_map
+          (fun (r : Perf.scheme_row) ->
+            if (not r.identical) || r.minor_words_per_event >= replay_words_cap r.scheme then
+              Some (rep.processors, r)
+            else None)
+          rep.rows)
+      [ report; wide ]
   in
   List.iter
-    (fun (r : Perf.scheme_row) ->
+    (fun (p, (r : Perf.scheme_row)) ->
       Printf.eprintf
-        "throughput: FAIL %s (identical=%b, minor_words_per_event=%.2f >= %.1f?)\n" r.scheme
-        r.identical r.minor_words_per_event (replay_words_cap r.scheme))
+        "throughput: FAIL %s at P=%d (identical=%b, minor_words_per_event=%.2f >= %.1f?)\n"
+        r.scheme p r.identical r.minor_words_per_event (replay_words_cap r.scheme))
     bad;
   let gen_bad =
     (not gen.Perf.gen_identical) || gen.Perf.gen_stream_words_per_event >= gen_words_cap

@@ -190,7 +190,7 @@ type packed = Packed : (module S with type t = 't) * 't -> packed
     current network load. *)
 let transfer_latency (c : Config.t) (net : Kruskal_snir.t) ~words =
   c.miss_base_cycles
-  + (max 0 (words - 1) * c.word_transfer_cycles)
+  + (Int.max 0 (words - 1) * c.word_transfer_cycles)
   + Kruskal_snir.round_trip_excess net
 
 (** Header/request words accompanying a transaction. *)

@@ -13,22 +13,32 @@
     The hot path is allocation-free in steady state: events are decoded
     by index from the packed trace's unboxed int slabs (read marks via a
     preallocated decode table, so no [Time_read] cell is ever built),
-    schemes fill a reused scratch {!Scheme.access_result}, the ready
-    queue pops with {!Minheap.pop_min} (no option/tuple), work items are
+    schemes fill a reused scratch {!Scheme.access_result}, work items are
     rank+offset encoded in a single int, a task's critical-section
     tickets are a base+count pair instead of a list, and all per-epoch
-    scratch (processor states, ticket slots, idle set, heap, deques) is
-    allocated once per run and reset across epochs.
+    scratch (processor states, ticket slots, idle set, ready queue,
+    deques) is allocated once per run and reset across epochs.
 
-    The next processor to run is picked from an indexed ready queue (a
-    min-clock binary heap with ties broken on the processor index, the
-    same order a linear lowest-clock scan would produce) rather than an
-    O(P) scan per event. Processors leave the heap while blocked on a
-    critical-section ticket — parked in a per-ticket slot and re-enqueued
-    by the matching unlock — or while out of work, and idle processors are
-    woken in index order when self-scheduled work reappears (a migrated
-    task tail). Work queues are ring-buffer deques, so task distribution
-    is O(1) per task instead of a quadratic list append.
+    The next processor to run comes from {!Ready}, a binary min-heap of
+    one packed int per runnable processor, [(clock lsl pbits) lor pidx]:
+    a single int compare orders by clock and breaks ties on the lowest
+    index, the order a linear lowest-clock scan would produce. After each
+    event the running processor goes back through {!Ready.push_pop}: while
+    its key is still below the root it keeps running without touching
+    the heap, otherwise it replaces the root with one sift-down. Processors
+    leave the queue while blocked on a critical-section ticket — parked in
+    a per-ticket slot and re-enqueued by the matching unlock — or while
+    out of work, and idle processors are woken in index order when
+    self-scheduled work reappears (a migrated task tail). Work queues are
+    ring-buffer deques, so task distribution is O(1) per task.
+
+    The per-event path calls no other module except the scheme's
+    [read]/[write]: slabs are read with [Bigarray.Array1.get] at their
+    concrete type (an inline, bounds-checked load), and the ready queue,
+    miss-class counting and write-mark decode live in this file. Builds
+    with [-opaque] (dune's dev profile, which [dune exec] and the
+    benchmark use) cannot inline across modules, so each such call would
+    otherwise be an indirect call through a module block.
 
     {!run_boxed} replays the legacy boxed event stream through the same
     timing model; it exists so tests can assert the packed path is
@@ -57,6 +67,114 @@ type result = {
 let max_violations = 10
 
 (* ------------------------------------------------------------------ *)
+(* Per-event helpers, local so the hot loop inlines them               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Slab.get] at the slab's concrete type: the primitive compiles to an
+   inline bounds-checked load *)
+let[@inline] sget (s : Slab.t) i = Bigarray.Array1.get s i
+
+(* same numbering as {!Metrics.class_index} *)
+let[@inline] class_index : Scheme.miss_class -> int = function
+  | Scheme.Hit -> 0
+  | Scheme.Cold -> 1
+  | Scheme.Replacement -> 2
+  | Scheme.True_sharing -> 3
+  | Scheme.False_sharing -> 4
+  | Scheme.Conservative -> 5
+  | Scheme.Reset_inv -> 6
+  | Scheme.Uncached -> 7
+
+let[@inline] record_read (m : Metrics.t) (r : Scheme.access_result) =
+  let c = class_index r.Scheme.cls in
+  m.read_classes.(c) <- m.read_classes.(c) + 1;
+  if c <> 0 then begin
+    m.read_miss_count <- m.read_miss_count + 1;
+    m.read_miss_cycles <- m.read_miss_cycles + r.Scheme.latency
+  end
+
+let[@inline] record_write (m : Metrics.t) (r : Scheme.access_result) =
+  let c = class_index r.Scheme.cls in
+  m.write_classes.(c) <- m.write_classes.(c) + 1
+
+(* {!Event.Code.wmark_of} *)
+let[@inline] wmark_of code = if code = 0 then Event.Normal_write else Event.Bypass_write
+
+module Ready = struct
+  type t = {
+    keys : int array;  (** heap-ordered packed keys, [size] of them live *)
+    mutable size : int;
+    pbits : int;  (** bits of the processor index in a key *)
+  }
+
+  let create ~processors =
+    let rec bits b = if (processors - 1) lsr b = 0 then b else bits (b + 1) in
+    { keys = Array.make (max 1 processors) 0; size = 0; pbits = bits 0 }
+
+  let[@inline] key t ~clock pidx = (clock lsl t.pbits) lor pidx
+  let[@inline] pidx t key = key land ((1 lsl t.pbits) - 1)
+  let clock t key = key asr t.pbits
+
+  (* clocks below this leave a factor-of-two headroom before a key wraps *)
+  let clock_limit t = max_int asr (t.pbits + 1)
+
+  let length t = t.size
+  let clear t = t.size <- 0
+
+  (* sifts move a hole and write [key] once, where it lands *)
+  let rec sift_up (a : int array) i key =
+    if i = 0 then a.(0) <- key
+    else begin
+      let parent = (i - 1) lsr 1 in
+      let pk = a.(parent) in
+      if pk > key then begin
+        a.(i) <- pk;
+        sift_up a parent key
+      end
+      else a.(i) <- key
+    end
+
+  let rec sift_down (a : int array) n i key =
+    let l = (2 * i) + 1 in
+    if l >= n then a.(i) <- key
+    else begin
+      let r = l + 1 in
+      let c = if r < n && a.(r) < a.(l) then r else l in
+      let ck = a.(c) in
+      if ck < key then begin
+        a.(i) <- ck;
+        sift_down a n c key
+      end
+      else a.(i) <- key
+    end
+
+  let push t key =
+    let i = t.size in
+    t.size <- i + 1;
+    sift_up t.keys i key
+
+  let pop t =
+    if t.size = 0 then -1
+    else begin
+      let a = t.keys in
+      let top = a.(0) in
+      let n = t.size - 1 in
+      t.size <- n;
+      if n > 0 then sift_down a n 0 a.(n);
+      top
+    end
+
+  let[@inline] push_pop t key =
+    let a = t.keys in
+    if t.size = 0 || key < a.(0) then key
+    else begin
+      let top = a.(0) in
+      sift_down a t.size 0 key;
+      top
+    end
+end
+
+(* ------------------------------------------------------------------ *)
 (* Packed-native replay                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -81,6 +199,14 @@ type pstate = {
   mutable s_left : int;  (** tickets not yet claimed *)
 }
 
+(* blocked when the next event is a Lock whose ticket is not yet due; a
+   top-level function, so the per-epoch closures need not capture it *)
+let[@inline] blocked ops p ~expected =
+  p.s_idx < p.s_stop
+  && sget ops p.s_idx = Event.Code.lock
+  && p.s_left > 0
+  && p.s_next_ticket <> expected
+
 let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((module S), sch))
     ~(net : Kruskal_snir.t) ~(traffic : Traffic.t) (trace : Trace.packed) =
   let metrics = Metrics.create () in
@@ -101,13 +227,18 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
           s_off = 0; s_rank = -1; s_next_ticket = 0; s_left = 0 })
   in
   let dynamic_queue = Deque.create ~capacity:16 () in
-  let ready = Minheap.create cfg.processors in
+  let ready = Ready.create ~processors:cfg.processors in
   let ticket_waiter = Array.make (max 1 trace.Trace.p_max_tickets) (-1) in
   let idle = Array.make cfg.processors false in
   let stalls = Array.make cfg.processors 0 in
   Array.iteri
     (fun epoch_no (epoch : Trace.pepoch) ->
       on_epoch epoch_no;
+      if !global >= Ready.clock_limit ready then
+        Hscd_util.Hscd_error.fail Internal
+          "Engine.run: clock %d at epoch %d leaves no headroom in the ready queue's %d-bit \
+           processor keys"
+          !global epoch_no ready.Ready.pbits;
       let tasks = epoch.Trace.p_tasks in
       let ntasks = Array.length tasks in
       let n_tickets = epoch.Trace.p_n_tickets in
@@ -124,7 +255,7 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
           p.s_left <- 0)
         procs;
       Deque.clear dynamic_queue;
-      Minheap.clear ready;
+      Ready.clear ready;
       Array.fill ticket_waiter 0 (Array.length ticket_waiter) (-1);
       Array.fill idle 0 (Array.length idle) false;
       (* task distribution *)
@@ -198,21 +329,14 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
             | None -> false)
         end
       in
-      let blocked p =
-        (* blocked when the next event is a Lock whose ticket is not yet due *)
-        p.s_idx < p.s_stop
-        && Slab.get ops p.s_idx = Event.Code.lock
-        && p.s_left > 0
-        && p.s_next_ticket <> !expected_ticket
-      in
-      (* ready structure: min-clock heap of runnable processors; blocked
-         processors park in the slot of the ticket they wait for, workless
-         processors in the idle set *)
+      (* ready structure: the packed-key queue of runnable processors;
+         blocked processors park in the slot of the ticket they wait for,
+         workless processors in the idle set *)
       let enqueue p =
-        if blocked p then ticket_waiter.(p.s_next_ticket) <- p.s_pidx
-        else Minheap.push ready ~key:p.s_clock p.s_pidx
+        if blocked ops p ~expected:!expected_ticket then ticket_waiter.(p.s_next_ticket) <- p.s_pidx
+        else Ready.push ready (Ready.key ready ~clock:p.s_clock p.s_pidx)
       in
-      (* refill p and put it wherever it now belongs: the heap, a ticket
+      (* refill p and put it wherever it now belongs: the ready queue, a ticket
          slot, or the idle set *)
       let activate p =
         if try_refill p then begin
@@ -231,27 +355,27 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
       in
       Array.iter activate procs;
       wake_idle ();
-      let rec loop () =
-        let pi = Minheap.pop_min ready in
-        if pi >= 0 then begin
-          let p = procs.(pi) in
-          let proc = p.s_pidx in
+      (* [key] is the packed key of the processor to run next, -1 once no
+         processor is runnable *)
+      let rec loop key =
+        if key >= 0 then begin
+          let proc = Ready.pidx ready key in
+          let p = procs.(proc) in
           let i = p.s_idx in
-          let op = Slab.get ops i in
+          let op = sget ops i in
           if op = Event.Code.compute then begin
-            let n = Slab.get addrs i in
+            let n = sget addrs i in
             p.s_clock <- p.s_clock + n;
             metrics.compute_cycles <- metrics.compute_cycles + n
           end
           else if op = Event.Code.read then begin
-            let addr = Slab.get addrs i in
+            let addr = sget addrs i in
             let r =
-              S.read sch ~proc ~addr ~array:(Slab.get arrs i)
-                ~mark:rmark_table.(Slab.get marks i)
+              S.read sch ~proc ~addr ~array:(sget arrs i) ~mark:rmark_table.(sget marks i)
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
-            Metrics.record_read metrics r;
-            let golden = Slab.get values i in
+            record_read metrics r;
+            let golden = sget values i in
             if r.Scheme.value <> golden then begin
               if !nviol < max_violations then
                 violations :=
@@ -261,13 +385,12 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
             end
           end
           else if op = Event.Code.write then begin
-            let addr = Slab.get addrs i in
             let r =
-              S.write sch ~proc ~addr ~array:(Slab.get arrs i) ~value:(Slab.get values i)
-                ~mark:(Event.Code.wmark_of (Slab.get marks i))
+              S.write sch ~proc ~addr:(sget addrs i) ~array:(sget arrs i) ~value:(sget values i)
+                ~mark:(wmark_of (sget marks i))
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
-            Metrics.record_write metrics r
+            record_write metrics r
           end
           else if op = Event.Code.lock then begin
             if p.s_left > 0 then begin
@@ -275,7 +398,7 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
               p.s_next_ticket <- p.s_next_ticket + 1;
               p.s_left <- p.s_left - 1
             end;
-            let ready_at = max p.s_clock !lock_release in
+            let ready_at = Int.max p.s_clock !lock_release in
             metrics.lock_wait_cycles <- metrics.lock_wait_cycles + (ready_at - p.s_clock);
             metrics.lock_acquires <- metrics.lock_acquires + 1;
             p.s_clock <- ready_at + cfg.lock_cycles
@@ -289,20 +412,26 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
               let w = ticket_waiter.(!expected_ticket) in
               if w >= 0 then begin
                 ticket_waiter.(!expected_ticket) <- -1;
-                Minheap.push ready ~key:procs.(w).s_clock w
+                Ready.push ready (Ready.key ready ~clock:procs.(w).s_clock w)
               end
             end
           end;
-          p.s_idx <- p.s_idx + 1;
-          if p.s_idx < p.s_stop then enqueue p
+          p.s_idx <- i + 1;
+          (* a runnable processor stays on unless another one is now
+             earlier: one compare, or one sift-down replacing the root *)
+          if p.s_idx < p.s_stop && not (blocked ops p ~expected:!expected_ticket) then
+            loop (Ready.push_pop ready (Ready.key ready ~clock:p.s_clock proc))
           else begin
-            activate p;
-            wake_idle ()
-          end;
-          loop ()
+            if p.s_idx < p.s_stop then ticket_waiter.(p.s_next_ticket) <- proc
+            else begin
+              activate p;
+              wake_idle ()
+            end;
+            loop (Ready.pop ready)
+          end
         end
       in
-      loop ();
+      loop (Ready.pop ready);
       (* epoch boundary: scheme work (into the per-run stall scratch),
          barrier, network-load update *)
       S.epoch_boundary sch ~stalls;
@@ -506,7 +635,7 @@ let run_boxed (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal
           | Event.Read { addr; mark; value; array } ->
             let r = S.read sch ~proc ~addr ~array:(Symtab.intern symtab array) ~mark in
             p.clock <- p.clock + r.Scheme.latency;
-            Metrics.record_read metrics r;
+            record_read metrics r;
             if r.Scheme.value <> value then begin
               if !nviol < max_violations then
                 violations :=
@@ -517,14 +646,14 @@ let run_boxed (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal
           | Event.Write { addr; mark; value; array } ->
             let r = S.write sch ~proc ~addr ~array:(Symtab.intern symtab array) ~value ~mark in
             p.clock <- p.clock + r.Scheme.latency;
-            Metrics.record_write metrics r
+            record_write metrics r
           | Event.Lock ->
             (match p.tickets with
             | t :: rest ->
               assert (t = !expected_ticket);
               p.tickets <- rest
             | [] -> ());
-            let ready_at = max p.clock !lock_release in
+            let ready_at = Int.max p.clock !lock_release in
             metrics.lock_wait_cycles <- metrics.lock_wait_cycles + (ready_at - p.clock);
             metrics.lock_acquires <- metrics.lock_acquires + 1;
             p.clock <- ready_at + cfg.lock_cycles

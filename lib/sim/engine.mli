@@ -16,6 +16,37 @@ type result = {
 
 val max_violations : int
 
+(** The ready queue of {!run}: a binary min-heap of packed keys
+    [(clock lsl pbits) lor pidx], where [pbits] is the number of bits
+    needed for [processors - 1], so one int compare orders by clock and
+    then by processor index. Holds at most [processors] keys. *)
+module Ready : sig
+  type t
+
+  val create : processors:int -> t
+
+  (** Pack a non-negative [clock] and a processor index into a key. *)
+  val key : t -> clock:int -> int -> int
+
+  val pidx : t -> int -> int
+  val clock : t -> int -> int
+
+  (** Clocks at or above this leave less than a factor of two before a
+      key wraps; {!run} raises [Internal] when an epoch starts there. *)
+  val clock_limit : t -> int
+
+  val length : t -> int
+  val push : t -> int -> unit
+
+  (** Smallest key, or [-1] when empty. *)
+  val pop : t -> int
+
+  (** [push_pop t k] is [push t k] followed by [pop t], with the heap
+      untouched when [k] is below every key in it and one sift-down
+      otherwise. *)
+  val push_pop : t -> int -> int
+end
+
 (** Native replay of the packed structure-of-arrays trace form.
     [on_epoch] fires with the epoch index as replay enters each epoch —
     the hook {!Trace_io.Mapped.validate_epoch} plugs into for lazy

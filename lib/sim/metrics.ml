@@ -60,16 +60,6 @@ let create () =
     scheme_stats = Scheme.fresh_stats ();
   }
 
-let record_read t (r : Scheme.access_result) =
-  t.read_classes.(class_index r.cls) <- t.read_classes.(class_index r.cls) + 1;
-  if r.cls <> Scheme.Hit then begin
-    t.read_miss_count <- t.read_miss_count + 1;
-    t.read_miss_cycles <- t.read_miss_cycles + r.latency
-  end
-
-let record_write t (r : Scheme.access_result) =
-  t.write_classes.(class_index r.cls) <- t.write_classes.(class_index r.cls) + 1
-
 let reads t = Array.fold_left ( + ) 0 t.read_classes
 let writes t = Array.fold_left ( + ) 0 t.write_classes
 let accesses t = reads t + writes t

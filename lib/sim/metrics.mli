@@ -25,9 +25,6 @@ type t = {
 
 val create : unit -> t
 
-val record_read : t -> Scheme.access_result -> unit
-val record_write : t -> Scheme.access_result -> unit
-
 val reads : t -> int
 val writes : t -> int
 val accesses : t -> int

@@ -1,7 +1,7 @@
 (* Array-based binary min-heap over (key, value) pairs, ordered by key
-   then value. The engine uses it as the ready queue: key = processor
-   clock, value = processor index, so ties resolve to the lowest index —
-   the same tie-break as a linear lowest-clock scan. *)
+   then value. The boxed reference replay uses it as the ready queue:
+   key = processor clock, value = processor index, so ties resolve to the
+   lowest index — the same tie-break as a linear lowest-clock scan. *)
 
 type t = {
   mutable keys : int array;
@@ -58,26 +58,16 @@ let push t ~key v =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(* Allocation-free pop for the engine's per-event loop: the minimum
-   element's value, or -1 when empty (values are processor indices >= 0). *)
-let pop_min t =
-  if t.size = 0 then -1
+let pop t =
+  if t.size = 0 then None
   else begin
-    let v = t.vals.(0) in
+    let key = t.keys.(0) and v = t.vals.(0) in
     t.size <- t.size - 1;
     if t.size > 0 then begin
       t.keys.(0) <- t.keys.(t.size);
       t.vals.(0) <- t.vals.(t.size);
       sift_down t 0
     end;
-    v
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) in
-    let v = pop_min t in
     Some (key, v)
   end
 

@@ -1,10 +1,12 @@
 (** Binary min-heap over [(key, value)] integer pairs, ordered by key and
     breaking ties on the smaller value.
 
-    The engine's ready queue: key is a processor clock, value a processor
-    index, so [pop] yields the lowest-clock processor and resolves clock
-    ties to the lowest index — identical ordering to a linear scan over
-    processors, at O(log n) per operation. *)
+    The ready queue of the boxed reference replay ([Engine.run_boxed]):
+    key is a processor clock, value a processor index, so [pop] yields the
+    lowest-clock processor and resolves clock ties to the lowest index —
+    identical ordering to a linear scan over processors, at O(log n) per
+    operation. [Engine.run] uses its own packed-key queue, which the test
+    suite checks against this one. *)
 
 type t
 
@@ -17,10 +19,6 @@ val push : t -> key:int -> int -> unit
 
 (** Smallest [(key, value)]; [None] when empty. *)
 val pop : t -> (int * int) option
-
-(** Value of the smallest pair, or [-1] when empty — the allocation-free
-    pop for hot loops whose values are non-negative (processor indices). *)
-val pop_min : t -> int
 
 val peek : t -> (int * int) option
 

@@ -124,6 +124,90 @@ let test_equiv_many_processors () =
   let cfg = { Config.default with processors = 32 } in
   equiv_program ~cfg "boundary@32" (Kernels.boundary_exchange ~n:128 ~iters:2 ())
 
+let test_equiv_one_processor () =
+  (* pbits = 0: the ready-queue key is the clock itself *)
+  let cfg = { Config.default with processors = 1 } in
+  equiv_program ~cfg "jacobi1d@1" (Kernels.jacobi1d ~n:64 ~iters:2 ())
+
+let test_equiv_48_processors () =
+  (* not a power of two: the top key bits never see pidx 48..63 *)
+  let cfg = { Config.default with processors = 48 } in
+  equiv_program ~cfg "boundary@48" (Kernels.boundary_exchange ~n:192 ~iters:2 ())
+
+let test_equiv_1024_processors () =
+  let cfg = { Config.default with processors = 1024 } in
+  equiv_program ~cfg "jacobi1d@1024" (Kernels.jacobi1d ~n:2048 ~iters:2 ())
+
+let test_equiv_locks_contended () =
+  (* dynamic self-scheduling at P=48: many processors park on tickets
+     and are re-enqueued by unlocks *)
+  let cfg = { Config.default with processors = 48; scheduling = Config.Dynamic } in
+  equiv_program ~cfg "reduction@48,dynamic" (Kernels.reduction ~n:192 ())
+
+let test_equiv_migration_1024 () =
+  let cfg =
+    { Config.default with processors = 1024; scheduling = Config.Dynamic; migration_rate = 0.3 }
+  in
+  equiv_program ~cfg "gather+migration@1024" (Kernels.gather ~n:2048 ~iters:2 ())
+
+let test_clock_headroom () =
+  (* a barrier this long pushes the second epoch's clock past the limit
+     of 10-bit processor keys; the engine must refuse, not wrap *)
+  let cfg = { Config.default with processors = 1024; barrier_cycles = max_int / 8 } in
+  let c = Run.compile ~cfg (Kernels.jacobi1d ~n:64 ~iters:2 ()) in
+  match Run.simulate_packed ~cfg Run.Base c.Run.packed_trace with
+  | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Internal; _ } -> ()
+  | _ -> Alcotest.fail "expected an Internal error from the clock-headroom guard"
+
+(* ---------- packed-key ready queue ≡ Minheap ---------- *)
+
+type rq_op = Push of int * int | Pop | Push_pop of int * int
+
+let qcheck_ready_vs_minheap =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun c i -> Push (c, i)) (int_bound 200) (int_bound 1_000_000));
+          (2, return Pop);
+          (3, map2 (fun c i -> Push_pop (c, i)) (int_bound 200) (int_bound 1_000_000));
+        ])
+  in
+  let gen = QCheck.Gen.(pair (int_range 1 1100) (list_size (int_bound 300) op)) in
+  QCheck.Test.make ~name:"ready queue pops in Minheap order" ~count:300
+    (QCheck.make gen) (fun (processors, ops) ->
+      let module Ready = Hscd_sim.Engine.Ready in
+      let module Minheap = Hscd_util.Minheap in
+      let q = Ready.create ~processors in
+      let h = Minheap.create processors in
+      let unpack k = if k < 0 then None else Some (Ready.clock q k, Ready.pidx q k) in
+      let pop_both () = unpack (Ready.pop q) = Minheap.pop h in
+      let step ok op =
+        ok
+        &&
+        match op with
+        (* the queue holds at most [processors] keys, as in the engine *)
+        | (Push _ | Push_pop _) when Ready.length q = processors -> pop_both ()
+        | Pop -> pop_both ()
+        | Push (c, i) ->
+          let i = i mod processors in
+          Ready.push q (Ready.key q ~clock:c i);
+          Minheap.push h ~key:c i;
+          true
+        | Push_pop (c, i) ->
+          let i = i mod processors in
+          let a = unpack (Ready.push_pop q (Ready.key q ~clock:c i)) in
+          Minheap.push h ~key:c i;
+          a = Minheap.pop h
+      in
+      let rec drain acc = match unpack (Ready.pop q) with None -> List.rev acc | Some kv -> drain (kv :: acc) in
+      let rec drain_h acc = match Minheap.pop h with None -> List.rev acc | Some kv -> drain_h (kv :: acc) in
+      List.fold_left step true ops
+      &&
+      (* what is left drains in Minheap order, which is sorted order *)
+      let rest = drain [] in
+      rest = drain_h [] && rest = List.sort compare rest)
+
 let corpus_files () =
   (* cwd is test/ under `dune runtest`, the workspace root under `dune exec` *)
   let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
@@ -172,6 +256,13 @@ let suite =
     Alcotest.test_case "packed=boxed: matmul" `Quick test_equiv_matmul;
     Alcotest.test_case "packed=boxed: dynamic + migration" `Quick test_equiv_dynamic_migration;
     Alcotest.test_case "packed=boxed: 32 processors" `Quick test_equiv_many_processors;
+    Alcotest.test_case "packed=boxed: 1 processor" `Quick test_equiv_one_processor;
+    Alcotest.test_case "packed=boxed: 48 processors" `Quick test_equiv_48_processors;
+    Alcotest.test_case "packed=boxed: 1024 processors" `Quick test_equiv_1024_processors;
+    Alcotest.test_case "packed=boxed: contended locks, dynamic" `Quick test_equiv_locks_contended;
+    Alcotest.test_case "packed=boxed: migration at 1024" `Quick test_equiv_migration_1024;
+    Alcotest.test_case "engine: clock headroom guard" `Quick test_clock_headroom;
+    QCheck_alcotest.to_alcotest qcheck_ready_vs_minheap;
     Alcotest.test_case "packed=boxed: fuzz corpus" `Quick test_equiv_corpus;
     Alcotest.test_case "unpack (pack t) = t: fuzz corpus" `Quick test_unpack_pack_corpus;
     Alcotest.test_case "streaming=boxed: Perfect Club models" `Slow test_streaming_perfect_models;

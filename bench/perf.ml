@@ -10,18 +10,35 @@ module Engine = Hscd_sim.Engine
 module Kruskal_snir = Hscd_network.Kruskal_snir
 module Traffic = Hscd_network.Traffic
 
+(* Words allocated on either heap by [f ()]: machine construction
+   allocates arrays too large for the minor heap, which minor-word counts
+   never see. OCaml 5 folds a domain's allocation into the counters behind
+   [Gc.allocated_bytes] only at collections, so a full major collection on
+   each side makes the delta this call's allocation exactly. *)
+let allocated_words f =
+  Gc.full_major ();
+  let b0 = Gc.allocated_bytes () in
+  let r = f () in
+  Gc.full_major ();
+  (r, (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8))
+
 (* One replay with a fresh machine, timed and GC-accounted separately
    from scheme construction: the (seconds, minor-heap words) cost of the
-   Engine call alone, plus its result for equivalence checks. *)
+   Engine call alone, plus its result for equivalence checks, and the
+   words allocated building the machine. *)
 let replay_packed ~cfg kind (p : Trace.packed) =
-  let network = Kruskal_snir.create cfg in
-  let traffic = Traffic.create cfg in
-  let sch = Run.pack kind cfg ~memory_words:(Trace.packed_memory_words p) ~network ~traffic in
+  let memory_words = Trace.packed_memory_words p in
+  let (network, traffic, sch), build_words =
+    allocated_words (fun () ->
+        let network = Kruskal_snir.create cfg in
+        let traffic = Traffic.create cfg in
+        (network, traffic, Run.pack kind cfg ~memory_words ~network ~traffic))
+  in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = Engine.run cfg sch ~net:network ~traffic p in
   let dt = Unix.gettimeofday () -. t0 in
-  (r, dt, Gc.minor_words () -. w0)
+  (r, dt, Gc.minor_words () -. w0, build_words)
 
 let replay_boxed ~cfg kind (t : Trace.t) =
   let network = Kruskal_snir.create cfg in
@@ -39,6 +56,7 @@ type scheme_row = {
   boxed_eps : float;  (** events/sec, legacy boxed replay *)
   speedup : float;  (** packed over boxed *)
   minor_words_per_event : float;  (** minor-heap words/event, packed replay *)
+  build_words : float;  (** words allocated (both heaps) building one machine *)
   identical : bool;  (** packed result = boxed result, bit for bit *)
 }
 
@@ -66,13 +84,14 @@ let measure ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3)
   let row kind =
     (* warm up, then average a fixed number of fresh replays *)
     ignore (replay_packed ~cfg kind p);
-    let packed_dt = ref 0.0 and packed_words = ref 0.0 in
+    let packed_dt = ref 0.0 and packed_words = ref 0.0 and build_words = ref 0.0 in
     let r_packed = ref None in
     for _ = 1 to reps do
-      let r, dt, w = replay_packed ~cfg kind p in
+      let r, dt, w, bw = replay_packed ~cfg kind p in
       r_packed := Some r;
       packed_dt := !packed_dt +. dt;
-      packed_words := !packed_words +. w
+      packed_words := !packed_words +. w;
+      build_words := bw
     done;
     ignore (replay_boxed ~cfg kind boxed);
     let boxed_dt = ref 0.0 in
@@ -91,6 +110,7 @@ let measure ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3)
       boxed_eps;
       speedup = packed_eps /. boxed_eps;
       minor_words_per_event = !packed_words /. fre /. fev;
+      build_words = !build_words;
       identical = !r_packed = !r_boxed;
     }
   in
@@ -111,8 +131,10 @@ let print_report (r : report) =
         "  engine/events_per_sec (%-4s boxed)         %12.0f ev/s (speedup %.2fx, %s)\n"
         row.scheme row.boxed_eps row.speedup
         (if row.identical then "bit-identical" else "DIVERGED");
-      Printf.printf "  engine/gc_minor_words_per_event (%-4s)     %12.2f words\n%!" row.scheme
-        row.minor_words_per_event)
+      Printf.printf "  engine/gc_minor_words_per_event (%-4s)     %12.2f words\n" row.scheme
+        row.minor_words_per_event;
+      Printf.printf "  machine/build_words (%-4s)                 %12.0f words\n%!" row.scheme
+        row.build_words)
     r.rows;
   Printf.printf "  trace/packed_slab_words                    %12d words (%d slots)\n%!"
     r.slab_words r.events

@@ -9,7 +9,10 @@
                    packed replay is not bit-identical to the boxed one or
                    crosses its per-scheme minor-words/event ceiling (at
                    P=16 and at P=1024, where the ready queue has 10-bit
-                   processor keys and a deep heap), when the streaming
+                   processor keys and a deep heap), when building a
+                   P=1024 machine allocates more words than its ceiling
+                   (the caches, fetch maps and directory entries must
+                   cost what the trace touches), when the streaming
                    trace builder diverges from boxed-generation + pack or
                    allocates too much per generated event, or when a
                    timing-knob sweep fails to share compiled traces (the
@@ -17,13 +20,25 @@
 
 (* replay side: the engine decodes events without constructing variants.
    Per-scheme minor-words/event ceilings at roughly 2x the measured smoke
-   values (BASE 1.3; SC/INV/VC/TPI 5.6; the directory schemes 8.9 — their
-   invalidation fan-out walks sharer sets): a scheme crossing its ceiling
+   values (BASE 1.3; SC/INV/VC/TPI 5.6; the directory schemes 7.3, and
+   10.5 at P=1024 — their invalidation fan-out walks sharer sets): a scheme crossing its ceiling
    has grown a new per-event allocation, not noise *)
 let replay_words_cap = function
   | "BASE" -> 4.0
   | "HW" | "LimitLESS" -> 16.0
   | _ -> 8.0 (* SC, INV, VC, TPI *)
+
+(* machine construction at P=1024 on the smoke trace (16,384 memory
+   words): words allocated on both heaps, ceilings at roughly 2x the
+   measured values (BASE 65,602, its memory image; the cached schemes
+   84,705-84,737; the directory schemes 86,626). Set tables, fetch maps
+   and directory entries are arrays too large for the minor heap, so the
+   words/event ceilings above never see them: a machine that builds one
+   per processor or per line again (4.8-4.9 M words here) fails only
+   this gate. *)
+let build_words_cap = function
+  | "BASE" -> 135_000.0
+  | _ -> 175_000.0
 
 (* compile side: streaming generation appends into preallocated slabs, so
    per-slot allocation is interpreter overhead only (measured ~4.1 words
@@ -70,6 +85,14 @@ let () =
         "throughput: FAIL %s at P=%d (identical=%b, minor_words_per_event=%.2f >= %.1f?)\n"
         r.scheme p r.identical r.minor_words_per_event (replay_words_cap r.scheme))
     bad;
+  let build_bad =
+    List.filter (fun (r : Perf.scheme_row) -> r.build_words >= build_words_cap r.scheme) wide.rows
+  in
+  List.iter
+    (fun (r : Perf.scheme_row) ->
+      Printf.eprintf "throughput: FAIL %s machine build at P=%d (%.0f words >= %.0f)\n" r.scheme
+        wide.processors r.build_words (build_words_cap r.scheme))
+    build_bad;
   let gen_bad =
     (not gen.Perf.gen_identical) || gen.Perf.gen_stream_words_per_event >= gen_words_cap
   in
@@ -82,4 +105,4 @@ let () =
       "throughput: FAIL compile cache (second sweep point regenerated traces: %d generations, \
        %d hits)\n"
       cache.Perf.cache_generations cache.Perf.cache_hits;
-  if bad <> [] || gen_bad || not cache.Perf.cache_ok then exit 1
+  if bad <> [] || build_bad <> [] || gen_bad || not cache.Perf.cache_ok then exit 1

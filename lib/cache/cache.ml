@@ -24,10 +24,14 @@ type line = {
 (* Sets materialize on first allocation into them: [ [||] ] marks an
    untouched set. A P=1024 machine has 4M cache lines of which a typical
    trace touches a small fraction; building them all eagerly used to
-   dominate whole-simulation time and minor-heap churn. [used] lists the materialized set indices densely so
-   whole-cache walks are O(resident), not O(capacity). *)
+   dominate whole-simulation time and minor-heap churn. Even the index
+   table of empty sets is 4,097 words per cache, so the caches of one
+   machine start on a single shared all-[ [||] ] table ({!create_array})
+   and a cache swaps in a private table on its first materialization:
+   nothing ever writes the shared table. [used] lists the materialized set
+   indices densely so whole-cache walks are O(resident), not O(capacity). *)
 type t = {
-  sets : line array array;
+  mutable sets : line array array;  (** shared empty table until [n_used > 0] *)
   assoc : int;
   line_words : int;
   line_shift : int;
@@ -55,25 +59,33 @@ let make_line line_words =
     inv_pending = false;
   }
 
-let create (c : Hscd_arch.Config.t) =
+let create_array (c : Hscd_arch.Config.t) n =
   let sets = Hscd_arch.Config.sets c in
-  {
-    sets = Array.make sets [||];
-    assoc = c.assoc;
-    line_words = c.line_words;
-    line_shift = Hscd_util.Ints.ilog2 c.line_words;
-    set_mask = sets - 1;
-    used = [||];
-    n_used = 0;
-    tick = 0;
-    evictions = 0;
-  }
+  let empty = Array.make sets [||] in
+  Array.init n (fun _ ->
+      {
+        sets = empty;
+        assoc = c.assoc;
+        line_words = c.line_words;
+        line_shift = Hscd_util.Ints.ilog2 c.line_words;
+        set_mask = sets - 1;
+        used = [||];
+        n_used = 0;
+        tick = 0;
+        evictions = 0;
+      })
+
+let create c = (create_array c 1).(0)
 
 let assoc t = t.assoc
 
 (* Build the frames of set [si] on its first allocation and record it in
-   the dense used list (amortized-doubling, so tiny caches stay tiny). *)
+   the dense used list (amortized-doubling, so tiny caches stay tiny). The
+   first materialization leaves the shared table for a private one; the
+   shared table is all empty, so a fresh [Array.make] equals a copy and
+   skips [Array.copy]'s per-element write barrier on a major-heap array. *)
 let materialize t si =
+  if t.n_used = 0 then t.sets <- Array.make (Array.length t.sets) [||];
   let set = Array.init t.assoc (fun _ -> make_line t.line_words) in
   t.sets.(si) <- set;
   if t.n_used = Array.length t.used then begin

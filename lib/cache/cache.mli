@@ -21,9 +21,14 @@ type t
 
 val invalid_state : int
 
-(** Sets materialize lazily on first allocation: creation is O(sets)
-    pointer words, not O(lines × line_words) — the difference between
-    milliseconds and seconds when building a P=1024 machine. *)
+(** [create_array cfg n] is [n] empty caches sharing one read-only table
+    of empty sets: building them costs O(sets) pointer words once plus
+    O(1) per cache. Sets materialize lazily on first allocation, and a
+    cache's first allocation swaps in a private O(sets) table, so a
+    P=1024 machine pays for the caches its trace touches. *)
+val create_array : Hscd_arch.Config.t -> int -> t array
+
+(** [create cfg] is [(create_array cfg 1).(0)]. *)
 val create : Hscd_arch.Config.t -> t
 
 (** Frames per set (1 = direct-mapped); snapshot encoders need it to
@@ -55,5 +60,6 @@ val resident_lines : t -> int
 (** Frames in set/frame order, including invalid ones (for abstract-state
     snapshot encoders that must walk the full cache geometry). A set
     never allocated into is the empty array, standing for [assoc]
-    invalid frames. *)
+    invalid frames. The table may be shared with other caches until this
+    one's first allocation: read it, never write it. *)
 val frame_sets : t -> line array array

@@ -10,7 +10,14 @@
     if the local processor had not used the written word since fetching
     the line; the next miss on that line is then a false-sharing miss
     (else a true-sharing miss). Invalidated frames keep their tag and
-    carry the flag until refetched or evicted. *)
+    carry the flag until refetched or evicted.
+
+    Host storage follows the trace, not the paper's P·M (Fig 5): a
+    directory entry is created by the first fetch of its line (every other
+    line shares the empty [absent] sentinel, which nothing writes), the
+    per-processor fetch history starts on one shared zero map, and the
+    caches share one empty set table until first allocation. Sharer walks
+    visit set presence bits only. *)
 
 module Cache = Hscd_cache.Cache
 
@@ -29,12 +36,19 @@ let s_inv_tagged = 3  (** invalid for access, but tagged for classification *)
 
 type dir_entry = { presence : Hscd_util.Bitset.t; mutable dirty : bool }
 
+(* The entry of every line not yet fetched. Its empty, clean state
+   snapshots exactly like a created entry with no sharers; only
+   [fetch_line] replaces it, and every other path that would write an
+   entry raises on it rather than corrupt the sentinel shared by every
+   machine. *)
+let absent = { presence = Hscd_util.Bitset.create 0; dirty = false }
+
 type t = {
   cfg : Config.t;
   mem : Memstate.t;
   caches : Cache.t array;
-  directory : dir_entry array;  (** per memory line *)
-  ever_fetched : Bytes.t array;
+  directory : dir_entry array;  (** per memory line; [absent] until first fetch *)
+  fetched : Fetch_map.t;
   net : Kruskal_snir.t;
   traffic : Traffic.t;
   st : Scheme.stats;
@@ -48,11 +62,9 @@ let create cfg ~memory_words ~network ~traffic =
   {
     cfg;
     mem = Memstate.create ~words:memory_words;
-    caches = Array.init cfg.processors (fun _ -> Cache.create cfg);
-    directory =
-      Array.init memory_lines (fun _ ->
-          { presence = Hscd_util.Bitset.create cfg.processors; dirty = false });
-    ever_fetched = Array.init cfg.processors (fun _ -> Bytes.make memory_lines '\000');
+    caches = Cache.create_array cfg cfg.processors;
+    directory = Array.make memory_lines absent;
+    fetched = Fetch_map.create ~processors:cfg.processors ~lines:memory_lines;
     net = network;
     traffic;
     st = Scheme.fresh_stats ();
@@ -62,14 +74,19 @@ let create cfg ~memory_words ~network ~traffic =
 let mem_line t addr = addr / t.cfg.line_words
 let off_of t addr = addr land (t.cfg.line_words - 1)
 
-let mark_fetched t ~proc line = Bytes.set t.ever_fetched.(proc) line '\001'
-let was_fetched t ~proc line = Bytes.get t.ever_fetched.(proc) line = '\001'
+(* The entry of a line some processor has fetched; [absent] here is a
+   protocol bug (a cached or shared line the directory never saw). *)
+let entry t ~line_no ~what =
+  let dir = t.directory.(line_no) in
+  if dir == absent then
+    Hscd_util.Hscd_error.fail Internal "Hwdir.%s: line %d has no directory entry" what line_no;
+  dir
 
 (* Write back a dirty victim: directory learns, memory traffic counted.
    (Values are kept current in [mem] eagerly, so only bookkeeping here.) *)
 let evict t ~proc (victim : Cache.line) =
   if victim.tag >= 0 && victim.tag < Array.length t.directory then begin
-    let dir = t.directory.(victim.tag) in
+    let dir = entry t ~line_no:victim.tag ~what:"evict" in
     if victim.state = s_modified then begin
       t.st.writebacks <- t.st.writebacks + 1;
       Traffic.add_write t.traffic t.cfg.line_words;
@@ -84,7 +101,7 @@ let evict t ~proc (victim : Cache.line) =
 (* Invalidate every remote sharer of [line_no] because [writer] writes word
    [off]; sets Tullsen-Eggers flags on the victims. Returns sharer count. *)
 let invalidate_sharers t ~writer ~line_no ~off =
-  let dir = t.directory.(line_no) in
+  let dir = entry t ~line_no ~what:"invalidate_sharers" in
   let count = ref 0 in
   Hscd_util.Bitset.iter
     (fun p ->
@@ -108,10 +125,20 @@ let invalidate_sharers t ~writer ~line_no ~off =
   !count
 
 (* Fetch a line into [proc]'s cache with the given final state. Handles
-   dirty remote copies (recall + extra hops). Returns (line, latency). *)
+   dirty remote copies (recall + extra hops). Creates the line's directory
+   entry on its first fetch. Returns the line and leaves the transaction's
+   latency in the [res] scratch, so a miss allocates no result tuple. *)
 let fetch_line t ~proc ~addr ~state =
   let line_no = mem_line t addr in
   let dir = t.directory.(line_no) in
+  let dir =
+    if dir == absent then begin
+      let e = { presence = Hscd_util.Bitset.create t.cfg.processors; dirty = false } in
+      t.directory.(line_no) <- e;
+      e
+    end
+    else dir
+  in
   let base_latency = Scheme.transfer_latency t.cfg t.net ~words:t.cfg.line_words in
   let latency =
     if dir.dirty && not (Hscd_util.Bitset.mem dir.presence proc) then begin
@@ -154,10 +181,11 @@ let fetch_line t ~proc ~addr ~state =
     line.touched.(k) <- false
   done;
   line.touched.(off_of t addr) <- true;
-  mark_fetched t ~proc line_no;
+  Fetch_map.mark t.fetched ~proc line_no;
   Traffic.add_read t.traffic t.cfg.line_words;
   Traffic.add_control t.traffic Scheme.control_words;
-  (line, latency)
+  t.res.latency <- latency;
+  line
 
 (* Miss classification before refetch. *)
 let miss_class t ~proc ~addr =
@@ -165,7 +193,8 @@ let miss_class t ~proc ~addr =
   | Some line when line.state = s_inv_tagged ->
     if line.inv_false_sharing then Scheme.False_sharing else Scheme.True_sharing
   | Some _ | None ->
-    if was_fetched t ~proc (mem_line t addr) then Scheme.Replacement else Scheme.Cold
+    if Fetch_map.was_fetched t.fetched ~proc (mem_line t addr) then Scheme.Replacement
+    else Scheme.Cold
 
 let read t ~proc ~addr ~array:(_ : int) ~mark:_ =
   match Cache.find t.caches.(proc) addr with
@@ -175,17 +204,17 @@ let read t ~proc ~addr ~array:(_ : int) ~mark:_ =
       ~cls:Scheme.Hit
   | _ ->
     let cls = miss_class t ~proc ~addr in
-    let line, latency = fetch_line t ~proc ~addr ~state:s_shared in
-    Scheme.set_result t.res ~latency ~value:line.values.(off_of t addr) ~cls
+    let line = fetch_line t ~proc ~addr ~state:s_shared in
+    Scheme.set_result t.res ~latency:t.res.latency ~value:line.values.(off_of t addr) ~cls
+
+(* weak consistency retires stores in one cycle behind the write buffer;
+   sequential consistency stalls for the coherence transaction *)
+let retire t transaction_latency =
+  match t.cfg.consistency with Config.Weak -> 1 | Config.Sequential -> transaction_latency
 
 let write t ~proc ~addr ~array:(_ : int) ~value ~mark:_ =
   Memstate.write t.mem ~proc addr value;
   let off = off_of t addr in
-  (* weak consistency retires stores in one cycle behind the write buffer;
-     sequential consistency stalls for the coherence transaction *)
-  let retire transaction_latency =
-    match t.cfg.consistency with Config.Weak -> 1 | Config.Sequential -> transaction_latency
-  in
   match Cache.find t.caches.(proc) addr with
   | Some line when line.state = s_modified ->
     line.values.(off) <- value;
@@ -195,18 +224,18 @@ let write t ~proc ~addr ~array:(_ : int) ~value ~mark:_ =
     (* upgrade: invalidate other sharers *)
     t.st.upgrades <- t.st.upgrades + 1;
     ignore (invalidate_sharers t ~writer:proc ~line_no:(mem_line t addr) ~off);
-    t.directory.(mem_line t addr).dirty <- true;
+    (entry t ~line_no:(mem_line t addr) ~what:"upgrade").dirty <- true;
     line.state <- s_modified;
     line.values.(off) <- value;
     line.touched.(off) <- true;
     Scheme.set_result t.res
-      ~latency:(retire (Scheme.transfer_latency t.cfg t.net ~words:1))
+      ~latency:(retire t (Scheme.transfer_latency t.cfg t.net ~words:1))
       ~value ~cls:Scheme.Hit
   | _ ->
     let cls = miss_class t ~proc ~addr in
-    let line, fetch_latency = fetch_line t ~proc ~addr ~state:s_modified in
+    let line = fetch_line t ~proc ~addr ~state:s_modified in
     line.values.(off) <- value;
-    Scheme.set_result t.res ~latency:(retire fetch_latency) ~value ~cls
+    Scheme.set_result t.res ~latency:(retire t t.res.latency) ~value ~cls
 
 let epoch_boundary (_ : t) ~stalls = Array.fill stalls 0 (Array.length stalls) 0
 
@@ -215,7 +244,8 @@ let stats t = t.st
 let memory_image t = t.mem.Memstate.values
 
 (* memory + caches + the full-map directory (presence vectors and dirty
-   bits drive future invalidations and recalls) *)
+   bits drive future invalidations and recalls); an [absent] entry encodes
+   as the empty, clean entry it stands for *)
 let snapshot t =
   let b = Buffer.create 256 in
   Scheme.Snap.ints b t.mem.Memstate.values;

@@ -29,6 +29,8 @@ let create cfg ~memory_words ~network ~traffic =
     traps = 0;
   }
 
+(* O(1): the presence set keeps its count; a line never fetched has the
+   empty [Hwdir.absent] entry *)
 let sharers t addr =
   let line = addr / t.hw.Hwdir.cfg.line_words in
   Hscd_util.Bitset.cardinal t.hw.Hwdir.directory.(line).presence

@@ -18,7 +18,7 @@ type t = {
   mem : Memstate.t;
   caches : Cache.t array;
   wbufs : Write_buffer.t array;
-  ever_fetched : Bytes.t array;  (** per proc, per memory line: fetched at least once *)
+  fetched : Fetch_map.t;  (** per proc, per memory line: fetched at least once *)
   net : Kruskal_snir.t;
   traffic : Traffic.t;
   st : Scheme.stats;
@@ -37,9 +37,9 @@ let create cfg ~memory_words ~network ~traffic =
   {
     cfg;
     mem = Memstate.create ~words:memory_words;
-    caches = Array.init cfg.processors (fun _ -> Cache.create cfg);
+    caches = Cache.create_array cfg cfg.processors;
     wbufs = Array.init cfg.processors (fun _ -> Write_buffer.create cfg);
-    ever_fetched = Array.init cfg.processors (fun _ -> Bytes.make memory_lines '\000');
+    fetched = Fetch_map.create ~processors:cfg.processors ~lines:memory_lines;
     net = network;
     traffic;
     st = Scheme.fresh_stats ();
@@ -59,14 +59,11 @@ let note_writer t proc =
     t.n_active_writers <- t.n_active_writers + 1
   end
 
-let mark_fetched t ~proc line = Bytes.set t.ever_fetched.(proc) line '\001'
-let was_fetched t ~proc line = Bytes.get t.ever_fetched.(proc) line = '\001'
-
 (** Cold vs replacement attribution for a miss with no usable resident
     copy. *)
 let absent_class t ~proc addr =
   let line = addr / t.cfg.line_words in
-  if was_fetched t ~proc line then Scheme.Replacement else Scheme.Cold
+  if Fetch_map.was_fetched t.fetched ~proc line then Scheme.Replacement else Scheme.Cold
 
 (** Was the resident (but rejected) copy of [addr] actually still fresh?
     If no other processor wrote the word since this copy was fetched, the
@@ -94,7 +91,7 @@ let fetch_line t ~proc ~addr ~ref_meta ~other_meta =
     line.fetch_seq.(k) <- t.mem.seq;
     line.touched.(k) <- k = off
   done;
-  mark_fetched t ~proc (addr / t.cfg.line_words);
+  Fetch_map.mark t.fetched ~proc (addr / t.cfg.line_words);
   Traffic.add_read t.traffic t.cfg.line_words;
   Traffic.add_control t.traffic Scheme.control_words;
   line

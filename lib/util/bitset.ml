@@ -1,16 +1,20 @@
 (** Fixed-capacity bit sets, used for directory presence vectors.
 
     A full-map directory keeps one presence bit per processor per memory
-    block, so this structure is on the simulator's hot path; it is backed by
-    an int array with 62 usable bits per word. *)
+    block, so this structure is on the simulator's hot path. It is backed
+    by an int array with 62 usable bits per word, exactly
+    [ceil (capacity / 62)] words. Iteration walks the words, skips zero
+    words and peels set bits lowest first, so an invalidation at P=1024
+    costs 17 word tests plus one step per sharer, not 1024 bit tests.
+    [count] is kept up to date by every mutation, so [cardinal] is O(1). *)
 
-type t = { words : int array; capacity : int }
+type t = { words : int array; capacity : int; mutable count : int }
 
 let bits_per_word = 62
 
 let create capacity =
   assert (capacity >= 0);
-  { words = Array.make ((capacity + bits_per_word - 1) / bits_per_word + 1) 0; capacity }
+  { words = Array.make ((capacity + bits_per_word - 1) / bits_per_word) 0; capacity; count = 0 }
 
 let capacity t = t.capacity
 
@@ -23,27 +27,52 @@ let mem t i =
 
 let add t i =
   check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
+  let w = i / bits_per_word and bit = 1 lsl (i mod bits_per_word) in
+  let old = t.words.(w) in
+  if old land bit = 0 then begin
+    t.words.(w) <- old lor bit;
+    t.count <- t.count + 1
+  end
 
 let remove t i =
   check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
+  let w = i / bits_per_word and bit = 1 lsl (i mod bits_per_word) in
+  let old = t.words.(w) in
+  if old land bit <> 0 then begin
+    t.words.(w) <- old land lnot bit;
+    t.count <- t.count - 1
+  end
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+let clear t =
+  if t.count > 0 then begin
+    Array.fill t.words 0 (Array.length t.words) 0;
+    t.count <- 0
+  end
 
-let popcount_word w =
-  let rec loop w acc = if w = 0 then acc else loop (w land (w - 1)) (acc + 1) in
-  loop w 0
+let cardinal t = t.count
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
+let is_empty t = t.count = 0
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+(* Index of the single set bit of [b], a power of two below [2^62]. *)
+let bit_index b =
+  let k = ref 0 and b = ref b in
+  if !b lsr 32 <> 0 then (k := 32; b := !b lsr 32);
+  if !b lsr 16 <> 0 then (k := !k + 16; b := !b lsr 16);
+  if !b lsr 8 <> 0 then (k := !k + 8; b := !b lsr 8);
+  if !b lsr 4 <> 0 then (k := !k + 4; b := !b lsr 4);
+  if !b lsr 2 <> 0 then (k := !k + 2; b := !b lsr 2);
+  if !b lsr 1 <> 0 then k := !k + 1;
+  !k
 
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
+  let words = t.words in
+  for w = 0 to Array.length words - 1 do
+    let rest = ref words.(w) in
+    while !rest <> 0 do
+      let low = !rest land (- !rest) in
+      f ((w * bits_per_word) + bit_index low);
+      rest := !rest lxor low
+    done
   done
 
 let fold f t init =
@@ -53,6 +82,6 @@ let fold f t init =
 
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
-let copy t = { words = Array.copy t.words; capacity = t.capacity }
+let copy t = { words = Array.copy t.words; capacity = t.capacity; count = t.count }
 
 let equal a b = a.capacity = b.capacity && a.words = b.words

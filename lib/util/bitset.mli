@@ -17,10 +17,14 @@ val remove : t -> int -> unit
 (** Remove every element. *)
 val clear : t -> unit
 
+(** O(1): a count kept by [add], [remove] and [clear]. *)
 val cardinal : t -> int
+
 val is_empty : t -> bool
 
-(** Iterate over members in increasing order. *)
+(** Iterate over members in increasing order, word by word: zero words
+    are skipped and each set bit is visited once. [f] must not modify the
+    set. *)
 val iter : (int -> unit) -> t -> unit
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

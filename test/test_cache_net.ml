@@ -83,6 +83,29 @@ let test_cache_resident_count () =
   (Cache.allocate c ~on_evict:(fun _ -> ()) 20).Cache.state <- 1;
   Alcotest.(check int) "resident" 2 (Cache.resident_lines c)
 
+(* The caches of a machine start on one shared table of empty sets; an
+   allocation in one cache must give it a private table and leave every
+   other cache, and the shared table, untouched. *)
+let test_cache_array_aliasing () =
+  let cfg = Config.validate { Config.default with processors = 1024 } in
+  let caches = Cache.create_array cfg cfg.Config.processors in
+  Alcotest.(check int) "one cache per processor" 1024 (Array.length caches);
+  let addr = 4242 in
+  let l = Cache.allocate caches.(0) ~on_evict:(fun _ -> ()) addr in
+  l.Cache.state <- 1;
+  Alcotest.(check bool) "cache 0 holds the line" true (Cache.probe caches.(0) addr <> None);
+  Alcotest.(check bool) "cache 1 does not" true (Cache.probe caches.(1) addr = None);
+  Alcotest.(check bool) "last cache does not" true (Cache.probe caches.(1023) addr = None);
+  Alcotest.(check bool) "cache 1's sets are all unmaterialized" true
+    (Array.for_all (fun set -> Array.length set = 0) (Cache.frame_sets caches.(1)));
+  Alcotest.(check int) "cache 1 has no resident lines" 0 (Cache.resident_lines caches.(1));
+  (* a second allocation elsewhere is private to its own cache too *)
+  (Cache.allocate caches.(1) ~on_evict:(fun _ -> ()) 0).Cache.state <- 1;
+  Alcotest.(check bool) "cache 0 does not see cache 1's line" true
+    (Cache.probe caches.(0) 0 = None);
+  Alcotest.(check bool) "cache 2's sets are still all unmaterialized" true
+    (Array.for_all (fun set -> Array.length set = 0) (Cache.frame_sets caches.(2)))
+
 (* --- write buffer --- *)
 
 let test_plain_buffer () =
@@ -156,6 +179,7 @@ let suite =
     Alcotest.test_case "cache eviction" `Quick test_cache_conflict_eviction;
     Alcotest.test_case "cache lru" `Quick test_cache_lru;
     Alcotest.test_case "cache residency" `Quick test_cache_resident_count;
+    Alcotest.test_case "cache array shares no frames" `Quick test_cache_array_aliasing;
     Alcotest.test_case "plain buffer" `Quick test_plain_buffer;
     Alcotest.test_case "write cache coalesces" `Quick test_write_cache_coalesces;
     QCheck_alcotest.to_alcotest qcheck_write_cache_conservation;

@@ -219,6 +219,85 @@ let test_tpi_lazy_matches_eager_engine () =
     > 0);
   Alcotest.(check bool) "engine: lazy = eager" true (lz = eg)
 
+(* Fetch history is per processor even though every processor starts on
+   one shared all-zero map: a first fetch of a line another processor
+   already fetched is still Cold, and a refetch after a conflict eviction
+   is Replacement. Addresses 0 and 64 share set 0 of the direct-mapped
+   64-word cache. *)
+let test_first_fetch_classes () =
+  let module Scheme = Hscd_coherence.Scheme in
+  let run (type s) name (module S : Scheme.S with type t = s) =
+    let net = Kruskal_snir.create cfg and traffic = Traffic.create cfg in
+    let m = S.create cfg ~memory_words ~network:net ~traffic in
+    let expect what want ~proc ~addr =
+      let got = (S.read m ~proc ~addr ~array:0 ~mark:Event.Normal_read).Scheme.cls in
+      Alcotest.(check string) (name ^ ": " ^ what) (Scheme.class_name want)
+        (Scheme.class_name got)
+    in
+    expect "proc 0 first fetch" Scheme.Cold ~proc:0 ~addr:0;
+    expect "proc 1 first fetch of a line proc 0 fetched" Scheme.Cold ~proc:1 ~addr:0;
+    expect "proc 1 conflicting line" Scheme.Cold ~proc:1 ~addr:64;
+    expect "proc 1 refetch after eviction" Scheme.Replacement ~proc:1 ~addr:0;
+    expect "proc 2 first fetch of a line proc 1 fetched" Scheme.Cold ~proc:2 ~addr:64
+  in
+  run "HW" (module Hwdir);
+  run "TPI" (module Hscd_coherence.Tpi)
+
+(* Directory entries are created by a line's first fetch; every other line
+   shares the empty [absent] sentinel and has no sharers, even on a
+   1024-processor machine. *)
+let test_limitless_untouched_sharers () =
+  let module Limitless = Hscd_coherence.Limitless in
+  let cfg = Config.validate { cfg with processors = 1024 } in
+  let net = Kruskal_snir.create cfg and traffic = Traffic.create cfg in
+  let l = Limitless.create cfg ~memory_words ~network:net ~traffic in
+  Alcotest.(check int) "untouched line" 0 (Limitless.sharers l 0);
+  List.iter
+    (fun proc -> ignore (Limitless.read l ~proc ~addr:1 ~array:0 ~mark:Event.Unmarked))
+    [ 0; 1; 1023 ];
+  Alcotest.(check int) "three sharers of line 0" 3 (Limitless.sharers l 0);
+  Alcotest.(check int) "line 1 still untouched" 0 (Limitless.sharers l cfg.Config.line_words);
+  Alcotest.(check bool) "line 1 has no entry of its own" true
+    (l.Limitless.hw.Hwdir.directory.(1) == Hwdir.absent);
+  Alcotest.(check bool) "the sentinel stays empty" true
+    (Bitset.is_empty Hwdir.absent.Hwdir.presence && not Hwdir.absent.Hwdir.dirty);
+  (* a path that would write the entry of a never-fetched line is a
+     protocol bug, reported rather than written to the shared sentinel *)
+  match Hwdir.invalidate_sharers l.Limitless.hw ~writer:0 ~line_no:1 ~off:0 with
+  | _ -> Alcotest.fail "invalidating an absent entry must raise"
+  | exception Hscd_util.Hscd_error.Error e ->
+    Alcotest.(check string) "kind" "internal" (Hscd_util.Hscd_error.kind_name e.kind)
+
+(* Snapshot encodings of a P=4 HW machine over 16 memory words, captured
+   from the eagerly built directory (one entry per line, one fetch map
+   and one set table per processor, all made at creation). A lazily
+   created entry, a shared empty set table and a shared fetch map must
+   encode exactly as their eager counterparts did. *)
+let fresh_hw_snapshot =
+  "16 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 |0|0|0|0|"
+  ^ String.concat "" (List.init 64 (fun _ -> ".|"))
+
+let traced_hw_snapshot =
+  "16 0 5 0 0 0 0 7 0 0 0 0 0 0 0 0 0 |0 1 0|3 1|0|0 0|0 1 0 4 1111|4 0 5 0 0 |4 0 0 0 0 \
+   ||.|.|3 1 0 4 1111|4 0 0 0 0 |4 0 0 0 0 ||.|.|.|.|.|.|.|.|.|.|.|.|0 1 0 4 1111|4 0 5 0 0 \
+   |4 0 0 0 0 ||.|.|.|.|.|.|.|.|.|.|.|.|.|.|.|.|1 3 0 4 1111|4 0 0 0 0 |4 0 0 0 0 \
+   ||.|.|.|.|.|.|.|.|.|.|.|.|.|.|.|1 2 0 4 1111|4 0 0 7 0 |4 0 0 0 0 \
+   ||.|.|.|.|.|.|.|.|.|.|.|.|.|.|"
+
+let test_hw_snapshot_encoding () =
+  let net = Kruskal_snir.create cfg and traffic = Traffic.create cfg in
+  let hw = Hwdir.create cfg ~memory_words:16 ~network:net ~traffic in
+  Alcotest.(check string) "fresh machine" fresh_hw_snapshot (Hwdir.snapshot hw);
+  let w proc addr value =
+    ignore (Hwdir.write hw ~proc ~addr ~array:0 ~value ~mark:Event.Normal_write)
+  and r proc addr = ignore (Hwdir.read hw ~proc ~addr ~array:0 ~mark:Event.Unmarked) in
+  w 0 1 5;
+  r 1 1;
+  r 2 6;
+  w 3 6 7;
+  r 0 13;
+  Alcotest.(check string) "after a short trace" traced_hw_snapshot (Hwdir.snapshot hw)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_directory_invariants;
@@ -229,4 +308,9 @@ let suite =
       test_tpi_lazy_matches_eager_reset;
     Alcotest.test_case "TPI lazy reset = eager oracle, engine" `Quick
       test_tpi_lazy_matches_eager_engine;
+    Alcotest.test_case "first fetch after another processor's is Cold" `Quick
+      test_first_fetch_classes;
+    Alcotest.test_case "LimitLESS sharers of an untouched line" `Quick
+      test_limitless_untouched_sharers;
+    Alcotest.test_case "HW snapshot encoding is unchanged" `Quick test_hw_snapshot_encoding;
   ]

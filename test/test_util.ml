@@ -94,20 +94,77 @@ let test_bitset_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index 10 out of [0,10)")
     (fun () -> Bitset.add b 10)
 
+(* Random add/remove/clear scripts against a hashtable reference, over
+   capacities on both sides of the 62-bit word boundary (one word, two
+   words, P=1024), with indices biased towards 0, the word edges 61/62
+   and capacity - 1. Each add/remove is applied 1-3 times in a row, so a
+   repeated add of a present bit (or remove of an absent one) must leave
+   the O(1) count alone. After every operation the set must agree with
+   the reference on membership and cardinality, and [iter], [fold] and
+   [elements] must all list exactly the reference's members, ascending. *)
+type bitset_op = Add of int * int | Remove of int * int | Clear
+
+let gen_bitset_script =
+  QCheck.Gen.(
+    let* cap = oneofl [ 1; 61; 62; 63; 124; 1024 ] in
+    let edges = List.filter (fun i -> i < cap) [ 0; 61; 62; cap - 1 ] in
+    let idx = oneof [ oneofl edges; int_bound (cap - 1) ] in
+    let reps = int_range 1 3 in
+    let op =
+      frequency
+        [
+          (6, map2 (fun i r -> Add (i, r)) idx reps);
+          (3, map2 (fun i r -> Remove (i, r)) idx reps);
+          (1, return Clear);
+        ]
+    in
+    pair (return cap) (list_size (int_bound 60) op))
+
+let print_bitset_script (cap, ops) =
+  Printf.sprintf "capacity %d: %s" cap
+    (String.concat "; "
+       (List.map
+          (function
+            | Add (i, r) -> Printf.sprintf "add %d x%d" i r
+            | Remove (i, r) -> Printf.sprintf "remove %d x%d" i r
+            | Clear -> "clear")
+          ops))
+
 let qcheck_bitset_vs_reference =
-  QCheck.Test.make ~name:"bitset agrees with a list-based reference" ~count:200
-    QCheck.(list (pair bool (int_bound 61)))
-    (fun ops ->
-      let b = Bitset.create 62 in
+  QCheck.Test.make ~name:"bitset agrees with a list-based reference" ~count:300
+    (QCheck.make gen_bitset_script ~print:print_bitset_script)
+    (fun (cap, ops) ->
+      let b = Bitset.create cap in
       let reference = Hashtbl.create 16 in
-      List.iter
-        (fun (add, i) ->
-          if add then (Bitset.add b i; Hashtbl.replace reference i ())
-          else (Bitset.remove b i; Hashtbl.remove reference i))
-        ops;
-      List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem reference i)
-        (List.init 62 Fun.id)
-      && Bitset.cardinal b = Hashtbl.length reference)
+      let agrees () =
+        let expected = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) reference []) in
+        let iterated = ref [] in
+        Bitset.iter (fun i -> iterated := i :: !iterated) b;
+        List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem reference i) (List.init cap Fun.id)
+        && Bitset.cardinal b = Hashtbl.length reference
+        && Bitset.is_empty b = (expected = [])
+        && List.rev !iterated = expected
+        && List.rev (Bitset.fold (fun i acc -> i :: acc) b []) = expected
+        && Bitset.elements b = expected
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (i, r) ->
+            for _ = 1 to r do
+              Bitset.add b i
+            done;
+            Hashtbl.replace reference i ()
+          | Remove (i, r) ->
+            for _ = 1 to r do
+              Bitset.remove b i
+            done;
+            Hashtbl.remove reference i
+          | Clear ->
+            Bitset.clear b;
+            Hashtbl.reset reference);
+          agrees ())
+        ops)
 
 (* --- ints --- *)
 

@@ -5,6 +5,7 @@ let () =
       ("util", Test_util.suite);
       ("lang", Test_lang.suite);
       ("eval", Test_eval.suite);
+      ("oracle", Test_oracle.suite);
       ("sections", Test_sections.suite);
       ("compiler", Test_compiler.suite);
       ("marking", Test_marking.suite);

@@ -4,6 +4,8 @@
     hooks it is the sequential golden memory model; run with instrumented
     hooks (see [Hscd_sim.Trace]) it generates the per-processor memory-event
     streams for execution-driven simulation, as in the paper's tooling [32].
+    Each run first compiles the program to OCaml closures against the run's
+    address map, then executes them.
 
     Execution model: the program runs as an alternating sequence of epochs —
     [Serial] (the code between parallel loops, executed as one task) and
@@ -27,14 +29,16 @@ type epoch_kind = Serial | Parallel of { lo : int; hi : int }
 type hooks = {
   on_init : Shape.layout -> unit;
       (** called once, before the first epoch, with the address map the run
-          uses — trace builders seed their interners from it *)
+          uses — trace builders name array ids from it *)
   on_epoch_begin : epoch_kind -> unit;
   on_epoch_end : unit -> unit;
   on_task_begin : iter:int -> unit;
       (** [iter] is the iteration's index value; [0] for a serial task *)
   on_task_end : unit -> unit;
-  on_read : array:string -> addr:int -> value:value -> mark:Ast.rmark -> unit;
-  on_write : array:string -> addr:int -> value:value -> mark:Ast.wmark -> unit;
+  on_read : array:int -> addr:int -> value:value -> mark:Ast.rmark -> unit;
+      (** [array] is the array's layout-order id: its index in
+          {!Shape.arrays_in_order} *)
+  on_write : array:int -> addr:int -> value:value -> mark:Ast.wmark -> unit;
   on_work : int -> unit;
   on_lock : unit -> unit;
   on_unlock : unit -> unit;
@@ -58,14 +62,13 @@ let null_hooks =
 
 (* A fixed avalanche mixer: the same (name, args) always yields the same
    non-negative value, across runs and platforms. *)
-let blackbox_value name args =
-  let mix h v =
-    let h = h lxor (v * 0x9E3779B1) in
-    let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
-    (h lxor (h lsr 13)) land max_int
-  in
-  let h0 = String.fold_left (fun h c -> mix h (Char.code c)) 0x12345 name in
-  List.fold_left mix h0 args
+let mix h v =
+  let h = h lxor (v * 0x9E3779B1) in
+  let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
+  (h lxor (h lsr 13)) land max_int
+
+let blackbox_seed name = String.fold_left (fun h c -> mix h (Char.code c)) 0x12345 name
+let blackbox_value name args = List.fold_left mix (blackbox_seed name) args
 
 (* --- per-epoch data-race bookkeeping --- *)
 
@@ -170,9 +173,7 @@ end
 
 (* --- interpreter state --- *)
 
-
 type state = {
-  program : Ast.program;
   layout : Shape.layout;
   memory : value array;
   hooks : hooks;
@@ -185,103 +186,74 @@ type state = {
   mutable epochs_executed : int;
 }
 
-let bump_steps st =
+let[@inline] step st =
   st.steps <- st.steps + 1;
   if st.steps > st.max_steps then
     runtime_errorf "execution exceeded %d steps (non-terminating program?)" st.max_steps
 
-let lookup env v =
-  match Hashtbl.find env v with
-  | x -> x
-  | exception Not_found -> runtime_errorf "scalar %s used before definition" v
-
-(* --- expression evaluation --- *)
-
-let apply_binop op a b =
-  match (op : Ast.binop) with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then runtime_errorf "division by zero" else a / b
-  | Mod ->
-    if b = 0 then runtime_errorf "mod by zero"
-    else
-      (* mathematical (non-negative) remainder so subscripts stay valid *)
-      let r = a mod b in
-      if r < 0 then r + abs b else r
-  | Min -> min a b
-  | Max -> max a b
-
-let rec eval_expr st env (e : Ast.expr) =
-  match e with
-  | Int n -> n
-  | Var v -> lookup env v
-  | Neg e -> -eval_expr st env e
-  | Binop (op, l, r) ->
-    let a = eval_expr st env l in
-    let b = eval_expr st env r in
-    apply_binop op a b
-  | Blackbox (name, args) -> blackbox_value name (List.map (eval_expr st env) args)
-  (* one and two subscripts are the common shapes; addressing them
-     directly skips the per-access closure and index list of the general
-     case (the dominant allocation when generating traces) *)
-  | Aref (a, [ ie ], mark) ->
-    let i = eval_expr st env ie in
-    let addr =
-      try Shape.address1 st.layout a i with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_read st a addr mark
-  | Aref (a, [ ie; je ], mark) ->
-    let i = eval_expr st env ie in
-    let j = eval_expr st env je in
-    let addr =
-      try Shape.address2 st.layout a i j with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_read st a addr mark
-  | Aref (a, idx, mark) ->
-    let indices = List.map (eval_expr st env) idx in
-    let addr =
-      try Shape.address st.layout a indices
-      with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_read st a addr mark
-
-and finish_read st a addr mark =
-  (* a serial epoch runs as a single task, so no cross-task race is
-     possible, and the table is reset on parallel-epoch entry — recording
-     only inside parallel epochs is observationally identical *)
+(* a serial epoch runs as a single task, so no cross-task race is
+   possible, and the table is reset on parallel-epoch entry — recording
+   only inside parallel epochs is observationally identical *)
+let read st ~id ~name ~mark ~critical_mark addr =
   if st.in_parallel then
-    Races.record st.races ~array:a ~addr ~task:st.task ~is_write:false
+    Races.record st.races ~array:name ~addr ~task:st.task ~is_write:false
       ~in_critical:st.in_critical;
   let value = st.memory.(addr) in
-  let mark =
-    match mark with Ast.Unmarked when st.in_critical -> Ast.Bypass_read | m -> m
-  in
-  st.hooks.on_read ~array:a ~addr ~value ~mark;
+  st.hooks.on_read ~array:id ~addr ~value ~mark:(if st.in_critical then critical_mark else mark);
   value
 
-let rec eval_cond st env (c : Ast.cond) =
-  match c with
-  | Cmp (op, l, r) ->
-    let a = eval_expr st env l in
-    let b = eval_expr st env r in
-    (match op with
-    | Eq -> a = b
-    | Ne -> a <> b
-    | Lt -> a < b
-    | Le -> a <= b
-    | Gt -> a > b
-    | Ge -> a >= b)
-  | And (a, b) -> eval_cond st env a && eval_cond st env b
-  | Or (a, b) -> eval_cond st env a || eval_cond st env b
-  | Not c -> not (eval_cond st env c)
+let write st ~id ~name ~mark ~critical_mark addr value =
+  if st.in_parallel then
+    Races.record st.races ~array:name ~addr ~task:st.task ~is_write:true
+      ~in_critical:st.in_critical;
+  st.memory.(addr) <- value;
+  st.hooks.on_write ~array:id ~addr ~value ~mark:(if st.in_critical then critical_mark else mark)
 
-(* --- statement execution --- *)
+(* --- compilation to closures ---
 
-(* Can executing [s] mutate the enclosing scalar environment? A CALL runs
-   in a fresh callee environment and a nested DO restores its own index,
-   so only a reachable ASSIGN counts. Used to decide whether DOALL tasks
-   need private environment copies. *)
+   Each run compiles the program, against the run's own address map, into
+   OCaml closures. Names resolve at compile time: a scalar becomes a slot
+   of its procedure's frame, an array its shape and layout-order id, a
+   call its callee's code. So executing an expression or a statement
+   hashes nothing. Every check the program can fail (an undefined scalar,
+   bounds and arity, an unknown array or procedure, an argument count) is
+   compiled into the code of the construct it guards, so it fires when
+   that construct executes, after the same subexpressions, with the same
+   text as a direct AST walk would give. *)
+
+(* One activation's scalars: slot [k]'s value is at [2k] and its defined
+   flag (0 or 1) at [2k + 1], so a task's private copy is one blit. *)
+type frame = int array
+
+(* Memoized before its body is compiled, so calls may recurse: [slots]
+   and [body] are set when the body is done. *)
+type proc_code = {
+  params : int array;  (** slot of each parameter, in order *)
+  mutable slots : int;
+  mutable body : frame -> unit;
+}
+
+type ctx = {
+  st : state;
+  program : Ast.program;
+  arrays : (string, int * Shape.t) Hashtbl.t;  (** layout-order id and shape *)
+  procs : (string, proc_code) Hashtbl.t;
+  slot_of : (string, int) Hashtbl.t;  (** the current procedure's scalars *)
+}
+
+(* the slot of scalar [v] in the procedure being compiled *)
+let slot cx v =
+  match Hashtbl.find_opt cx.slot_of v with
+  | Some k -> k
+  | None ->
+    let k = Hashtbl.length cx.slot_of in
+    Hashtbl.replace cx.slot_of v k;
+    k
+
+(* Can executing [s] mutate the enclosing scalar frame? A CALL runs in a
+   fresh callee frame and a nested DO restores its own index, so only a
+   reachable ASSIGN counts. Decides whether DOALL tasks need private
+   frame copies. *)
 let rec stmt_assigns_scalar (s : Ast.stmt) =
   match s with
   | Assign _ -> true
@@ -290,127 +262,278 @@ let rec stmt_assigns_scalar (s : Ast.stmt) =
   | Critical body | Do { body; _ } -> List.exists stmt_assigns_scalar body
   | Doall _ -> true
 
-(* subscripts evaluate before the stored value, and the address check
-   happens after both — the same observable order (and hook stream) as
-   the general [Store] case below *)
-let finish_write st a addr value mark =
-  if st.in_parallel then
-    Races.record st.races ~array:a ~addr ~task:st.task ~is_write:true
-      ~in_critical:st.in_critical;
-  st.memory.(addr) <- value;
-  let mark =
-    match mark with Ast.Normal_write when st.in_critical -> Ast.Bypass_write | m -> m
+(* Addressing checks bounds inline and calls into [Shape] only to raise,
+   so errors keep [Shape]'s text. With the wrong number of subscripts the
+   extents are 0, every index fails, and [Shape] reports the arity. *)
+let shape_error f = try f () with Invalid_argument m -> raise (Runtime_error m)
+
+let dims1 (t : Shape.t) = match t.dims with [ d ] -> d | _ -> 0
+let dims2 (t : Shape.t) = match t.dims with [ d1; d2 ] -> (d1, d2) | _ -> (0, 0)
+
+let[@inline] address1 (t : Shape.t) d i =
+  if i < 0 || i >= d then shape_error (fun () -> Shape.address1 t i) else t.base + i
+
+let[@inline] address2 (t : Shape.t) d1 d2 i j =
+  if i < 0 || i >= d1 || j < 0 || j >= d2 then shape_error (fun () -> Shape.address2 t i j)
+  else t.base + (i * d2) + j
+
+let address (t : Shape.t) indices = t.base + shape_error (fun () -> Shape.flatten t indices)
+
+let eval_all subs f = List.map (fun s -> s f) subs
+
+let rec mix_args h f = function [] -> h | a :: rest -> mix_args (mix h (a f)) f rest
+
+let rec compile_expr cx (e : Ast.expr) : frame -> int =
+  match e with
+  | Int n -> fun _ -> n
+  | Var v ->
+    let k = 2 * slot cx v in
+    fun f -> if f.(k + 1) = 0 then runtime_errorf "scalar %s used before definition" v else f.(k)
+  | Neg e ->
+    let e = compile_expr cx e in
+    fun f -> -e f
+  | Binop (op, l, r) -> compile_binop op (compile_expr cx l) (compile_expr cx r)
+  | Blackbox (name, args) ->
+    let h0 = blackbox_seed name and args = List.map (compile_expr cx) args in
+    fun f -> mix_args h0 f args
+  | Aref (a, idx, mark) -> (
+    let st = cx.st in
+    let critical_mark = match mark with Ast.Unmarked -> Ast.Bypass_read | m -> m in
+    let subs = List.map (compile_expr cx) idx in
+    match (Hashtbl.find_opt cx.arrays a, subs) with
+    | None, _ ->
+      fun f ->
+        let indices = eval_all subs f in
+        shape_error (fun () -> Shape.address st.layout a indices)
+    | Some (id, t), [ si ] ->
+      let d = dims1 t and name = t.name in
+      fun f -> read st ~id ~name ~mark ~critical_mark (address1 t d (si f))
+    | Some (id, t), [ si; sj ] ->
+      let d1, d2 = dims2 t and name = t.name in
+      fun f ->
+        let i = si f in
+        read st ~id ~name ~mark ~critical_mark (address2 t d1 d2 i (sj f))
+    | Some (id, t), _ ->
+      let name = t.name in
+      fun f -> read st ~id ~name ~mark ~critical_mark (address t (eval_all subs f)))
+
+(* operands evaluate left to right; both before any check *)
+and compile_binop (op : Ast.binop) l r : frame -> int =
+  match op with
+  | Add -> fun f -> let a = l f in a + r f
+  | Sub -> fun f -> let a = l f in a - r f
+  | Mul -> fun f -> let a = l f in a * r f
+  | Div ->
+    fun f ->
+      let a = l f in
+      let b = r f in
+      if b = 0 then runtime_errorf "division by zero" else a / b
+  | Mod ->
+    fun f ->
+      let a = l f in
+      let b = r f in
+      if b = 0 then runtime_errorf "mod by zero"
+      else
+        (* mathematical (non-negative) remainder so subscripts stay valid *)
+        let m = a mod b in
+        if m < 0 then m + abs b else m
+  | Min -> fun f -> let a = l f in let b = r f in if a <= b then a else b
+  | Max -> fun f -> let a = l f in let b = r f in if a >= b then a else b
+
+let rec compile_cond cx (c : Ast.cond) : frame -> bool =
+  match c with
+  | Cmp (op, l, r) -> (
+    let l = compile_expr cx l and r = compile_expr cx r in
+    match op with
+    | Eq -> fun f -> let a = l f in a = r f
+    | Ne -> fun f -> let a = l f in a <> r f
+    | Lt -> fun f -> let a = l f in a < r f
+    | Le -> fun f -> let a = l f in a <= r f
+    | Gt -> fun f -> let a = l f in a > r f
+    | Ge -> fun f -> let a = l f in a >= r f)
+  | And (a, b) ->
+    let a = compile_cond cx a and b = compile_cond cx b in
+    fun f -> a f && b f
+  | Or (a, b) ->
+    let a = compile_cond cx a and b = compile_cond cx b in
+    fun f -> a f || b f
+  | Not c ->
+    let c = compile_cond cx c in
+    fun f -> not (c f)
+
+(* the code of procedure [p], compiled on first reference *)
+let rec proc_code cx (p : Ast.proc) =
+  match Hashtbl.find_opt cx.procs p.proc_name with
+  | Some code -> code
+  | None ->
+    let cx = { cx with slot_of = Hashtbl.create 16 } in
+    let code = { params = Array.of_list (List.map (slot cx) p.params); slots = 0; body = (fun _ -> ()) } in
+    Hashtbl.replace cx.procs p.proc_name code;
+    code.body <- compile_stmts cx p.body;
+    code.slots <- Hashtbl.length cx.slot_of;
+    code
+
+and compile_stmts cx stmts : frame -> unit =
+  let rec chain = function
+    | [] -> fun _ -> ()
+    | [ s ] -> s
+    | s :: rest ->
+      let rest = chain rest in
+      fun f ->
+        s f;
+        rest f
   in
-  st.hooks.on_write ~array:a ~addr ~value ~mark
+  chain (List.map (compile_stmt cx) stmts)
 
-let rec exec_stmts st env stmts =
-  match stmts with
-  | [] -> ()
-  | s :: rest ->
-    exec_stmt st env s;
-    exec_stmts st env rest
-
-and exec_stmt st env (s : Ast.stmt) =
-  bump_steps st;
+(* Every statement counts one step before it does anything else. *)
+and compile_stmt cx (s : Ast.stmt) : frame -> unit =
+  let st = cx.st in
   match s with
-  | Assign (v, e) -> Hashtbl.replace env v (eval_expr st env e)
-  | Store (a, [ ie ], e, mark) ->
-    let i = eval_expr st env ie in
-    let value = eval_expr st env e in
-    let addr =
-      try Shape.address1 st.layout a i with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_write st a addr value mark
-  | Store (a, [ ie; je ], e, mark) ->
-    let i = eval_expr st env ie in
-    let j = eval_expr st env je in
-    let value = eval_expr st env e in
-    let addr =
-      try Shape.address2 st.layout a i j with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_write st a addr value mark
-  | Store (a, idx, e, mark) ->
-    let indices = List.map (eval_expr st env) idx in
-    let value = eval_expr st env e in
-    let addr =
-      try Shape.address st.layout a indices
-      with Invalid_argument m -> raise (Runtime_error m)
-    in
-    finish_write st a addr value mark
+  | Assign (v, e) ->
+    let e = compile_expr cx e and k = 2 * slot cx v in
+    fun f ->
+      step st;
+      f.(k) <- e f;
+      f.(k + 1) <- 1
+  | Store (a, idx, e, mark) -> (
+    let critical_mark = match mark with Ast.Normal_write -> Ast.Bypass_write | m -> m in
+    let subs = List.map (compile_expr cx) idx and e = compile_expr cx e in
+    (* subscripts evaluate before the stored value, and the address check
+       happens after both *)
+    match (Hashtbl.find_opt cx.arrays a, subs) with
+    | None, _ ->
+      fun f ->
+        step st;
+        let indices = eval_all subs f in
+        ignore (e f);
+        ignore (shape_error (fun () -> Shape.address st.layout a indices))
+    | Some (id, t), [ si ] ->
+      let d = dims1 t and name = t.name in
+      fun f ->
+        step st;
+        let i = si f in
+        let value = e f in
+        write st ~id ~name ~mark ~critical_mark (address1 t d i) value
+    | Some (id, t), [ si; sj ] ->
+      let d1, d2 = dims2 t and name = t.name in
+      fun f ->
+        step st;
+        let i = si f in
+        let j = sj f in
+        let value = e f in
+        write st ~id ~name ~mark ~critical_mark (address2 t d1 d2 i j) value
+    | Some (id, t), _ ->
+      let name = t.name in
+      fun f ->
+        step st;
+        let indices = eval_all subs f in
+        let value = e f in
+        write st ~id ~name ~mark ~critical_mark (address t indices) value)
   | Work e ->
-    let n = eval_expr st env e in
-    if n < 0 then runtime_errorf "work with negative cycle count %d" n;
-    st.hooks.on_work n
-  | If (c, t, e) -> if eval_cond st env c then exec_stmts st env t else exec_stmts st env e
+    let e = compile_expr cx e in
+    fun f ->
+      step st;
+      let n = e f in
+      if n < 0 then runtime_errorf "work with negative cycle count %d" n;
+      st.hooks.on_work n
+  | If (c, t, e) ->
+    let c = compile_cond cx c and t = compile_stmts cx t and e = compile_stmts cx e in
+    fun f ->
+      step st;
+      if c f then t f else e f
   | Critical body ->
-    if st.in_critical then runtime_errorf "nested critical sections are not allowed";
-    st.hooks.on_lock ();
-    st.in_critical <- true;
-    (try exec_stmts st env body
-     with exn ->
-       st.in_critical <- false;
-       raise exn);
-    st.in_critical <- false;
-    st.hooks.on_unlock ()
-  | Call (name, args) ->
-    let callee =
-      match Ast.find_proc st.program name with
-      | Some p -> p
-      | None -> runtime_errorf "call to undefined procedure %s" name
-    in
-    let values = List.map (eval_expr st env) args in
-    let callee_env = Hashtbl.create 16 in
-    (try List.iter2 (fun p v -> Hashtbl.replace callee_env p v) callee.params values
-     with Invalid_argument _ ->
-       runtime_errorf "%s expects %d arguments, got %d" name (List.length callee.params)
-         (List.length values));
-    exec_stmts st callee_env callee.body
+    let body = compile_stmts cx body in
+    fun f ->
+      step st;
+      if st.in_critical then runtime_errorf "nested critical sections are not allowed";
+      st.hooks.on_lock ();
+      st.in_critical <- true;
+      (try body f
+       with exn ->
+         st.in_critical <- false;
+         raise exn);
+      st.in_critical <- false;
+      st.hooks.on_unlock ()
+  | Call (name, args) -> (
+    let args = List.map (compile_expr cx) args in
+    match Ast.find_proc cx.program name with
+    | None ->
+      fun _ ->
+        step st;
+        runtime_errorf "call to undefined procedure %s" name
+    | Some p ->
+      let callee = proc_code cx p in
+      let n_params = Array.length callee.params and n_args = List.length args in
+      if n_args <> n_params then fun f ->
+        step st;
+        ignore (eval_all args f);
+        runtime_errorf "%s expects %d arguments, got %d" name n_params n_args
+      else
+        let args = Array.of_list args in
+        fun f ->
+          step st;
+          let g = Array.make (2 * callee.slots) 0 in
+          for p = 0 to n_params - 1 do
+            let k = 2 * callee.params.(p) in
+            g.(k) <- args.(p) f;
+            g.(k + 1) <- 1
+          done;
+          callee.body g)
   | Do { index; lo; hi; body } ->
-    let lo = eval_expr st env lo and hi = eval_expr st env hi in
-    let saved = Hashtbl.find_opt env index in
-    for i = lo to hi do
-      Hashtbl.replace env index i;
-      exec_stmts st env body
-    done;
-    (match saved with Some v -> Hashtbl.replace env index v | None -> Hashtbl.remove env index)
+    let lo = compile_expr cx lo and hi = compile_expr cx hi and body = compile_stmts cx body in
+    let k = 2 * slot cx index in
+    fun f ->
+      step st;
+      let lo = lo f in
+      let hi = hi f in
+      let saved = f.(k) and saved_defined = f.(k + 1) in
+      for i = lo to hi do
+        f.(k) <- i;
+        f.(k + 1) <- 1;
+        body f
+      done;
+      f.(k) <- saved;
+      f.(k + 1) <- saved_defined
   | Doall { index; lo; hi; body } ->
-    if st.in_parallel then runtime_errorf "nested doall survived normalization";
-    let lo = eval_expr st env lo and hi = eval_expr st env hi in
-    (* close the current serial epoch, run the parallel one, reopen serial *)
-    st.hooks.on_task_end ();
-    st.hooks.on_epoch_end ();
-    st.epochs_executed <- st.epochs_executed + 1;
-    st.hooks.on_epoch_begin (Parallel { lo; hi });
-    Races.reset st.races;
-    st.in_parallel <- true;
-    (* task-private scalars: each iteration works on a copy of the
-       enclosing environment and its updates are discarded. When the body
-       provably never assigns a scalar the copy is unobservable (a nested
-       DO restores its own index), so every task can share the enclosing
-       environment with only the loop index swapped in — one Hashtbl copy
-       per iteration is the biggest allocation in trace generation. *)
-    let shares_env = not (List.exists stmt_assigns_scalar body) in
-    let saved_index = if shares_env then Hashtbl.find_opt env index else None in
-    for i = lo to hi do
-      st.task <- i - lo;
-      st.hooks.on_task_begin ~iter:i;
-      let task_env = if shares_env then env else Hashtbl.copy env in
-      Hashtbl.replace task_env index i;
-      exec_stmts st task_env body;
-      st.hooks.on_task_end ()
-    done;
-    if shares_env then begin
-      match saved_index with
-      | Some v -> Hashtbl.replace env index v
-      | None -> Hashtbl.remove env index
-    end;
-    st.in_parallel <- false;
-    st.task <- 0;
-    st.hooks.on_epoch_end ();
-    st.epochs_executed <- st.epochs_executed + 1;
-    st.hooks.on_epoch_begin Serial;
-    Races.reset st.races;
-    st.hooks.on_task_begin ~iter:0
+    (* task-private scalars: each iteration starts from the enclosing
+       frame and its updates are discarded. When the body provably never
+       assigns a scalar the copy is unobservable (a nested DO restores its
+       own index), so every task runs in the enclosing frame with only the
+       loop index swapped in. *)
+    let shares_frame = not (List.exists stmt_assigns_scalar body) in
+    let lo = compile_expr cx lo and hi = compile_expr cx hi and body = compile_stmts cx body in
+    let k = 2 * slot cx index in
+    fun f ->
+      step st;
+      if st.in_parallel then runtime_errorf "nested doall survived normalization";
+      let lo = lo f in
+      let hi = hi f in
+      (* close the current serial epoch, run the parallel one, reopen serial *)
+      st.hooks.on_task_end ();
+      st.hooks.on_epoch_end ();
+      st.epochs_executed <- st.epochs_executed + 1;
+      st.hooks.on_epoch_begin (Parallel { lo; hi });
+      Races.reset st.races;
+      st.in_parallel <- true;
+      let saved = if shares_frame then Array.sub f k 2 else Array.copy f in
+      let restore () = if shares_frame then Array.blit saved 0 f k 2 else Array.blit saved 0 f 0 (Array.length f) in
+      for i = lo to hi do
+        st.task <- i - lo;
+        st.hooks.on_task_begin ~iter:i;
+        if not shares_frame then restore ();
+        f.(k) <- i;
+        f.(k + 1) <- 1;
+        body f;
+        st.hooks.on_task_end ()
+      done;
+      restore ();
+      st.in_parallel <- false;
+      st.task <- 0;
+      st.hooks.on_epoch_end ();
+      st.epochs_executed <- st.epochs_executed + 1;
+      st.hooks.on_epoch_begin Serial;
+      Races.reset st.races;
+      st.hooks.on_task_begin ~iter:0
 
 (* --- entry point --- *)
 
@@ -427,7 +550,6 @@ let run ?(hooks = null_hooks) ?(check_races = true) ?(max_steps = 50_000_000)
   let layout = Shape.layout ~line_words program.arrays in
   let st =
     {
-      program;
       layout;
       memory = Array.make (max 1 layout.total_words) 0;
       hooks;
@@ -445,10 +567,17 @@ let run ?(hooks = null_hooks) ?(check_races = true) ?(max_steps = 50_000_000)
     | Some p -> p
     | None -> runtime_errorf "entry procedure %s not found" program.entry
   in
+  let arrays = Hashtbl.create 16 in
+  List.iteri (fun id (t : Shape.t) -> Hashtbl.replace arrays t.name (id, t)) (Shape.arrays_in_order layout);
+  let code =
+    proc_code
+      { st; program; arrays; procs = Hashtbl.create 8; slot_of = Hashtbl.create 1 }
+      entry
+  in
   hooks.on_init layout;
   hooks.on_epoch_begin Serial;
   hooks.on_task_begin ~iter:0;
-  exec_stmts st (Hashtbl.create 16) entry.body;
+  code.body (Array.make (2 * code.slots) 0);
   hooks.on_task_end ();
   hooks.on_epoch_end ();
   st.epochs_executed <- st.epochs_executed + 1;

@@ -1,5 +1,7 @@
 (** Reference interpreter for PFL: the sequential golden memory model and,
-    through the hooks, the execution-driven trace generator.
+    through the hooks, the execution-driven trace generator. Each run
+    compiles the program to closures against its address map, then
+    executes them.
 
     Execution alternates [Serial] and [Parallel] epochs; DOALL iterations
     must be independent outside critical sections ([check_races] verifies
@@ -17,14 +19,16 @@ type epoch_kind = Serial | Parallel of { lo : int; hi : int }
 type hooks = {
   on_init : Shape.layout -> unit;
       (** called once, before the first epoch, with the address map the run
-          uses — trace builders seed their interners from it *)
+          uses — trace builders name array ids from it *)
   on_epoch_begin : epoch_kind -> unit;
   on_epoch_end : unit -> unit;
   on_task_begin : iter:int -> unit;
       (** [iter] is the iteration's index value; [0] for a serial task *)
   on_task_end : unit -> unit;
-  on_read : array:string -> addr:int -> value:value -> mark:Ast.rmark -> unit;
-  on_write : array:string -> addr:int -> value:value -> mark:Ast.wmark -> unit;
+  on_read : array:int -> addr:int -> value:value -> mark:Ast.rmark -> unit;
+      (** [array] is the array's layout-order id: its index in
+          {!Shape.arrays_in_order} *)
+  on_write : array:int -> addr:int -> value:value -> mark:Ast.wmark -> unit;
   on_work : int -> unit;
   on_lock : unit -> unit;
   on_unlock : unit -> unit;

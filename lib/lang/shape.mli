@@ -28,11 +28,13 @@ val flatten : t -> int list -> int
 (** Word address of an element. *)
 val address : layout -> string -> int list -> int
 
-(** [address1 l a i] = [address l a [i]] without allocating the index
-    list; [address2] likewise for two subscripts. Same bounds checking. *)
-val address1 : layout -> string -> int -> int
+(** [address1 t i] is the word address of [t]'s element [i] without an
+    index list; [address2] likewise for two subscripts. Same bounds
+    checking as {!flatten}, but a wrong subscript count is reported before
+    any bound. *)
+val address1 : t -> int -> int
 
-val address2 : layout -> string -> int -> int -> int
+val address2 : t -> int -> int -> int
 
 (** Which array (and flat offset) owns a word address; [None] on padding. *)
 val owner : layout -> int -> (t * int) option

@@ -83,22 +83,24 @@ val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
     reference implementation the streaming {!Builder} is tested against. *)
 val pack : t -> packed
 
-(** Streaming trace builder: growable unboxed slabs (same five-slab layout
-    as {!packed}, amortized doubling) that {!Hscd_lang.Eval} hooks append
-    into directly. The per-event path is free of minor-heap allocation:
-    array ids are interned through a one-entry memo, marks convert from
-    AST codes without an intermediate variant, and compute work coalesces
-    into a pending counter exactly as {!of_program} does. *)
+(** Streaming trace builder that {!Hscd_lang.Eval} hooks append into
+    directly. Slots go into fixed-size chunks of five Bigarray slabs (the
+    layout of {!packed}) taken from a per-domain pool of bounded size, so
+    successive generations on a domain reuse the same scratch. The
+    per-event path neither allocates nor hashes: array ids come from the
+    interpreter, marks convert from AST codes without an intermediate
+    variant, and compute work coalesces into a pending counter exactly as
+    {!of_program} does. *)
 module Builder : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
+  val create : unit -> t
 
-  (** Eval hooks that stream events straight into the slabs. *)
+  (** Eval hooks that stream events straight into the chunks. *)
   val hooks : t -> Hscd_lang.Eval.hooks
 
-  (** Close the builder into a packed trace. Slabs keep their grown
-      capacity (only [n_slots] entries are live). *)
+  (** Close the builder into a packed trace with exact-size slabs, and
+      return its chunks to the pool. The builder cannot be used after. *)
   val finish : t -> golden:int array -> packed
 end
 

@@ -151,6 +151,7 @@ type compile_row = {
   gen_boxed_eps : float;  (** events/sec, boxed generation + pack *)
   gen_speedup : float;  (** streaming over boxed+pack *)
   gen_stream_words_per_event : float;  (** minor-heap words/slot, streaming *)
+  gen_stream_alloc_words_per_event : float;  (** words/slot on both heaps, streaming *)
   gen_boxed_words_per_event : float;  (** minor-heap words/slot, boxed+pack *)
   gen_identical : bool;  (** equal_packed && identical TPI replay *)
 }
@@ -196,6 +197,7 @@ let measure_compile ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3) () =
     if dt < !bdt then bdt := dt;
     bwords := w
   done;
+  let _, alloc_words = allocated_words stream in
   let ps = Option.get !p_stream and pb = Option.get !p_boxed in
   let identical =
     Hscd_sim.Trace_io.equal_packed ps pb
@@ -211,6 +213,7 @@ let measure_compile ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3) () =
     gen_boxed_eps = boxed_eps;
     gen_speedup = stream_eps /. boxed_eps;
     gen_stream_words_per_event = !swords /. fev;
+    gen_stream_alloc_words_per_event = alloc_words /. fev;
     gen_boxed_words_per_event = !bwords /. fev;
     gen_identical = identical;
   }
@@ -223,6 +226,8 @@ let print_compile_row (r : compile_row) =
     (if r.gen_identical then "bit-identical" else "DIVERGED");
   Printf.printf "  tracegen/gc_minor_words_per_event (stream) %12.2f words\n"
     r.gen_stream_words_per_event;
+  Printf.printf "  tracegen/alloc_words_per_event (stream)    %12.2f words (both heaps)\n"
+    r.gen_stream_alloc_words_per_event;
   Printf.printf "  tracegen/gc_minor_words_per_event (boxed)  %12.2f words\n%!"
     r.gen_boxed_words_per_event
 

@@ -19,24 +19,29 @@
                    timing-knob sweep fails to share compiled traces (the
                    @perf-smoke alias) *)
 
-(* replay side: the engine decodes events without constructing variants.
-   Per-scheme minor-words/event ceilings at roughly 2x the measured smoke
-   values (BASE 1.3; SC/INV/VC/TPI 5.6; the directory schemes 7.3, and
-   10.5 at P=1024 — their invalidation fan-out walks sharer sets): a scheme crossing its ceiling
-   has grown a new per-event allocation, not noise *)
+(* replay side: the engine decodes events without constructing variants,
+   caches are flat int arrays and work deques hold unboxed ints.
+   Per-scheme minor-words/event ceilings at roughly 2x the larger of the
+   measured smoke values at P=16 and P=1024 (BASE 0.39 and 0.29; SC, INV,
+   VC and TPI 3.76 and 3.34; the directory schemes 4.17 and 4.48). What
+   the cached schemes still allocate is one-time growth of their frame
+   arrays and fetch maps, spread over the smoke trace's few events per
+   processor: a scheme crossing its ceiling has grown a new per-event
+   allocation, not noise *)
 let replay_words_cap = function
-  | "BASE" -> 4.0
-  | "HW" | "LimitLESS" -> 16.0
-  | _ -> 8.0 (* SC, INV, VC, TPI *)
+  | "BASE" -> 0.8
+  | "HW" | "LimitLESS" -> 9.0
+  | _ -> 7.5 (* SC, INV, VC, TPI *)
 
 (* machine construction at P=1024 on the smoke trace (16,384 memory
    words): words allocated on both heaps, ceilings at roughly 2x the
    measured values (BASE 65,602, its memory image; the cached schemes
-   84,705-84,737; the directory schemes 86,626). Set tables, fetch maps
-   and directory entries are arrays too large for the minor heap, so the
-   words/event ceilings above never see them: a machine that builds one
-   per processor or per line again (4.8-4.9 M words here) fails only
-   this gate. *)
+   90,850-90,882; the directory schemes 92,766-92,771). The smoke trace
+   has as many memory lines as a cache has sets, so its shared set table
+   is full size. Set tables, fetch maps and directory entries are arrays
+   too large for the minor heap, so the words/event ceilings above never
+   see them: a machine that builds one per processor or per line again
+   (4.8-4.9 M words here) fails only this gate. *)
 let build_words_cap = function
   | "BASE" -> 135_000.0
   | _ -> 175_000.0

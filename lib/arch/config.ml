@@ -69,13 +69,19 @@ let default =
     tpi_eager_reset = false;
   }
 
+let max_line_words = 16
+
 let validate t =
   let open Hscd_util.Ints in
   if t.processors <= 0 then invalid_arg "Config: processors must be positive";
   if not (is_pow2 t.line_words) then invalid_arg "Config: line_words must be a power of two";
+  if t.line_words > max_line_words then invalid_arg "Config: line_words must be at most 16";
   if not (is_pow2 (t.cache_bytes / t.word_bytes)) then
     invalid_arg "Config: cache size in words must be a power of two";
   if t.assoc < 1 then invalid_arg "Config: associativity must be >= 1";
+  (match t.write_buffer with
+  | Write_cache n when n < 1 -> invalid_arg "Config: a write cache needs at least one entry"
+  | Write_cache _ | Plain_buffer -> ());
   if t.timetag_bits < 2 || t.timetag_bits > 30 then
     invalid_arg "Config: timetag_bits out of [2,30]";
   if t.switch_degree < 2 then invalid_arg "Config: switch_degree must be >= 2";

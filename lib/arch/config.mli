@@ -48,8 +48,13 @@ type t = {
 
 val default : t
 
-(** Check invariants (power-of-two geometry, tag width, migration policy);
-    raises [Invalid_argument] with a specific message, else returns [t]. *)
+(** Longest cache line, in words: a cache frame packs a valid and a touch
+    bit per word, plus two flags, into one int. *)
+val max_line_words : int
+
+(** Check invariants (power-of-two geometry of at most {!max_line_words}
+    words per line, tag width, migration policy); raises
+    [Invalid_argument] with a specific message, else returns [t]. *)
 val validate : t -> t
 
 val cache_words : t -> int

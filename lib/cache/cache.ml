@@ -1,193 +1,182 @@
-(** Set-associative cache with per-word state.
+(** Set-associative cache with per-word state, stored flat.
 
     The HSCD schemes need word-granular metadata (timetags, per-word valid
     bits) while the directory scheme needs line-granular protocol state;
-    this structure supports both: each line carries a scheme-defined
-    [state] integer plus per-word valid bits, values (so the simulator can
-    check every load against the golden memory image), word metadata
-    (timetags) and per-word touch bits (for false-sharing classification). *)
+    this structure supports both. A frame is an index into per-cache int
+    arrays: [tag], [state] and [lru] hold one int per frame; [value],
+    [meta] and [fetch_seq] hold one int per word at
+    [frame * line_words + offset]; [bits] packs a frame's valid bits, its
+    touch bits (for false-sharing classification) and the two
+    classification flags into one int. Nothing is allocated per line or
+    per access. *)
 
-type line = {
-  mutable tag : int;  (** memory line number held, -1 when free *)
-  mutable state : int;  (** scheme-defined; 0 = invalid *)
-  mutable lru : int;
-  mutable fetch_seq : int array;  (** per word: global write-seq at fetch time *)
-  word_valid : bool array;
-  values : int array;
-  meta : int array;  (** scheme-defined per-word metadata (e.g. timetag epoch) *)
-  touched : bool array;  (** word used by the local processor since fetch *)
-  mutable reset_invalidated : bool;  (** invalidated by a two-phase reset *)
-  mutable inv_false_sharing : bool;  (** last invalidation was a false-sharing one *)
-  mutable inv_pending : bool;  (** line was invalidated by a remote write *)
-}
+let invalid_state = 0
 
-(* Sets materialize on first allocation into them: [ [||] ] marks an
-   untouched set. A P=1024 machine has 4M cache lines of which a typical
-   trace touches a small fraction; building them all eagerly used to
-   dominate whole-simulation time and minor-heap churn. Even the index
-   table of empty sets is 4,097 words per cache, so the caches of one
-   machine start on a single shared all-[ [||] ] table ({!create_array})
-   and a cache swaps in a private table on its first materialization:
-   nothing ever writes the shared table. [used] lists the materialized set
-   indices densely so whole-cache walks are O(resident), not O(capacity). *)
+let max_line_words = Hscd_arch.Config.max_line_words
+let touched_shift = max_line_words
+let reset_invalidated_bit = 1 lsl (2 * max_line_words)
+let inv_false_sharing_bit = 1 lsl ((2 * max_line_words) + 1)
+
+(* Frames appear when their set is first allocated into: a set table maps
+   each set to its first frame ([assoc] consecutive frames), and the frame
+   arrays grow by doubling. A P=1024 machine has 4M cache lines of which a
+   typical trace touches a small fraction, so the caches of one machine
+   start on a single shared, read-only table of unallocated sets
+   ({!create_array}) and a cache swaps in a private table on its first
+   allocation. Entries are native-endian int32s, -1 for a set never
+   allocated into. A line number is below the machine's memory-line
+   count, so the table covers only [min sets memory_lines] sets. *)
 type t = {
-  mutable sets : line array array;  (** shared empty table until [n_used > 0] *)
   assoc : int;
   line_words : int;
   line_shift : int;
   set_mask : int;
-  mutable used : int array;  (** dense list of materialized set indices *)
-  mutable n_used : int;
+  sets : int;
+  mutable first : Bytes.t;
+  mutable frames : int;
+  mutable tag : int array;
+  mutable state : int array;
+  mutable lru : int array;
+  mutable bits : int array;
+  mutable value : int array;
+  mutable meta : int array;
+  mutable fetch_seq : int array;
   mutable tick : int;
-  mutable evictions : int;
+  mutable evicted_tag : int;
+  mutable evicted_state : int;
 }
 
-let invalid_state = 0
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
-let make_line line_words =
-  {
-    tag = -1;
-    state = invalid_state;
-    lru = 0;
-    fetch_seq = Array.make line_words 0;
-    word_valid = Array.make line_words false;
-    values = Array.make line_words 0;
-    meta = Array.make line_words 0;
-    touched = Array.make line_words false;
-    reset_invalidated = false;
-    inv_false_sharing = false;
-    inv_pending = false;
-  }
-
-let create_array (c : Hscd_arch.Config.t) n =
+let create_array (c : Hscd_arch.Config.t) ~memory_lines n =
+  if c.line_words > max_line_words then
+    invalid_arg
+      (Printf.sprintf "Cache: line_words %d exceeds the packed per-frame bits (at most %d)"
+         c.line_words max_line_words);
   let sets = Hscd_arch.Config.sets c in
-  let empty = Array.make sets [||] in
+  let empty = Bytes.make (4 * min sets (max 1 memory_lines)) '\xff' in
   Array.init n (fun _ ->
       {
-        sets = empty;
         assoc = c.assoc;
         line_words = c.line_words;
         line_shift = Hscd_util.Ints.ilog2 c.line_words;
         set_mask = sets - 1;
-        used = [||];
-        n_used = 0;
+        sets;
+        first = empty;
+        frames = 0;
+        tag = [||];
+        state = [||];
+        lru = [||];
+        bits = [||];
+        value = [||];
+        meta = [||];
+        fetch_seq = [||];
         tick = 0;
-        evictions = 0;
+        evicted_tag = -1;
+        evicted_state = invalid_state;
       })
 
-let create c = (create_array c 1).(0)
+let create c ~memory_lines = (create_array c ~memory_lines 1).(0)
 
-let assoc t = t.assoc
+let first_frame t si =
+  if 4 * si >= Bytes.length t.first then -1 else Int32.to_int (get32 t.first (4 * si))
 
-(* Build the frames of set [si] on its first allocation and record it in
-   the dense used list (amortized-doubling, so tiny caches stay tiny). The
-   first materialization leaves the shared table for a private one; the
-   shared table is all empty, so a fresh [Array.make] equals a copy and
-   skips [Array.copy]'s per-element write barrier on a major-heap array. *)
+let grown a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Give set [si] the next [assoc] frames, growing the frame arrays by
+   doubling (never past the cache's capacity). New frames hold tag -1,
+   state invalid, LRU 0 and no valid words. The first allocation leaves
+   the shared table for a private one. *)
 let materialize t si =
-  if t.n_used = 0 then t.sets <- Array.make (Array.length t.sets) [||];
-  let set = Array.init t.assoc (fun _ -> make_line t.line_words) in
-  t.sets.(si) <- set;
-  if t.n_used = Array.length t.used then begin
-    let grown = Array.make (max 8 (2 * t.n_used)) 0 in
-    Array.blit t.used 0 grown 0 t.n_used;
-    t.used <- grown
+  if t.frames = 0 then t.first <- Bytes.make (Bytes.length t.first) '\xff';
+  let f = t.frames in
+  let need = f + t.assoc in
+  if need > Array.length t.tag then begin
+    let n = min (t.sets * t.assoc) (max need (2 * Array.length t.tag)) in
+    let w = n * t.line_words in
+    t.tag <- grown t.tag n (-1);
+    t.state <- grown t.state n invalid_state;
+    t.lru <- grown t.lru n 0;
+    t.bits <- grown t.bits n 0;
+    t.value <- grown t.value w 0;
+    t.meta <- grown t.meta w 0;
+    t.fetch_seq <- grown t.fetch_seq w 0
   end;
-  t.used.(t.n_used) <- si;
-  t.n_used <- t.n_used + 1;
-  set
+  set32 t.first (4 * si) (Int32.of_int f);
+  t.frames <- need;
+  f
 
-let line_of_addr t addr = addr lsr t.line_shift
-let offset_of_addr t addr = addr land (t.line_words - 1)
-let set_of_line t line = line land t.set_mask
+(* Top-level so the per-access scan allocates no closure. *)
+let rec scan t line f stop =
+  if f = stop then -1
+  else if t.tag.(f) = line && t.state.(f) <> invalid_state then f
+  else scan t line (f + 1) stop
 
-let touch_lru t line =
-  t.tick <- t.tick + 1;
-  line.lru <- t.tick
-
-(* Top-level so the per-access scan allocates no closure: this runs on
-   every cached reference of the replay hot path, and a local [let rec]
-   capturing [set]/[mem_line] would cost a closure per call. *)
-let rec scan_set set mem_line i =
-  if i >= Array.length set then None
-  else if set.(i).tag = mem_line && set.(i).state <> invalid_state then Some set.(i)
-  else scan_set set mem_line (i + 1)
-
-(** Find the cache line currently holding [addr], if any (does not bump
-    LRU; callers decide). *)
 let probe t addr =
-  let mem_line = line_of_addr t addr in
-  scan_set t.sets.(set_of_line t mem_line) mem_line 0
+  let line = addr lsr t.line_shift in
+  let f = first_frame t (line land t.set_mask) in
+  if f < 0 then -1 else scan t line f (f + t.assoc)
 
 let find t addr =
-  let mem_line = line_of_addr t addr in
-  let res = scan_set t.sets.(set_of_line t mem_line) mem_line 0 in
-  (match res with Some l -> touch_lru t l | None -> ());
-  res
+  let f = probe t addr in
+  if f >= 0 then begin
+    t.tick <- t.tick + 1;
+    t.lru.(f) <- t.tick
+  end;
+  f
 
-let clear_line l =
-  l.tag <- -1;
-  l.state <- invalid_state;
-  Array.fill l.word_valid 0 (Array.length l.word_valid) false;
-  Array.fill l.touched 0 (Array.length l.touched) false;
-  l.reset_invalidated <- false;
-  l.inv_false_sharing <- false;
-  l.inv_pending <- false
-
-(** Allocate a frame for [addr]'s line, calling [on_evict] on a valid
-    victim first (for write-back). The returned line has [tag] set, state
-    still invalid and all words invalid; the caller fills it. *)
-let allocate t ~on_evict addr =
-  let mem_line = line_of_addr t addr in
-  let si = set_of_line t mem_line in
-  let set = t.sets.(si) in
-  let set = if Array.length set = 0 then materialize t si else set in
+let allocate t addr =
+  let line = addr lsr t.line_shift in
+  let si = line land t.set_mask in
+  let first = first_frame t si in
+  let first = if first < 0 then materialize t si else first in
   (* reuse the matching frame if present (e.g. refetch of an invalidated
-     line), else a free frame, else the LRU victim — one allocation-free
-     index scan, a matching frame preferred over a free one *)
-  let frame =
-    let n = Array.length set in
-    let matching = ref (-1) and free = ref (-1) in
-    for i = n - 1 downto 0 do
-      if set.(i).tag = mem_line then matching := i
-      else if set.(i).state = invalid_state then free := i
-    done;
-    if !matching >= 0 then set.(!matching)
-    else if !free >= 0 then set.(!free)
+     line), else a free frame, else the LRU victim; the lowest frame wins
+     each tie *)
+  let matching = ref (-1) and free = ref (-1) in
+  for f = first + t.assoc - 1 downto first do
+    if t.tag.(f) = line then matching := f
+    else if t.state.(f) = invalid_state then free := f
+  done;
+  let f =
+    if !matching >= 0 then !matching
+    else if !free >= 0 then !free
     else begin
-      let victim = ref set.(0) in
-      for i = 1 to n - 1 do
-        if set.(i).lru < (!victim).lru then victim := set.(i)
+      let victim = ref first in
+      for f = first + 1 to first + t.assoc - 1 do
+        if t.lru.(f) < t.lru.(!victim) then victim := f
       done;
-      t.evictions <- t.evictions + 1;
-      on_evict !victim;
       !victim
     end
   in
-  clear_line frame;
-  frame.tag <- mem_line;
-  touch_lru t frame;
-  frame
+  if !matching < 0 && !free < 0 then begin
+    t.evicted_tag <- t.tag.(f);
+    t.evicted_state <- t.state.(f)
+  end
+  else begin
+    t.evicted_tag <- -1;
+    t.evicted_state <- invalid_state
+  end;
+  t.tag.(f) <- line;
+  t.state.(f) <- invalid_state;
+  t.bits.(f) <- 0;
+  t.tick <- t.tick + 1;
+  t.lru.(f) <- t.tick;
+  f
 
-(** Iterate over every resident line: O(materialized sets), in
-    materialization order (no caller depends on set order). *)
-let iter_lines t f =
-  for i = 0 to t.n_used - 1 do
-    let set = t.sets.(t.used.(i)) in
-    for j = 0 to Array.length set - 1 do
-      let l = set.(j) in
-      if l.state <> invalid_state then f l
-    done
-  done
+let word t f off = (f * t.line_words) + off
 
-(** Number of currently valid lines (for occupancy stats/tests). *)
+let word_valid t f off = t.bits.(f) land (1 lsl off) <> 0
+let touched t f off = t.bits.(f) land (1 lsl (touched_shift + off)) <> 0
+let inv_false_sharing t f = t.bits.(f) land inv_false_sharing_bit <> 0
+
 let resident_lines t =
   let n = ref 0 in
-  iter_lines t (fun _ -> incr n);
+  for f = 0 to t.frames - 1 do
+    if t.state.(f) <> invalid_state then incr n
+  done;
   !n
-
-(** Frames in set/frame order, including invalid ones — snapshot encoders
-    walk the full geometry so equal states serialize identically. A set
-    never allocated into is the empty array; encoders treat it as [assoc]
-    invalid frames so materialization state never leaks into snapshots. *)
-let frame_sets t = t.sets

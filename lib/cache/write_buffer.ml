@@ -9,49 +9,56 @@
     performed eagerly by the schemes (safe because DOALL epochs are
     race-free and barriers drain buffers). *)
 
+(* The write cache holds [n] pending word addresses in [addr.(0..n-1)],
+   each with the tick of its latest write; ticks are distinct, so the
+   least recently written entry is the one with the smallest tick. *)
 type t =
   | Plain
   | Cache of {
-      entries : int;
-      mutable resident : (int * int) list;  (** (addr, lru); most-recent first *)
-      mutable tick : int;
+      addr : int array;
+      tick : int array;
+      mutable n : int;
+      mutable now : int;
       mutable coalesced : int;
-      mutable flushed : int;
     }
 
 let create (c : Hscd_arch.Config.t) =
   match c.write_buffer with
   | Hscd_arch.Config.Plain_buffer -> Plain
   | Hscd_arch.Config.Write_cache entries ->
-    Cache { entries; resident = []; tick = 0; coalesced = 0; flushed = 0 }
+    Cache
+      { addr = Array.make entries 0; tick = Array.make entries 0; n = 0; now = 0; coalesced = 0 }
+
+let rec index_of addr a i n = if i = n then -1 else if addr.(i) = a then i else index_of addr a (i + 1) n
 
 (** Record a write of [addr]; returns how many words of write traffic the
     memory system sees *now*. *)
-let write t addr =
+let write t a =
   match t with
   | Plain -> 1
   | Cache wc ->
-    wc.tick <- wc.tick + 1;
-    if List.mem_assoc addr wc.resident then begin
+    wc.now <- wc.now + 1;
+    let i = index_of wc.addr a 0 wc.n in
+    if i >= 0 then begin
       (* coalesce: overwrite the pending entry, no new traffic *)
       wc.coalesced <- wc.coalesced + 1;
-      wc.resident <- (addr, wc.tick) :: List.remove_assoc addr wc.resident;
+      wc.tick.(i) <- wc.now;
       0
     end
-    else if List.length wc.resident < wc.entries then begin
-      wc.resident <- (addr, wc.tick) :: wc.resident;
+    else if wc.n < Array.length wc.addr then begin
+      wc.addr.(wc.n) <- a;
+      wc.tick.(wc.n) <- wc.now;
+      wc.n <- wc.n + 1;
       0
     end
     else begin
       (* evict the least recently written entry: one word reaches memory *)
-      let rec drop_oldest acc = function
-        | [] -> List.rev acc
-        | [ _ ] -> List.rev acc
-        | x :: rest -> drop_oldest (x :: acc) rest
-      in
-      let sorted = List.sort (fun (_, a) (_, b) -> compare b a) wc.resident in
-      wc.resident <- (addr, wc.tick) :: drop_oldest [] sorted;
-      wc.flushed <- wc.flushed + 1;
+      let oldest = ref 0 in
+      for j = 1 to wc.n - 1 do
+        if wc.tick.(j) < wc.tick.(!oldest) then oldest := j
+      done;
+      wc.addr.(!oldest) <- a;
+      wc.tick.(!oldest) <- wc.now;
       1
     end
 
@@ -60,9 +67,8 @@ let drain t =
   match t with
   | Plain -> 0
   | Cache wc ->
-    let n = List.length wc.resident in
-    wc.resident <- [];
-    wc.flushed <- wc.flushed + n;
+    let n = wc.n in
+    wc.n <- 0;
     n
 
 let coalesced_writes t = match t with Plain -> 0 | Cache wc -> wc.coalesced

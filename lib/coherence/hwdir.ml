@@ -62,7 +62,7 @@ let create cfg ~memory_words ~network ~traffic =
   {
     cfg;
     mem = Memstate.create ~words:memory_words;
-    caches = Cache.create_array cfg cfg.processors;
+    caches = Cache.create_array cfg ~memory_lines cfg.processors;
     directory = Array.make memory_lines absent;
     fetched = Fetch_map.create ~processors:cfg.processors ~lines:memory_lines;
     net = network;
@@ -82,39 +82,47 @@ let entry t ~line_no ~what =
     Hscd_util.Hscd_error.fail Internal "Hwdir.%s: line %d has no directory entry" what line_no;
   dir
 
-(* Write back a dirty victim: directory learns, memory traffic counted.
-   (Values are kept current in [mem] eagerly, so only bookkeeping here.) *)
-let evict t ~proc (victim : Cache.line) =
-  if victim.tag >= 0 && victim.tag < Array.length t.directory then begin
-    let dir = entry t ~line_no:victim.tag ~what:"evict" in
-    if victim.state = s_modified then begin
+(* Write back the valid victim [tag] (in [state]) that [proc]'s last
+   allocation replaced: directory learns, memory traffic counted. (Values
+   are kept current in [mem] eagerly, so only bookkeeping here.) *)
+let evict t ~proc ~tag ~state =
+  if tag >= 0 && tag < Array.length t.directory then begin
+    let dir = entry t ~line_no:tag ~what:"evict" in
+    if state = s_modified then begin
       t.st.writebacks <- t.st.writebacks + 1;
       Traffic.add_write t.traffic t.cfg.line_words;
       dir.dirty <- false
     end;
-    if victim.state = s_modified || victim.state = s_shared then begin
+    if state = s_modified || state = s_shared then begin
       Hscd_util.Bitset.remove dir.presence proc;
       Traffic.add_control t.traffic 1 (* replacement hint *)
     end
   end
+
+(* Tag frame [f] of cache [c] invalid-for-access after a remote write of
+   word [off], with the Tullsen-Eggers flag: false sharing when the local
+   processor had not used that word since the fetch. *)
+let invalidate_frame (c : Cache.t) f ~off =
+  let fs = if Cache.touched c f off then 0 else Cache.inv_false_sharing_bit in
+  c.bits.(f) <- c.bits.(f) land lnot Cache.inv_false_sharing_bit lor fs;
+  c.state.(f) <- s_inv_tagged
 
 (* Invalidate every remote sharer of [line_no] because [writer] writes word
    [off]; sets Tullsen-Eggers flags on the victims. Returns sharer count. *)
 let invalidate_sharers t ~writer ~line_no ~off =
   let dir = entry t ~line_no ~what:"invalidate_sharers" in
   let count = ref 0 in
-  Hscd_util.Bitset.iter
-    (fun p ->
-      if p <> writer then begin
-        incr count;
-        match Cache.probe t.caches.(p) (line_no * t.cfg.line_words) with
-        | Some line when line.state = s_shared || line.state = s_modified ->
-          line.inv_false_sharing <- not line.touched.(off);
-          line.inv_pending <- true;
-          line.state <- s_inv_tagged
-        | Some _ | None -> ()
-      end)
-    dir.presence;
+  let p = ref (Hscd_util.Bitset.next dir.presence 0) in
+  while !p >= 0 do
+    if !p <> writer then begin
+      incr count;
+      let c = t.caches.(!p) in
+      let f = Cache.probe c (line_no * t.cfg.line_words) in
+      if f >= 0 && (c.state.(f) = s_shared || c.state.(f) = s_modified) then
+        invalidate_frame c f ~off
+    end;
+    p := Hscd_util.Bitset.next dir.presence (!p + 1)
+  done;
   if !count > 0 then begin
     t.st.invalidations_sent <- t.st.invalidations_sent + !count;
     (* invalidation requests + acknowledgements *)
@@ -126,10 +134,12 @@ let invalidate_sharers t ~writer ~line_no ~off =
 
 (* Fetch a line into [proc]'s cache with the given final state. Handles
    dirty remote copies (recall + extra hops). Creates the line's directory
-   entry on its first fetch. Returns the line and leaves the transaction's
-   latency in the [res] scratch, so a miss allocates no result tuple. *)
+   entry on its first fetch. Returns the frame and leaves the
+   transaction's latency in the [res] scratch, so a miss allocates no
+   result tuple. *)
 let fetch_line t ~proc ~addr ~state =
   let line_no = mem_line t addr in
+  let off = off_of t addr in
   let dir = t.directory.(line_no) in
   let dir =
     if dir == absent then begin
@@ -146,18 +156,16 @@ let fetch_line t ~proc ~addr ~state =
          line and writes it back *)
       t.st.dirty_recalls <- t.st.dirty_recalls + 1;
       (* the owner downgrades (read) or invalidates (write) *)
-      Hscd_util.Bitset.iter
-        (fun owner ->
-          if owner <> proc then
-            match Cache.probe t.caches.(owner) (line_no * t.cfg.line_words) with
-            | Some oline when oline.state = s_modified ->
-              oline.state <- (if state = s_modified then s_inv_tagged else s_shared);
-              if state = s_modified then begin
-                oline.inv_false_sharing <- not oline.touched.(off_of t addr);
-                oline.inv_pending <- true
-              end
-            | Some _ | None -> ())
-        dir.presence;
+      let o = ref (Hscd_util.Bitset.next dir.presence 0) in
+      while !o >= 0 do
+        if !o <> proc then begin
+          let c = t.caches.(!o) in
+          let f = Cache.probe c (line_no * t.cfg.line_words) in
+          if f >= 0 && c.state.(f) = s_modified then
+            if state = s_modified then invalidate_frame c f ~off else c.state.(f) <- s_shared
+        end;
+        o := Hscd_util.Bitset.next dir.presence (!o + 1)
+      done;
       dir.dirty <- false;
       Traffic.add_write t.traffic t.cfg.line_words (* owner's writeback *);
       Traffic.add_coherence t.traffic 2 (* forward + ack *);
@@ -166,46 +174,52 @@ let fetch_line t ~proc ~addr ~state =
     else base_latency
   in
   if state = s_modified then begin
-    ignore (invalidate_sharers t ~writer:proc ~line_no ~off:(off_of t addr));
+    ignore (invalidate_sharers t ~writer:proc ~line_no ~off);
     dir.dirty <- true
   end
   else Hscd_util.Bitset.add dir.presence proc;
-  let cache = t.caches.(proc) in
-  let line = Cache.allocate cache ~on_evict:(evict t ~proc) addr in
-  let base = line_no * t.cfg.line_words in
-  line.state <- state;
-  for k = 0 to t.cfg.line_words - 1 do
-    line.values.(k) <- Memstate.read t.mem (base + k);
-    line.word_valid.(k) <- true;
-    line.fetch_seq.(k) <- t.mem.seq;
-    line.touched.(k) <- false
+  let c = t.caches.(proc) in
+  let f = Cache.allocate c addr in
+  if c.evicted_tag >= 0 then evict t ~proc ~tag:c.evicted_tag ~state:c.evicted_state;
+  let lw = t.cfg.line_words in
+  let base = line_no * lw in
+  c.state.(f) <- state;
+  c.bits.(f) <- ((1 lsl lw) - 1) lor (1 lsl (Cache.touched_shift + off));
+  for k = 0 to lw - 1 do
+    let i = (f * lw) + k in
+    c.value.(i) <- Memstate.read t.mem (base + k);
+    c.fetch_seq.(i) <- t.mem.seq
   done;
-  line.touched.(off_of t addr) <- true;
   Fetch_map.mark t.fetched ~proc line_no;
-  Traffic.add_read t.traffic t.cfg.line_words;
+  Traffic.add_read t.traffic lw;
   Traffic.add_control t.traffic Scheme.control_words;
   t.res.latency <- latency;
-  line
+  f
 
 (* Miss classification before refetch. *)
 let miss_class t ~proc ~addr =
-  match Cache.probe t.caches.(proc) addr with
-  | Some line when line.state = s_inv_tagged ->
-    if line.inv_false_sharing then Scheme.False_sharing else Scheme.True_sharing
-  | Some _ | None ->
-    if Fetch_map.was_fetched t.fetched ~proc (mem_line t addr) then Scheme.Replacement
-    else Scheme.Cold
+  let c = t.caches.(proc) in
+  let f = Cache.probe c addr in
+  if f >= 0 && c.state.(f) = s_inv_tagged then
+    if Cache.inv_false_sharing c f then Scheme.False_sharing else Scheme.True_sharing
+  else if Fetch_map.was_fetched t.fetched ~proc (mem_line t addr) then Scheme.Replacement
+  else Scheme.Cold
 
 let read t ~proc ~addr ~array:(_ : int) ~mark:_ =
-  match Cache.find t.caches.(proc) addr with
-  | Some line when line.state = s_shared || line.state = s_modified ->
-    line.touched.(off_of t addr) <- true;
-    Scheme.set_result t.res ~latency:t.cfg.hit_cycles ~value:line.values.(off_of t addr)
-      ~cls:Scheme.Hit
-  | _ ->
+  let c = t.caches.(proc) in
+  let off = off_of t addr in
+  let f = Cache.find c addr in
+  if f >= 0 && (c.state.(f) = s_shared || c.state.(f) = s_modified) then begin
+    c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
+    Scheme.set_result t.res ~latency:t.cfg.hit_cycles
+      ~value:c.value.((f * t.cfg.line_words) + off) ~cls:Scheme.Hit
+  end
+  else begin
     let cls = miss_class t ~proc ~addr in
-    let line = fetch_line t ~proc ~addr ~state:s_shared in
-    Scheme.set_result t.res ~latency:t.res.latency ~value:line.values.(off_of t addr) ~cls
+    let f = fetch_line t ~proc ~addr ~state:s_shared in
+    Scheme.set_result t.res ~latency:t.res.latency
+      ~value:c.value.((f * t.cfg.line_words) + off) ~cls
+  end
 
 (* weak consistency retires stores in one cycle behind the write buffer;
    sequential consistency stalls for the coherence transaction *)
@@ -214,28 +228,32 @@ let retire t transaction_latency =
 
 let write t ~proc ~addr ~array:(_ : int) ~value ~mark:_ =
   Memstate.write t.mem ~proc addr value;
+  let c = t.caches.(proc) in
   let off = off_of t addr in
-  match Cache.find t.caches.(proc) addr with
-  | Some line when line.state = s_modified ->
-    line.values.(off) <- value;
-    line.touched.(off) <- true;
+  let f = Cache.find c addr in
+  if f >= 0 && c.state.(f) = s_modified then begin
+    c.value.((f * t.cfg.line_words) + off) <- value;
+    c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
     Scheme.set_result t.res ~latency:t.cfg.hit_cycles ~value ~cls:Scheme.Hit
-  | Some line when line.state = s_shared ->
+  end
+  else if f >= 0 && c.state.(f) = s_shared then begin
     (* upgrade: invalidate other sharers *)
     t.st.upgrades <- t.st.upgrades + 1;
     ignore (invalidate_sharers t ~writer:proc ~line_no:(mem_line t addr) ~off);
     (entry t ~line_no:(mem_line t addr) ~what:"upgrade").dirty <- true;
-    line.state <- s_modified;
-    line.values.(off) <- value;
-    line.touched.(off) <- true;
+    c.state.(f) <- s_modified;
+    c.value.((f * t.cfg.line_words) + off) <- value;
+    c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
     Scheme.set_result t.res
       ~latency:(retire t (Scheme.transfer_latency t.cfg t.net ~words:1))
       ~value ~cls:Scheme.Hit
-  | _ ->
+  end
+  else begin
     let cls = miss_class t ~proc ~addr in
-    let line = fetch_line t ~proc ~addr ~state:s_modified in
-    line.values.(off) <- value;
+    let f = fetch_line t ~proc ~addr ~state:s_modified in
+    c.value.((f * t.cfg.line_words) + off) <- value;
     Scheme.set_result t.res ~latency:(retire t t.res.latency) ~value ~cls
+  end
 
 let epoch_boundary (_ : t) ~stalls = Array.fill stalls 0 (Array.length stalls) 0
 

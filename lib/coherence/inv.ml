@@ -30,23 +30,26 @@ let read t ~proc ~addr ~array:(_ : int) ~mark =
     Traffic.add_control w.traffic Scheme.control_words;
     Scheme.set_result w.res ~latency:(Wt_common.word_fetch_latency w)
       ~value:(Memstate.read w.Wt_common.mem addr) ~cls:Scheme.Uncached
-  | Event.Normal_read | Event.Unmarked | Event.Time_read _ -> (
-    match Cache.find w.caches.(proc) addr with
-    | Some line when line.word_valid.(off) ->
-      line.touched.(off) <- true;
-      Scheme.set_result w.res ~latency:w.cfg.hit_cycles ~value:line.values.(off) ~cls:Scheme.Hit
-    | probed ->
+  | Event.Normal_read | Event.Unmarked | Event.Time_read _ ->
+    let c = w.caches.(proc) in
+    let f = Cache.find c addr in
+    if f >= 0 && c.bits.(f) land (1 lsl off) <> 0 then begin
+      c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
+      Scheme.set_result w.res ~latency:w.cfg.hit_cycles
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls:Scheme.Hit
+    end
+    else begin
       let cls =
-        match probed with
         (* a resident frame whose words were wiped by the boundary
            invalidation still carries its fetch history: classify against
            actual foreign writes (unnecessary misses are Conservative) *)
-        | Some line -> Wt_common.stale_copy_class w ~proc ~line addr
-        | None -> Wt_common.absent_class w ~proc addr
+        if f >= 0 then Wt_common.stale_copy_class w ~proc ~frame:f addr
+        else Wt_common.absent_class w ~proc addr
       in
-      let line = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
+      let f = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
       Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
-        ~value:line.values.(off) ~cls)
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls
+    end
 
 let write t ~proc ~addr ~array:(_ : int) ~value ~mark =
   match mark with
@@ -56,14 +59,15 @@ let write t ~proc ~addr ~array:(_ : int) ~value ~mark =
 let epoch_boundary t ~stalls =
   let w = t.w in
   Wt_common.drain_buffers w;
-  (* full-cache invalidation at every boundary; O(resident lines) via the
-     cache's materialized-set walk *)
+  (* full-cache invalidation at every boundary; O(allocated frames) *)
   let caches = w.Wt_common.caches in
+  (* these invalidations are the scheme's conservatism, not resets *)
+  let wipe = lnot (((1 lsl w.cfg.line_words) - 1) lor Cache.reset_invalidated_bit) in
   for p = 0 to Array.length caches - 1 do
-    Cache.iter_lines caches.(p) (fun line ->
-        Array.fill line.Cache.word_valid 0 (Array.length line.Cache.word_valid) false;
-        (* these invalidations are the scheme's conservatism, not resets *)
-        line.Cache.reset_invalidated <- false)
+    let c = caches.(p) in
+    for f = 0 to c.frames - 1 do
+      if c.state.(f) <> Cache.invalid_state then c.bits.(f) <- c.bits.(f) land wipe
+    done
   done;
   Array.fill stalls 0 (Array.length stalls) 0
 

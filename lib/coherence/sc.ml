@@ -22,28 +22,33 @@ let create cfg ~memory_words ~network ~traffic =
 
 let read t ~proc ~addr ~array:(_ : int) ~mark =
   let w = t.w in
+  let c = w.caches.(proc) in
   let off = addr land (w.cfg.line_words - 1) in
   match mark with
-  | Event.Normal_read | Event.Unmarked -> (
-    match Cache.find w.caches.(proc) addr with
-    | Some line when line.word_valid.(off) ->
-      line.touched.(off) <- true;
-      Scheme.set_result w.res ~latency:w.cfg.hit_cycles ~value:line.values.(off) ~cls:Scheme.Hit
-    | _ ->
+  | Event.Normal_read | Event.Unmarked ->
+    let f = Cache.find c addr in
+    if f >= 0 && c.bits.(f) land (1 lsl off) <> 0 then begin
+      c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
+      Scheme.set_result w.res ~latency:w.cfg.hit_cycles
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls:Scheme.Hit
+    end
+    else begin
       let cls = Wt_common.absent_class w ~proc addr in
-      let line = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
+      let f = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
       Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
-        ~value:line.values.(off) ~cls)
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls
+    end
   | Event.Time_read _ | Event.Bypass_read ->
     (* statically stale: always refetch the line from memory *)
+    let f = Cache.probe c addr in
     let cls =
-      match Cache.probe w.caches.(proc) addr with
-      | Some line when line.word_valid.(off) -> Wt_common.stale_copy_class w ~proc ~line addr
-      | Some _ | None -> Wt_common.absent_class w ~proc addr
+      if f >= 0 && c.bits.(f) land (1 lsl off) <> 0 then
+        Wt_common.stale_copy_class w ~proc ~frame:f addr
+      else Wt_common.absent_class w ~proc addr
     in
-    let line = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
-    Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w) ~value:line.values.(off)
-      ~cls
+    let f = Wt_common.fetch_line w ~proc ~addr ~ref_meta:0 ~other_meta:0 in
+    Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
+      ~value:c.value.((f * w.cfg.line_words) + off) ~cls
 
 let write t ~proc ~addr ~array:(_ : int) ~value ~mark =
   match mark with

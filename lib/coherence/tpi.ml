@@ -56,94 +56,90 @@ let create cfg ~memory_words ~network ~traffic =
 
 let age t tag = t.epoch - tag
 
-(* Lazy mode: materialize the last reset's effect on one line at
-   observation time — wipe every valid word whose timetag predates the
-   cutoff and latch the line-level reset flag, exactly as the eager scan
-   would have. Whole-line, because [reset_invalidated] is line-granular
-   (a surviving word's rejected reuse classifies as Reset_inv when a
-   companion was wiped). *)
-let settle t (line : Cache.line) =
-  if (not t.eager) && t.reset_cutoff > min_int then begin
-    let any = ref false in
-    for k = 0 to Array.length line.word_valid - 1 do
-      if line.word_valid.(k) && line.meta.(k) <= t.reset_cutoff then begin
-        line.word_valid.(k) <- false;
-        any := true
-      end
-    done;
-    if !any then line.reset_invalidated <- true
-  end
+(* Wipe every valid word of frame [f] whose timetag is at or below
+   [cutoff] and latch the frame's reset flag if any was wiped. The eager
+   scan applies it at the reset with [cutoff = epoch - phase] (a word at
+   least one phase old); the lazy mode applies it with the recorded
+   cutoff when an access first observes the frame, so each word is seen
+   exactly as the eager scan would have left it. Whole-line, because the
+   reset flag is line-granular (a surviving word's rejected reuse
+   classifies as Reset_inv when a companion was wiped). *)
+let wipe_older (c : Cache.t) f ~cutoff =
+  let lw = c.line_words in
+  let bits = c.bits.(f) in
+  let wiped = ref 0 in
+  for k = 0 to lw - 1 do
+    if bits land (1 lsl k) <> 0 && c.meta.((f * lw) + k) <= cutoff then
+      wiped := !wiped lor (1 lsl k)
+  done;
+  if !wiped <> 0 then c.bits.(f) <- bits land lnot !wiped lor Cache.reset_invalidated_bit
+
+let settle t c f =
+  if (not t.eager) && t.reset_cutoff > min_int then wipe_older c f ~cutoff:t.reset_cutoff
 
 (* A word whose age reached the previous phase boundary has been wiped by
    the two-phase reset — eagerly at the boundary or by [settle] just
    before this check — so a valid word's tag is always
    hardware-representable. *)
-let word_hit t (line : Cache.line) ~off ~(mark : Event.rmark) =
-  line.word_valid.(off)
+let word_hit t (c : Cache.t) f ~off ~(mark : Event.rmark) =
+  c.bits.(f) land (1 lsl off) <> 0
   &&
   match mark with
   | Event.Normal_read | Event.Unmarked -> true
-  | Event.Time_read d -> age t line.meta.(off) <= d
+  | Event.Time_read d -> age t c.meta.((f * c.line_words) + off) <= d
   | Event.Bypass_read -> false
 
 let read t ~proc ~addr ~array:(_ : int) ~mark =
   let w = t.w in
+  let c = w.caches.(proc) in
   let off = addr land (w.cfg.line_words - 1) in
   match mark with
   | Event.Bypass_read ->
     (* fetch the word uncached *)
     Traffic.add_read w.traffic 1;
     Traffic.add_control w.traffic Scheme.control_words;
+    let f = Cache.probe c addr in
     let cls =
-      match Cache.probe w.caches.(proc) addr with
-      | Some line ->
-        settle t line;
-        if line.word_valid.(off) then Wt_common.stale_copy_class w ~proc ~line addr
+      if f < 0 then Scheme.Uncached
+      else begin
+        settle t c f;
+        if c.bits.(f) land (1 lsl off) <> 0 then Wt_common.stale_copy_class w ~proc ~frame:f addr
         else Scheme.Uncached
-      | None -> Scheme.Uncached
+      end
     in
     Scheme.set_result w.res ~latency:(Wt_common.word_fetch_latency w)
       ~value:(Memstate.read w.mem addr) ~cls
-  | _ -> (
-    match Cache.find w.caches.(proc) addr with
-    | Some line ->
-      settle t line;
-      if word_hit t line ~off ~mark then begin
-        line.touched.(off) <- true;
-        Scheme.set_result w.res ~latency:w.cfg.hit_cycles ~value:line.values.(off)
-          ~cls:Scheme.Hit
-      end
-      else begin
-        let cls =
-          if line.word_valid.(off) then
-            (* resident but too old for the Time-Read window *)
-            Wt_common.stale_copy_class w ~proc ~line addr
-          else if line.reset_invalidated then Scheme.Reset_inv
-          else Wt_common.absent_class w ~proc addr
-        in
-        let line =
-          Wt_common.fetch_line w ~proc ~addr ~ref_meta:t.epoch ~other_meta:(t.epoch - 1)
-        in
-        Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
-          ~value:line.values.(off) ~cls
-      end
-    | None ->
-      let cls = Wt_common.absent_class w ~proc addr in
-      let line =
-        Wt_common.fetch_line w ~proc ~addr ~ref_meta:t.epoch ~other_meta:(t.epoch - 1)
+  | _ ->
+    let f = Cache.find c addr in
+    if f >= 0 then settle t c f;
+    if f >= 0 && word_hit t c f ~off ~mark then begin
+      c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
+      Scheme.set_result w.res ~latency:w.cfg.hit_cycles
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls:Scheme.Hit
+    end
+    else begin
+      let cls =
+        if f < 0 then Wt_common.absent_class w ~proc addr
+        else if c.bits.(f) land (1 lsl off) <> 0 then
+          (* resident but too old for the Time-Read window *)
+          Wt_common.stale_copy_class w ~proc ~frame:f addr
+        else if c.bits.(f) land Cache.reset_invalidated_bit <> 0 then Scheme.Reset_inv
+        else Wt_common.absent_class w ~proc addr
       in
+      let f = Wt_common.fetch_line w ~proc ~addr ~ref_meta:t.epoch ~other_meta:(t.epoch - 1) in
       Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
-        ~value:line.values.(off) ~cls)
+        ~value:c.value.((f * w.cfg.line_words) + off) ~cls
+    end
 
 let write t ~proc ~addr ~array:(_ : int) ~value ~mark =
   (* Settle before the store probe: a write revalidates its word with a
      fresh timetag, which would otherwise erase the evidence that the old
-     copy predated the reset (the sticky [reset_invalidated] flag the
-     eager scan sets). Free until the first reset fires. *)
+     copy predated the reset (the sticky reset flag the eager scan sets).
+     Free until the first reset fires. *)
   if (not t.eager) && t.reset_cutoff > min_int then begin
-    match Cache.probe t.w.caches.(proc) addr with
-    | Some line -> settle t line
-    | None -> ()
+    let c = t.w.caches.(proc) in
+    let f = Cache.probe c addr in
+    if f >= 0 then settle t c f
   end;
   match mark with
   | Event.Normal_write ->
@@ -160,15 +156,10 @@ let epoch_boundary t ~stalls =
     if t.eager then begin
       let caches = w.Wt_common.caches in
       for p = 0 to Array.length caches - 1 do
-        Cache.iter_lines caches.(p) (fun line ->
-            let any_invalidated = ref false in
-            for k = 0 to Array.length line.word_valid - 1 do
-              if line.word_valid.(k) && age t line.meta.(k) >= t.phase then begin
-                line.word_valid.(k) <- false;
-                any_invalidated := true
-              end
-            done;
-            if !any_invalidated then line.reset_invalidated <- true)
+        let c = caches.(p) in
+        for f = 0 to c.frames - 1 do
+          if c.state.(f) <> Cache.invalid_state then wipe_older c f ~cutoff:(t.epoch - t.phase)
+        done
       done
     end
     else t.reset_cutoff <- t.epoch - t.phase

@@ -55,27 +55,33 @@ let cvn t array = if array < Array.length t.versions then t.versions.(array) els
 
 let read t ~proc ~addr ~array ~mark =
   let w = t.w in
+  let c = w.caches.(proc) in
   let off = addr land (w.cfg.line_words - 1) in
-  let version_ok (line : Cache.line) =
+  let f = Cache.find c addr in
+  let valid = f >= 0 && c.bits.(f) land (1 lsl off) <> 0 in
+  let version_ok =
+    valid
+    &&
     match mark with
     | Event.Normal_read | Event.Unmarked -> true
-    | Event.Time_read _ -> line.meta.(off) >= cvn t array
+    | Event.Time_read _ -> c.meta.((f * w.cfg.line_words) + off) >= cvn t array
     | Event.Bypass_read -> false
   in
-  match Cache.find w.caches.(proc) addr with
-  | Some line when line.word_valid.(off) && version_ok line ->
-    line.touched.(off) <- true;
-    Scheme.set_result w.res ~latency:w.cfg.hit_cycles ~value:line.values.(off) ~cls:Scheme.Hit
-  | probed ->
+  if version_ok then begin
+    c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
+    Scheme.set_result w.res ~latency:w.cfg.hit_cycles
+      ~value:c.value.((f * w.cfg.line_words) + off) ~cls:Scheme.Hit
+  end
+  else begin
     let cls =
-      match probed with
-      | Some line when line.word_valid.(off) -> Wt_common.stale_copy_class w ~proc ~line addr
-      | Some _ | None -> Wt_common.absent_class w ~proc addr
+      if valid then Wt_common.stale_copy_class w ~proc ~frame:f addr
+      else Wt_common.absent_class w ~proc addr
     in
     let v = cvn t array in
-    let line = Wt_common.fetch_line w ~proc ~addr ~ref_meta:v ~other_meta:(v - 1) in
-    Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w) ~value:line.values.(off)
-      ~cls
+    let f = Wt_common.fetch_line w ~proc ~addr ~ref_meta:v ~other_meta:(v - 1) in
+    Scheme.set_result w.res ~latency:(Wt_common.line_fetch_latency w)
+      ~value:c.value.((f * w.cfg.line_words) + off) ~cls
+  end
 
 let write t ~proc ~addr ~array ~value ~mark =
   ensure t array;

@@ -37,7 +37,7 @@ let create cfg ~memory_words ~network ~traffic =
   {
     cfg;
     mem = Memstate.create ~words:memory_words;
-    caches = Cache.create_array cfg cfg.processors;
+    caches = Cache.create_array cfg ~memory_lines cfg.processors;
     wbufs = Array.init cfg.processors (fun _ -> Write_buffer.create cfg);
     fetched = Fetch_map.create ~processors:cfg.processors ~lines:memory_lines;
     net = network;
@@ -65,36 +65,40 @@ let absent_class t ~proc addr =
   let line = addr / t.cfg.line_words in
   if Fetch_map.was_fetched t.fetched ~proc line then Scheme.Replacement else Scheme.Cold
 
-(** Was the resident (but rejected) copy of [addr] actually still fresh?
-    If no other processor wrote the word since this copy was fetched, the
-    miss is unnecessary — a conservative-compiler (or reset) miss. *)
-let stale_copy_class t ~proc ~(line : Cache.line) addr =
+(** Was the resident (but rejected) copy of [addr] in [proc]'s frame [f]
+    actually still fresh? If no other processor wrote the word since this
+    copy was fetched, the miss is unnecessary — a conservative-compiler (or
+    reset) miss. *)
+let stale_copy_class t ~proc ~frame:f addr =
+  let c = t.caches.(proc) in
   let off = addr land (t.cfg.line_words - 1) in
-  if Memstate.foreign_write_since t.mem ~proc ~since:line.fetch_seq.(off) addr then
-    Scheme.True_sharing
-  else if line.reset_invalidated then Scheme.Reset_inv
+  if Memstate.foreign_write_since t.mem ~proc ~since:c.fetch_seq.((f * t.cfg.line_words) + off) addr
+  then Scheme.True_sharing
+  else if c.bits.(f) land Cache.reset_invalidated_bit <> 0 then Scheme.Reset_inv
   else Scheme.Conservative
 
 (** Fetch the whole line containing [addr] into [proc]'s cache from memory
-    (write-through keeps memory current). [ref_meta]/[other_meta] become
-    the per-word metadata (TPI timetags). Returns the line. *)
+    (write-through keeps memory current; a valid victim needs no
+    write-back). [ref_meta]/[other_meta] become the per-word metadata (TPI
+    timetags). Returns the frame. *)
 let fetch_line t ~proc ~addr ~ref_meta ~other_meta =
-  let cache = t.caches.(proc) in
-  let line = Cache.allocate cache ~on_evict:(fun _ -> ()) addr in
-  let base = addr land lnot (t.cfg.line_words - 1) in
-  let off = addr land (t.cfg.line_words - 1) in
-  line.state <- state_resident;
-  for k = 0 to t.cfg.line_words - 1 do
-    line.values.(k) <- Memstate.read t.mem (base + k);
-    line.word_valid.(k) <- true;
-    line.meta.(k) <- (if k = off then ref_meta else other_meta);
-    line.fetch_seq.(k) <- t.mem.seq;
-    line.touched.(k) <- k = off
+  let c = t.caches.(proc) in
+  let f = Cache.allocate c addr in
+  let lw = t.cfg.line_words in
+  let base = addr land lnot (lw - 1) in
+  let off = addr land (lw - 1) in
+  c.state.(f) <- state_resident;
+  c.bits.(f) <- ((1 lsl lw) - 1) lor (1 lsl (Cache.touched_shift + off));
+  for k = 0 to lw - 1 do
+    let i = (f * lw) + k in
+    c.value.(i) <- Memstate.read t.mem (base + k);
+    c.meta.(i) <- (if k = off then ref_meta else other_meta);
+    c.fetch_seq.(i) <- t.mem.seq
   done;
-  Fetch_map.mark t.fetched ~proc (addr / t.cfg.line_words);
-  Traffic.add_read t.traffic t.cfg.line_words;
+  Fetch_map.mark t.fetched ~proc (addr / lw);
+  Traffic.add_read t.traffic lw;
   Traffic.add_control t.traffic Scheme.control_words;
-  line
+  f
 
 let line_fetch_latency t = Scheme.transfer_latency t.cfg t.net ~words:t.cfg.line_words
 
@@ -106,22 +110,28 @@ let word_fetch_latency t = Scheme.transfer_latency t.cfg t.net ~words:1
     records whether the allocate missed). *)
 let write_through t ~proc ~addr ~value ~meta ~other_meta =
   Memstate.write t.mem ~proc addr value;
+  let c = t.caches.(proc) in
   let off = addr land (t.cfg.line_words - 1) in
+  let f = Cache.find c addr in
   let cls =
-    match Cache.find t.caches.(proc) addr with
-    | Some line when line.word_valid.(off) || line.state = state_resident ->
-      line.values.(off) <- value;
-      line.word_valid.(off) <- true;
-      line.meta.(off) <- meta;
-      line.touched.(off) <- true;
-      line.fetch_seq.(off) <- t.mem.seq;
+    (* every frame [find] returns is resident: a store hits it even when
+       the word itself was invalidated *)
+    if f >= 0 then begin
+      let i = (f * t.cfg.line_words) + off in
+      c.value.(i) <- value;
+      c.bits.(f) <- c.bits.(f) lor (1 lsl off) lor (1 lsl (Cache.touched_shift + off));
+      c.meta.(i) <- meta;
+      c.fetch_seq.(i) <- t.mem.seq;
       Scheme.Hit
-    | _ ->
+    end
+    else begin
       let cls = absent_class t ~proc addr in
-      let line = fetch_line t ~proc ~addr ~ref_meta:meta ~other_meta in
-      line.values.(off) <- value;
-      line.meta.(off) <- meta;
+      let f = fetch_line t ~proc ~addr ~ref_meta:meta ~other_meta in
+      let i = (f * t.cfg.line_words) + off in
+      c.value.(i) <- value;
+      c.meta.(i) <- meta;
       cls
+    end
   in
   (* the word itself goes to memory through the write buffer *)
   note_writer t proc;
@@ -144,14 +154,16 @@ let write_through t ~proc ~addr ~value ~meta ~other_meta =
 (** Uncached store (critical sections): memory and any local copy updated. *)
 let write_bypass t ~proc ~addr ~value ~meta =
   Memstate.write t.mem ~proc addr value;
-  (match Cache.probe t.caches.(proc) addr with
-  | Some line ->
+  let c = t.caches.(proc) in
+  let f = Cache.probe c addr in
+  if f >= 0 then begin
     let off = addr land (t.cfg.line_words - 1) in
-    line.values.(off) <- value;
-    line.word_valid.(off) <- true;
-    line.meta.(off) <- meta;
-    line.fetch_seq.(off) <- t.mem.seq
-  | None -> ());
+    let i = (f * t.cfg.line_words) + off in
+    c.value.(i) <- value;
+    c.bits.(f) <- c.bits.(f) lor (1 lsl off);
+    c.meta.(i) <- meta;
+    c.fetch_seq.(i) <- t.mem.seq
+  end;
   Traffic.add_write t.traffic 1;
   Traffic.add_control t.traffic Scheme.control_words;
   let latency = match t.cfg.consistency with

@@ -75,6 +75,18 @@ let iter f t =
     done
   done
 
+(* Top-level, so [next] builds no closure. *)
+let rec next_from words w rest =
+  if rest <> 0 then (w * bits_per_word) + bit_index (rest land (- rest))
+  else if w + 1 < Array.length words then next_from words (w + 1) words.(w + 1)
+  else -1
+
+let next t i =
+  if i >= t.capacity then -1
+  else
+    let w = i / bits_per_word in
+    next_from t.words w (t.words.(w) land lnot ((1 lsl (i mod bits_per_word)) - 1))
+
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;

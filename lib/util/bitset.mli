@@ -27,6 +27,11 @@ val is_empty : t -> bool
     set. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [next t i] is the smallest member [>= i], or -1 when there is none:
+    [let p = ref (next t 0) in while !p >= 0 do ...; p := next t (!p + 1)
+    done] walks the members in increasing order without a closure. *)
+val next : t -> int -> int
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** Members in increasing order. *)

@@ -19,6 +19,10 @@ val push_front : 'a t -> 'a -> unit
 (** [None] when empty. *)
 val pop_front : 'a t -> 'a option
 
+(** The front element, removed, or [empty] when the deque is empty;
+    allocates nothing. *)
+val pop_front_or : 'a t -> empty:'a -> 'a
+
 val pop_back : 'a t -> 'a option
 
 (** Front element without removing it. *)

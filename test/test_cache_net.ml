@@ -26,7 +26,12 @@ let test_config_validate () =
   Alcotest.check_raises "bad line" (Invalid_argument "Config: line_words must be a power of two")
     (fun () -> ignore (Config.validate { Config.default with line_words = 3 }));
   Alcotest.check_raises "bad tags" (Invalid_argument "Config: timetag_bits out of [2,30]")
-    (fun () -> ignore (Config.validate { Config.default with timetag_bits = 1 }))
+    (fun () -> ignore (Config.validate { Config.default with timetag_bits = 1 }));
+  Alcotest.check_raises "empty write cache"
+    (Invalid_argument "Config: a write cache needs at least one entry")
+    (fun () -> ignore (Config.validate { Config.default with write_buffer = Config.Write_cache 0 }));
+  Alcotest.check_raises "long line" (Invalid_argument "Config: line_words must be at most 16")
+    (fun () -> ignore (Config.validate { Config.default with line_words = 32 }))
 
 let test_addr () =
   let a = Addr.of_config Config.default in
@@ -38,73 +43,111 @@ let test_addr () =
 
 (* --- cache --- *)
 
+(* every test cache covers 64 memory lines *)
+let memory_lines = 64
+
+(* allocate the address's line and mark it resident, as a scheme's fill
+   would *)
+let fill c addr =
+  let f = Cache.allocate c addr in
+  c.Cache.state.(f) <- 1;
+  f
+
 let test_cache_hit_miss () =
-  let c = Cache.create tiny_cfg in
-  Alcotest.(check bool) "initial miss" true (Cache.find c 5 = None);
-  let line = Cache.allocate c ~on_evict:(fun _ -> ()) 5 in
-  line.Cache.state <- 1;
-  line.Cache.values.(1) <- 42;
-  line.Cache.word_valid.(1) <- true;
-  (match Cache.find c 5 with
-  | Some l -> Alcotest.(check int) "value" 42 l.Cache.values.(1)
-  | None -> Alcotest.fail "expected hit");
+  let c = Cache.create tiny_cfg ~memory_lines in
+  Alcotest.(check int) "initial miss" (-1) (Cache.find c 5);
+  let f = fill c 5 in
+  c.Cache.value.(Cache.word c f 1) <- 42;
+  c.Cache.bits.(f) <- c.Cache.bits.(f) lor (1 lsl 1);
+  let hit = Cache.find c 5 in
+  Alcotest.(check int) "hit returns the frame" f hit;
+  Alcotest.(check int) "value" 42 c.Cache.value.(Cache.word c hit 1);
+  Alcotest.(check bool) "word 1 valid" true (Cache.word_valid c hit 1);
   (* other word of the same line is resident but invalid *)
-  (match Cache.find c 6 with
-  | Some l -> Alcotest.(check bool) "word invalid" false l.Cache.word_valid.(2)
-  | None -> Alcotest.fail "line should be resident")
+  Alcotest.(check int) "line resident" f (Cache.find c 6);
+  Alcotest.(check bool) "word invalid" false (Cache.word_valid c f 2)
 
 let test_cache_conflict_eviction () =
-  let c = Cache.create tiny_cfg in
+  let c = Cache.create tiny_cfg ~memory_lines in
   (* tiny cache has 4 sets; lines 0 and 4 conflict in set 0 *)
-  let l0 = Cache.allocate c ~on_evict:(fun _ -> ()) 0 in
-  l0.Cache.state <- 1;
-  let evicted = ref [] in
-  let l4 = Cache.allocate c ~on_evict:(fun v -> evicted := v.Cache.tag :: !evicted) (4 * 4) in
-  l4.Cache.state <- 1;
-  Alcotest.(check (list int)) "victim tag" [ 0 ] !evicted;
-  Alcotest.(check bool) "old line gone" true (Cache.find c 0 = None);
-  Alcotest.(check bool) "new line resident" true (Cache.find c 16 <> None)
+  let f0 = fill c 0 in
+  Alcotest.(check int) "free frame: no victim" (-1) c.Cache.evicted_tag;
+  let f4 = fill c (4 * 4) in
+  Alcotest.(check int) "same frame reused" f0 f4;
+  Alcotest.(check int) "victim tag" 0 c.Cache.evicted_tag;
+  Alcotest.(check int) "victim state" 1 c.Cache.evicted_state;
+  Alcotest.(check int) "old line gone" (-1) (Cache.find c 0);
+  Alcotest.(check bool) "new line resident" true (Cache.find c 16 >= 0)
 
 let test_cache_lru () =
   let cfg = { tiny_cfg with assoc = 2 } in
-  let c = Cache.create cfg in
+  let c = Cache.create cfg ~memory_lines in
   (* set 0 holds lines 0 and 2 (two ways); touching line 0 makes line 2 the
      LRU victim when line 4 arrives *)
-  (Cache.allocate c ~on_evict:(fun _ -> ()) 0).Cache.state <- 1;
-  (Cache.allocate c ~on_evict:(fun _ -> ()) 8).Cache.state <- 1;
+  ignore (fill c 0);
+  ignore (fill c 8);
   ignore (Cache.find c 0);
-  let evicted = ref (-1) in
-  (Cache.allocate c ~on_evict:(fun v -> evicted := v.Cache.tag) 16).Cache.state <- 1;
-  Alcotest.(check int) "lru victim" 2 !evicted
+  ignore (fill c 16);
+  Alcotest.(check int) "lru victim" 2 c.Cache.evicted_tag
+
+(* At 4 ways the victim is the least recently used frame, whatever order
+   the frames were filled in: hits reorder recency, probes do not. *)
+let test_cache_lru_4way () =
+  (* 256-byte cache, 4-word lines, 4 ways: 4 sets; lines 0, 4, 8, 12, 16
+     all map to set 0 *)
+  let cfg = Config.validate { tiny_cfg with cache_bytes = 256; assoc = 4 } in
+  let c = Cache.create cfg ~memory_lines in
+  let addr line = line * cfg.Config.line_words in
+  List.iter (fun l -> ignore (fill c (addr l))) [ 0; 4; 8; 12 ];
+  Alcotest.(check int) "one set of four frames" 4 c.Cache.frames;
+  (* recency, oldest first: 8, 0, 12, 4 *)
+  List.iter (fun l -> ignore (Cache.find c (addr l))) [ 0; 12; 4 ];
+  ignore (Cache.probe c (addr 8));
+  ignore (fill c (addr 16));
+  Alcotest.(check int) "least recently used goes" 8 c.Cache.evicted_tag;
+  ignore (fill c (addr 20));
+  Alcotest.(check int) "then the next oldest" 0 c.Cache.evicted_tag;
+  List.iter
+    (fun l -> Alcotest.(check bool) (Printf.sprintf "line %d stays" l) true (Cache.find c (addr l) >= 0))
+    [ 4; 12; 16; 20 ];
+  Alcotest.(check int) "still one set of frames" 4 c.Cache.frames
 
 let test_cache_resident_count () =
-  let c = Cache.create tiny_cfg in
-  (Cache.allocate c ~on_evict:(fun _ -> ()) 0).Cache.state <- 1;
-  (Cache.allocate c ~on_evict:(fun _ -> ()) 20).Cache.state <- 1;
-  Alcotest.(check int) "resident" 2 (Cache.resident_lines c)
+  let c = Cache.create tiny_cfg ~memory_lines in
+  ignore (fill c 0);
+  ignore (fill c 20);
+  Alcotest.(check int) "resident" 2 (Cache.resident_lines c);
+  Alcotest.(check int) "two sets allocated" 2 c.Cache.frames
 
-(* The caches of a machine start on one shared table of empty sets; an
-   allocation in one cache must give it a private table and leave every
-   other cache, and the shared table, untouched. *)
+(* The caches of a machine start on one shared table of unallocated sets;
+   an allocation in one cache must give it a private table and leave
+   every other cache, and the shared table, untouched. The table covers
+   only the sets a memory line can map to. *)
 let test_cache_array_aliasing () =
   let cfg = Config.validate { Config.default with processors = 1024 } in
-  let caches = Cache.create_array cfg cfg.Config.processors in
+  let caches = Cache.create_array cfg ~memory_lines:2048 cfg.Config.processors in
   Alcotest.(check int) "one cache per processor" 1024 (Array.length caches);
+  Alcotest.(check int) "table sized by memory lines" (4 * 2048) (Bytes.length caches.(0).Cache.first);
+  let unallocated c = c.Cache.frames = 0 && c.Cache.first == caches.(1023).Cache.first in
   let addr = 4242 in
-  let l = Cache.allocate caches.(0) ~on_evict:(fun _ -> ()) addr in
-  l.Cache.state <- 1;
-  Alcotest.(check bool) "cache 0 holds the line" true (Cache.probe caches.(0) addr <> None);
-  Alcotest.(check bool) "cache 1 does not" true (Cache.probe caches.(1) addr = None);
-  Alcotest.(check bool) "last cache does not" true (Cache.probe caches.(1023) addr = None);
-  Alcotest.(check bool) "cache 1's sets are all unmaterialized" true
-    (Array.for_all (fun set -> Array.length set = 0) (Cache.frame_sets caches.(1)));
+  ignore (fill caches.(0) addr);
+  Alcotest.(check bool) "cache 0 holds the line" true (Cache.probe caches.(0) addr >= 0);
+  Alcotest.(check int) "cache 1 does not" (-1) (Cache.probe caches.(1) addr);
+  Alcotest.(check int) "last cache does not" (-1) (Cache.probe caches.(1023) addr);
+  Alcotest.(check bool) "cache 1 is still on the shared table" true (unallocated caches.(1));
+  Alcotest.(check bool) "cache 0 has a private table" false
+    (caches.(0).Cache.first == caches.(1).Cache.first);
   Alcotest.(check int) "cache 1 has no resident lines" 0 (Cache.resident_lines caches.(1));
   (* a second allocation elsewhere is private to its own cache too *)
-  (Cache.allocate caches.(1) ~on_evict:(fun _ -> ()) 0).Cache.state <- 1;
-  Alcotest.(check bool) "cache 0 does not see cache 1's line" true
-    (Cache.probe caches.(0) 0 = None);
-  Alcotest.(check bool) "cache 2's sets are still all unmaterialized" true
-    (Array.for_all (fun set -> Array.length set = 0) (Cache.frame_sets caches.(2)))
+  ignore (fill caches.(1) 0);
+  Alcotest.(check int) "cache 0 does not see cache 1's line" (-1) (Cache.probe caches.(0) 0);
+  Alcotest.(check bool) "cache 2 is still on the shared table" true (unallocated caches.(2));
+  Alcotest.(check int) "the shared table stays empty" (-1) (Cache.first_frame caches.(2) 0)
+
+let test_cache_line_limit () =
+  Alcotest.check_raises "32-word lines"
+    (Invalid_argument "Cache: line_words 32 exceeds the packed per-frame bits (at most 16)")
+    (fun () -> ignore (Cache.create { Config.default with line_words = 32 } ~memory_lines))
 
 (* --- write buffer --- *)
 
@@ -136,6 +179,46 @@ let qcheck_write_cache_conservation =
       let sent = List.fold_left (fun acc a -> acc + Write_buffer.write wb a) 0 addrs in
       let drained = Write_buffer.drain wb in
       sent + drained + Write_buffer.coalesced_writes wb = List.length addrs)
+
+(* The write cache against a reference model: an association list of
+   (addr, tick), most recent first, evicting the smallest tick. Every
+   write's traffic, every drain and the coalesced count must agree. *)
+let qcheck_write_cache_reference =
+  QCheck.Test.make ~name:"write cache matches the list reference" ~count:300
+    QCheck.(pair (int_range 1 6) (list_of_size (QCheck.Gen.int_range 0 80) (int_bound 12)))
+    (fun (entries, addrs) ->
+      let cfg = Config.validate { Config.default with write_buffer = Config.Write_cache entries } in
+      let wb = Write_buffer.create cfg in
+      let resident = ref [] and tick = ref 0 and coalesced = ref 0 in
+      let reference a =
+        incr tick;
+        if List.mem_assoc a !resident then begin
+          incr coalesced;
+          resident := (a, !tick) :: List.remove_assoc a !resident;
+          0
+        end
+        else if List.length !resident < entries then begin
+          resident := (a, !tick) :: !resident;
+          0
+        end
+        else begin
+          let sorted = List.sort (fun (_, x) (_, y) -> compare y x) !resident in
+          resident := (a, !tick) :: List.filteri (fun i _ -> i < List.length sorted - 1) sorted;
+          1
+        end
+      in
+      List.for_all
+        (fun a ->
+          let same = Write_buffer.write wb a = reference a in
+          (* drain at every address divisible by 5, like an epoch boundary *)
+          if a mod 5 = 0 then begin
+            let n = List.length !resident in
+            resident := [];
+            same && Write_buffer.drain wb = n
+          end
+          else same)
+        addrs
+      && Write_buffer.coalesced_writes wb = !coalesced)
 
 (* --- network --- *)
 
@@ -178,11 +261,14 @@ let suite =
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache eviction" `Quick test_cache_conflict_eviction;
     Alcotest.test_case "cache lru" `Quick test_cache_lru;
+    Alcotest.test_case "cache lru victim at 4 ways" `Quick test_cache_lru_4way;
+    Alcotest.test_case "cache line size limit" `Quick test_cache_line_limit;
     Alcotest.test_case "cache residency" `Quick test_cache_resident_count;
     Alcotest.test_case "cache array shares no frames" `Quick test_cache_array_aliasing;
     Alcotest.test_case "plain buffer" `Quick test_plain_buffer;
     Alcotest.test_case "write cache coalesces" `Quick test_write_cache_coalesces;
     QCheck_alcotest.to_alcotest qcheck_write_cache_conservation;
+    QCheck_alcotest.to_alcotest qcheck_write_cache_reference;
     Alcotest.test_case "network unloaded" `Quick test_network_unloaded;
     Alcotest.test_case "network monotone" `Quick test_network_monotone;
     Alcotest.test_case "network clamp" `Quick test_network_clamp;

@@ -51,13 +51,15 @@ let run_ops ops =
     ops;
   hw
 
-(* Caches holding memory line [l], with their states. *)
+(* Caches holding memory line [l] in state S or M, with their frames. *)
 let holders (hw : Hwdir.t) l =
   List.filter_map
     (fun p ->
-      match Cache.probe hw.Hwdir.caches.(p) (l * cfg.line_words) with
-      | Some line when line.Cache.state = 1 || line.Cache.state = 2 -> Some (p, line)
-      | Some _ | None -> None)
+      let c = hw.Hwdir.caches.(p) in
+      let f = Cache.probe c (l * cfg.line_words) in
+      if f >= 0 && (c.Cache.state.(f) = Hwdir.s_shared || c.Cache.state.(f) = Hwdir.s_modified)
+      then Some (p, f)
+      else None)
     [ 0; 1; 2; 3 ]
 
 let check_invariants (hw : Hwdir.t) =
@@ -66,7 +68,9 @@ let check_invariants (hw : Hwdir.t) =
   for l = 0 to lines - 1 do
     let dir = hw.Hwdir.directory.(l) in
     let hs = holders hw l in
-    let modified = List.filter (fun (_, line) -> line.Cache.state = 2) hs in
+    let modified =
+      List.filter (fun (p, f) -> hw.Hwdir.caches.(p).Cache.state.(f) = Hwdir.s_modified) hs
+    in
     (* at most one M copy, and only when the directory says dirty *)
     if List.length modified > 1 then ok := false;
     if dir.Hwdir.dirty then begin
@@ -79,13 +83,14 @@ let check_invariants (hw : Hwdir.t) =
     List.iter (fun (p, _) -> if not (Bitset.mem dir.Hwdir.presence p) then ok := false) hs;
     (* cached values match memory *)
     List.iter
-      (fun (_, line) ->
-        Array.iteri
-          (fun k v ->
-            if line.Cache.word_valid.(k)
-               && v <> Memstate.read hw.Hwdir.mem ((l * cfg.line_words) + k)
-            then ok := false)
-          line.Cache.values)
+      (fun (p, f) ->
+        let c = hw.Hwdir.caches.(p) in
+        for k = 0 to cfg.line_words - 1 do
+          if
+            Cache.word_valid c f k
+            && c.Cache.value.(Cache.word c f k) <> Memstate.read hw.Hwdir.mem ((l * cfg.line_words) + k)
+          then ok := false
+        done)
       hs
   done;
   !ok
@@ -298,6 +303,37 @@ let test_hw_snapshot_encoding () =
   r 0 13;
   Alcotest.(check string) "after a short trace" traced_hw_snapshot (Hwdir.snapshot hw)
 
+(* A remote write leaves the reader's frame tagged but invalid for access
+   (s_inv_tagged); the reader's next miss on that line is classified from
+   the frame's flag and refills the same frame in place: no eviction, no
+   new set, and the line's other sharers are untouched. *)
+let test_hw_inv_tagged_reuse () =
+  let module Scheme = Hscd_coherence.Scheme in
+  let net = Kruskal_snir.create cfg and traffic = Traffic.create cfg in
+  let hw = Hwdir.create cfg ~memory_words ~network:net ~traffic in
+  let c1 = hw.Hwdir.caches.(1) in
+  let read proc addr = (Hwdir.read hw ~proc ~addr ~array:0 ~mark:Event.Unmarked).Scheme.cls in
+  ignore (read 1 1);
+  let f = Cache.probe c1 1 in
+  let frames = c1.Cache.frames in
+  (* proc 0 writes word 2, which proc 1 never used: false sharing *)
+  ignore (Hwdir.write hw ~proc:0 ~addr:2 ~array:0 ~value:9 ~mark:Event.Normal_write);
+  Alcotest.(check int) "frame tagged invalid" Hwdir.s_inv_tagged c1.Cache.state.(f);
+  Alcotest.(check int) "tag kept" 0 c1.Cache.tag.(f);
+  Alcotest.(check bool) "false-sharing flag" true (Cache.inv_false_sharing c1 f);
+  Alcotest.(check string) "miss class" "false-share" (Scheme.class_name (read 1 2));
+  Alcotest.(check int) "same frame refilled" f (Cache.probe c1 1);
+  Alcotest.(check int) "no victim" (-1) c1.Cache.evicted_tag;
+  Alcotest.(check int) "no frames added" frames c1.Cache.frames;
+  Alcotest.(check int) "shared again" Hwdir.s_shared c1.Cache.state.(f);
+  Alcotest.(check bool) "flag cleared by the refill" false (Cache.inv_false_sharing c1 f);
+  Alcotest.(check int) "fresh value" 9 c1.Cache.value.(Cache.word c1 f 2);
+  Alcotest.(check int) "no write-backs" 0 (Hwdir.stats hw).Scheme.writebacks;
+  (* now proc 0 writes a word proc 1 used: true sharing *)
+  ignore (Hwdir.write hw ~proc:0 ~addr:2 ~array:0 ~value:10 ~mark:Event.Normal_write);
+  Alcotest.(check bool) "true-sharing flag" false (Cache.inv_false_sharing c1 f);
+  Alcotest.(check string) "second miss class" "true-share" (Scheme.class_name (read 1 2))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_directory_invariants;
@@ -313,4 +349,5 @@ let suite =
     Alcotest.test_case "LimitLESS sharers of an untouched line" `Quick
       test_limitless_untouched_sharers;
     Alcotest.test_case "HW snapshot encoding is unchanged" `Quick test_hw_snapshot_encoding;
+    Alcotest.test_case "HW refills an invalidated frame in place" `Quick test_hw_inv_tagged_reuse;
   ]

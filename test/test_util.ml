@@ -140,7 +140,13 @@ let qcheck_bitset_vs_reference =
         let expected = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) reference []) in
         let iterated = ref [] in
         Bitset.iter (fun i -> iterated := i :: !iterated) b;
+        (* smallest member >= i, for every i in [0, cap] *)
+        let next = Array.make (cap + 1) (-1) in
+        for i = cap - 1 downto 0 do
+          next.(i) <- (if Hashtbl.mem reference i then i else next.(i + 1))
+        done;
         List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem reference i) (List.init cap Fun.id)
+        && List.for_all (fun i -> Bitset.next b i = next.(i)) (List.init (cap + 1) Fun.id)
         && Bitset.cardinal b = Hashtbl.length reference
         && Bitset.is_empty b = (expected = [])
         && List.rev !iterated = expected
@@ -222,6 +228,9 @@ let test_deque_fifo () =
     check Alcotest.(option int) "fifo order" (Some i) (Hscd_util.Deque.pop_front d)
   done;
   check Alcotest.(option int) "empty" None (Hscd_util.Deque.pop_front d);
+  Hscd_util.Deque.push_back d 7;
+  check Alcotest.int "pop_front_or" 7 (Hscd_util.Deque.pop_front_or d ~empty:(-1));
+  check Alcotest.int "pop_front_or when empty" (-1) (Hscd_util.Deque.pop_front_or d ~empty:(-1));
   Alcotest.(check bool) "is_empty" true (Hscd_util.Deque.is_empty d)
 
 let test_deque_both_ends () =

@@ -1,7 +1,9 @@
 (** Wall-clock performance probes behind the [throughput] runner and
-    its [@perf-smoke] gate: packed-vs-boxed engine event
-    throughput at P=64 (with allocation-per-event accounting) and the
-    multicore all-schemes comparison at jobs=1 vs jobs=N. *)
+    its [@perf-smoke] gate: engine event throughput at P=64 (with
+    allocation-per-event accounting), trace generation throughput, and
+    the multicore all-schemes comparison at jobs=1 vs jobs=N. Each times
+    the packed trace form only; the boxed references are checked against
+    it by the test suite ([test/test_packed.ml]), not timed here. *)
 
 module Config = Hscd_arch.Config
 module Run = Hscd_sim.Run
@@ -24,8 +26,7 @@ let allocated_words f =
 
 (* One replay with a fresh machine, timed and GC-accounted separately
    from scheme construction: the (seconds, minor-heap words) cost of the
-   Engine call alone, plus its result for equivalence checks, and the
-   words allocated building the machine. *)
+   Engine call alone, and the words allocated building the machine. *)
 let replay_packed ~cfg kind (p : Trace.packed) =
   let memory_words = Trace.packed_memory_words p in
   let (network, traffic, sch), build_words =
@@ -36,28 +37,15 @@ let replay_packed ~cfg kind (p : Trace.packed) =
   in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let r = Engine.run cfg sch ~net:network ~traffic p in
+  ignore (Engine.run cfg sch ~net:network ~traffic p);
   let dt = Unix.gettimeofday () -. t0 in
-  (r, dt, Gc.minor_words () -. w0, build_words)
-
-let replay_boxed ~cfg kind (t : Trace.t) =
-  let network = Kruskal_snir.create cfg in
-  let traffic = Traffic.create cfg in
-  let sch = Run.pack kind cfg ~memory_words:(Trace.memory_words t) ~network ~traffic in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let r = Engine.run_boxed cfg sch ~net:network ~traffic t in
-  let dt = Unix.gettimeofday () -. t0 in
-  (r, dt, Gc.minor_words () -. w0)
+  (dt, Gc.minor_words () -. w0, build_words)
 
 type scheme_row = {
   scheme : string;
   packed_eps : float;  (** events/sec, packed-native replay *)
-  boxed_eps : float;  (** events/sec, legacy boxed replay *)
-  speedup : float;  (** packed over boxed *)
-  minor_words_per_event : float;  (** minor-heap words/event, packed replay *)
+  minor_words_per_event : float;  (** minor-heap words/event *)
   build_words : float;  (** words allocated (both heaps) building one machine *)
-  identical : bool;  (** packed result = boxed result, bit for bit *)
 }
 
 type report = {
@@ -71,47 +59,30 @@ type report = {
    machine — the scaling regime the packed hot path targets. The Base
    scheme is the engine-path number (near-zero coherence-model cost, so
    event decode + scheduling overhead dominates); TPI is alongside for
-   the end-to-end figure. Every scheme is also replayed through the
-   legacy boxed loop and the results compared bit for bit. *)
+   the end-to-end figure. *)
 let measure ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3)
     ?(schemes = [ Run.Base; Run.TPI ]) () =
   let cfg = Config.validate { Config.default with processors } in
   let prog = Hscd_workloads.Kernels.jacobi1d ~n ~iters () in
   let c = Run.compile ~cfg ~cache:false prog in
   let p = c.Run.packed_trace in
-  let boxed = Run.boxed_trace c in
   let events = p.Trace.n_slots in
   let row kind =
     (* warm up, then average a fixed number of fresh replays *)
     ignore (replay_packed ~cfg kind p);
     let packed_dt = ref 0.0 and packed_words = ref 0.0 and build_words = ref 0.0 in
-    let r_packed = ref None in
     for _ = 1 to reps do
-      let r, dt, w, bw = replay_packed ~cfg kind p in
-      r_packed := Some r;
+      let dt, w, bw = replay_packed ~cfg kind p in
       packed_dt := !packed_dt +. dt;
       packed_words := !packed_words +. w;
       build_words := bw
     done;
-    ignore (replay_boxed ~cfg kind boxed);
-    let boxed_dt = ref 0.0 in
-    let r_boxed = ref None in
-    for _ = 1 to reps do
-      let r, dt, _ = replay_boxed ~cfg kind boxed in
-      r_boxed := Some r;
-      boxed_dt := !boxed_dt +. dt
-    done;
     let fre = float_of_int reps and fev = float_of_int events in
-    let packed_eps = fev /. (!packed_dt /. fre) in
-    let boxed_eps = fev /. (!boxed_dt /. fre) in
     {
       scheme = Run.scheme_name kind;
-      packed_eps;
-      boxed_eps;
-      speedup = packed_eps /. boxed_eps;
+      packed_eps = fev /. (!packed_dt /. fre);
       minor_words_per_event = !packed_words /. fre /. fev;
       build_words = !build_words;
-      identical = !r_packed = !r_boxed;
     }
   in
   {
@@ -127,10 +98,6 @@ let print_report (r : report) =
       Printf.printf
         "  engine/events_per_sec (%-4s packed)        %12.0f ev/s (P=%d, %d events)\n"
         row.scheme row.packed_eps r.processors r.events;
-      Printf.printf
-        "  engine/events_per_sec (%-4s boxed)         %12.0f ev/s (speedup %.2fx, %s)\n"
-        row.scheme row.boxed_eps row.speedup
-        (if row.identical then "bit-identical" else "DIVERGED");
       Printf.printf "  engine/gc_minor_words_per_event (%-4s)     %12.2f words\n" row.scheme
         row.minor_words_per_event;
       Printf.printf "  machine/build_words (%-4s)                 %12.0f words\n%!" row.scheme
@@ -141,19 +108,13 @@ let print_report (r : report) =
 
 (* --- compile side: trace generation throughput --- *)
 
-(* tracegen/events_per_sec: same marked jacobi program generated twice —
-   streamed straight into the packed slabs (the production path) vs the
-   legacy boxed generation followed by [Trace.pack]. The two packed
-   results are compared structurally and by TPI replay, bit for bit. *)
+(* tracegen/events_per_sec: a marked jacobi program streamed straight
+   into the packed slabs, the production generator. *)
 type compile_row = {
   gen_events : int;  (** slots generated per run (incl. compute) *)
-  gen_stream_eps : float;  (** events/sec, streaming builder *)
-  gen_boxed_eps : float;  (** events/sec, boxed generation + pack *)
-  gen_speedup : float;  (** streaming over boxed+pack *)
-  gen_stream_words_per_event : float;  (** minor-heap words/slot, streaming *)
-  gen_stream_alloc_words_per_event : float;  (** words/slot on both heaps, streaming *)
-  gen_boxed_words_per_event : float;  (** minor-heap words/slot, boxed+pack *)
-  gen_identical : bool;  (** equal_packed && identical TPI replay *)
+  gen_eps : float;  (** events/sec *)
+  gen_minor_words_per_event : float;  (** minor-heap words/slot *)
+  gen_alloc_words_per_event : float;  (** words/slot on both heaps *)
 }
 
 let measure_compile ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3) () =
@@ -166,70 +127,40 @@ let measure_compile ?(processors = 64) ?(n = 4096) ?(iters = 4) ?(reps = 3) () =
       ~intertask:true checked
   in
   let marked = m.Hscd_compiler.Marking.program in
-  let timed f =
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (r, dt, Gc.minor_words () -. w0)
-  in
   let stream () = Trace.of_program_packed ~line_words:cfg.line_words marked in
-  let boxed () = Trace.pack (Trace.of_program ~line_words:cfg.line_words marked) in
   (* Generation times are dominated by where the major-GC cycle happens to
      land, which depends on everything that ran earlier in the process (a
-     4x swing either way is reproducible). So: interleave the two paths,
-     compact before every timed run to restart the cycle from the same
-     state, and score each path by its best rep — the one the collector
-     disturbed least. Allocation counts are deterministic, times are not. *)
+     4x swing either way is reproducible). So: compact before every timed
+     run to restart the cycle from the same state, and score by the best
+     rep — the one the collector disturbed least. Allocation counts are
+     deterministic, times are not. *)
   ignore (stream ());
-  ignore (boxed ());
-  let sdt = ref infinity and swords = ref 0.0 and p_stream = ref None in
-  let bdt = ref infinity and bwords = ref 0.0 and p_boxed = ref None in
+  let sdt = ref infinity and swords = ref 0.0 in
   for _ = 1 to reps do
     Gc.compact ();
-    let p, dt, w = timed stream in
-    p_stream := Some p;
-    if dt < !sdt then sdt := dt;
-    swords := w;
-    Gc.compact ();
-    let p, dt, w = timed boxed in
-    p_boxed := Some p;
-    if dt < !bdt then bdt := dt;
-    bwords := w
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    ignore (stream ());
+    let dt = Unix.gettimeofday () -. t0 in
+    swords := Gc.minor_words () -. w0;
+    if dt < !sdt then sdt := dt
   done;
-  let _, alloc_words = allocated_words stream in
-  let ps = Option.get !p_stream and pb = Option.get !p_boxed in
-  let identical =
-    Hscd_sim.Trace_io.equal_packed ps pb
-    && Run.simulate_packed ~cfg Run.TPI ps = Run.simulate_packed ~cfg Run.TPI pb
-  in
-  let events = ps.Trace.n_slots in
-  let fev = float_of_int events in
-  let stream_eps = fev /. !sdt in
-  let boxed_eps = fev /. !bdt in
+  let p, alloc_words = allocated_words stream in
+  let fev = float_of_int p.Trace.n_slots in
   {
-    gen_events = events;
-    gen_stream_eps = stream_eps;
-    gen_boxed_eps = boxed_eps;
-    gen_speedup = stream_eps /. boxed_eps;
-    gen_stream_words_per_event = !swords /. fev;
-    gen_stream_alloc_words_per_event = alloc_words /. fev;
-    gen_boxed_words_per_event = !bwords /. fev;
-    gen_identical = identical;
+    gen_events = p.Trace.n_slots;
+    gen_eps = fev /. !sdt;
+    gen_minor_words_per_event = !swords /. fev;
+    gen_alloc_words_per_event = alloc_words /. fev;
   }
 
 let print_compile_row (r : compile_row) =
   Printf.printf "  tracegen/events_per_sec (streaming)        %12.0f ev/s (%d events)\n"
-    r.gen_stream_eps r.gen_events;
-  Printf.printf "  tracegen/events_per_sec (boxed+pack)       %12.0f ev/s (speedup %.2fx, %s)\n"
-    r.gen_boxed_eps r.gen_speedup
-    (if r.gen_identical then "bit-identical" else "DIVERGED");
+    r.gen_eps r.gen_events;
   Printf.printf "  tracegen/gc_minor_words_per_event (stream) %12.2f words\n"
-    r.gen_stream_words_per_event;
-  Printf.printf "  tracegen/alloc_words_per_event (stream)    %12.2f words (both heaps)\n"
-    r.gen_stream_alloc_words_per_event;
-  Printf.printf "  tracegen/gc_minor_words_per_event (boxed)  %12.2f words\n%!"
-    r.gen_boxed_words_per_event
+    r.gen_minor_words_per_event;
+  Printf.printf "  tracegen/alloc_words_per_event (stream)    %12.2f words (both heaps)\n%!"
+    r.gen_alloc_words_per_event
 
 (* --- compile cache: a sweep over a timing-side knob must generate each
    model's trace exactly once --- *)

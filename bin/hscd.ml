@@ -224,7 +224,7 @@ let trace_cmd =
     let prog = read_program name in
     let c = Hscd_sim.Run.compile prog in
     if binary then Hscd_sim.Trace_io.write_packed out c.Hscd_sim.Run.packed_trace
-    else Hscd_sim.Trace_io.save out (Hscd_sim.Run.boxed_trace c);
+    else Hscd_sim.Trace_io.save out c.Hscd_sim.Run.packed_trace;
     Printf.printf "wrote %s (%s): %d epochs, %d events\n" out
       (if binary then "binary" else "text")
       (Hscd_sim.Trace.packed_n_epochs c.packed_trace)
@@ -329,7 +329,7 @@ let fuzz_cmd =
             let path =
               Filename.concat dir (Printf.sprintf "repro-seed%d-iter%d.trace" seed f.F.index)
             in
-            Hscd_sim.Trace_io.save path trace;
+            Hscd_sim.Trace_io.save path (Hscd_sim.Trace.pack trace);
             Printf.printf "  repro written to %s\n" path
           | None -> ())
         r.F.failures;

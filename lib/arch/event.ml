@@ -24,8 +24,6 @@ let of_ast_wmark : Hscd_lang.Ast.wmark -> wmark = function
   | Hscd_lang.Ast.Normal_write -> Normal_write
   | Hscd_lang.Ast.Bypass_write -> Bypass_write
 
-let is_memory_access = function Read _ | Write _ -> true | Compute _ | Lock | Unlock -> false
-
 (** Integer encodings for the packed (structure-of-arrays) trace form:
     one opcode plus one mark code per event, so the replay hot path decodes
     events from unboxed [int array]s without constructing variants. *)
@@ -77,17 +75,3 @@ module Code = struct
     | Hscd_lang.Ast.Normal_write -> 0
     | Hscd_lang.Ast.Bypass_write -> 1
 end
-
-let to_string = function
-  | Compute n -> Printf.sprintf "compute %d" n
-  | Read { addr; mark; value; array } ->
-    let m = match mark with
-      | Unmarked -> "" | Normal_read -> "/N" | Time_read d -> Printf.sprintf "/T%d" d
-      | Bypass_read -> "/B"
-    in
-    Printf.sprintf "read %s@%d%s=%d" array addr m value
-  | Write { addr; mark; value; array } ->
-    let m = match mark with Normal_write -> "" | Bypass_write -> "/B" in
-    Printf.sprintf "write %s@%d%s=%d" array addr m value
-  | Lock -> "lock"
-  | Unlock -> "unlock"

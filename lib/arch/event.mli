@@ -16,9 +16,6 @@ type t =
 val of_ast_rmark : Hscd_lang.Ast.rmark -> rmark
 val of_ast_wmark : Hscd_lang.Ast.wmark -> wmark
 
-val is_memory_access : t -> bool
-val to_string : t -> string
-
 (** Integer encodings for the packed (structure-of-arrays) trace form. *)
 module Code : sig
   val compute : int

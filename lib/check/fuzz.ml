@@ -125,7 +125,7 @@ let write_corpus ~dir =
       let prng = Prng.of_int (corpus_seed + Hashtbl.hash name) in
       let trace = Gen.generate prng params in
       let path = Filename.concat dir (name ^ ".trace") in
-      Trace_io.save path trace;
+      Trace_io.save path (Trace.pack trace);
       path)
     corpus_presets
 

@@ -43,7 +43,6 @@ end
 
 module Arch = struct
   module Config = Hscd_arch.Config
-  module Addr = Hscd_arch.Addr
   module Event = Hscd_arch.Event
 end
 

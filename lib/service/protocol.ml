@@ -33,17 +33,8 @@ let max_frame = 64 * 1024 * 1024
 
 let header_bytes = 24 (* magic + length + checksum *)
 
-(* the same order-sensitive avalanche fold as the journal / trace store *)
-let mix h v =
-  let h = (h lxor v) * 0x9E3779B1 in
-  (h lxor (h lsr 27)) * 0x85EBCA77
-
-let sum_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
-  !h
-
-let frame_sum payload = sum_string (mix 0 (String.length payload)) payload
+let frame_sum payload =
+  Hscd_util.Checksum.(sum_string (mix 0 (String.length payload)) payload)
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)

@@ -45,9 +45,10 @@
     benchmark use) cannot inline across modules, so each such call would
     otherwise be an indirect call through a module block.
 
-    {!run_boxed} replays the legacy boxed event stream through the same
-    timing model; it exists so tests can assert the packed path is
-    bit-identical to it. *)
+    {!run_boxed} replays a boxed {!Trace.t} through the same timing model,
+    with a {!Hscd_util.Minheap} ready queue. Only tests call it: it is the
+    independent reference the packed path is checked against, bit for
+    bit. *)
 
 module Config = Hscd_arch.Config
 module Event = Hscd_arch.Event

@@ -62,9 +62,9 @@ val run :
   Trace.packed ->
   result
 
-(** Legacy replay of the boxed event stream through the same timing
-    model; bit-identical to {!run} on the packed form of the same trace
-    (asserted by the test suite). *)
+(** Reference replay of a boxed trace through the same timing model,
+    with a {!Hscd_util.Minheap} ready queue. Only tests call it, to check
+    that {!run} on [Trace.pack t] is bit-identical to it. *)
 val run_boxed :
   Hscd_arch.Config.t ->
   Hscd_coherence.Scheme.packed ->

@@ -15,16 +15,6 @@ let class_index : Scheme.miss_class -> int = function
   | Scheme.Reset_inv -> 6
   | Scheme.Uncached -> 7
 
-let class_of_index = function
-  | 0 -> Scheme.Hit
-  | 1 -> Scheme.Cold
-  | 2 -> Scheme.Replacement
-  | 3 -> Scheme.True_sharing
-  | 4 -> Scheme.False_sharing
-  | 5 -> Scheme.Conservative
-  | 6 -> Scheme.Reset_inv
-  | _ -> Scheme.Uncached
-
 type t = {
   read_classes : int array;
   write_classes : int array;
@@ -73,14 +63,6 @@ let miss_rate t =
   let total = accesses t in
   let hits = t.read_classes.(0) + t.write_classes.(0) in
   Hscd_util.Stats.ratio (total - hits) total
-
-let read_miss_rate t = Hscd_util.Stats.ratio (read_misses t) (reads t)
-
-(** Unnecessary misses: false sharing (hardware) + conservative-compiler +
-    reset misses, over reads and writes. *)
-let unnecessary_misses t =
-  t.read_classes.(4) + t.read_classes.(5) + t.read_classes.(6)
-  + t.write_classes.(4) + t.write_classes.(5) + t.write_classes.(6)
 
 let class_count t cls = t.read_classes.(class_index cls) + t.write_classes.(class_index cls)
 

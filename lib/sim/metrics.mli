@@ -5,7 +5,6 @@ module Traffic = Hscd_network.Traffic
 
 val n_classes : int
 val class_index : Scheme.miss_class -> int
-val class_of_index : int -> Scheme.miss_class
 
 type t = {
   read_classes : int array;  (** indexed by {!class_index} *)
@@ -34,11 +33,6 @@ val read_misses : t -> int
 (** Misses over all shared-data references, uncached accesses counted as
     misses — the Figure 11 metric. *)
 val miss_rate : t -> float
-
-val read_miss_rate : t -> float
-
-(** False sharing + conservative + reset misses, reads and writes. *)
-val unnecessary_misses : t -> int
 
 val class_count : t -> Scheme.miss_class -> int
 val avg_read_miss_latency : t -> float

@@ -62,10 +62,6 @@ type compiled = {
   packed_trace : Trace.packed;  (** engine-native form, compiled once *)
 }
 
-(** The boxed trace, reconstructed on demand — the compiled artifact only
-    retains the engine-native packed form. *)
-let boxed_trace (c : compiled) = Trace.unpack c.packed_trace
-
 (* ------------------------------------------------------------------ *)
 (* Compile cache: parameter sweeps hit [compile] once per point, but    *)
 (* most points share the reference stream — only the trace-relevant     *)
@@ -203,8 +199,9 @@ let simulate_mapped ?(cfg = Config.default) kind (m : Trace_io.Mapped.t) =
   let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
   Engine.run ~on_epoch:(Trace_io.Mapped.validate_epoch m) cfg packed ~net:network ~traffic trace
 
-(** One scheme over a boxed trace via the legacy replay loop —
-    bit-identical to {!simulate_packed} on [Trace.pack trace]. *)
+(** One scheme over a boxed trace via the reference replay loop —
+    bit-identical to {!simulate_packed} on [Trace.pack trace]. Only tests
+    call it. *)
 let simulate_boxed ?(cfg = Config.default) kind (trace : Trace.t) =
   let cfg = Config.validate cfg in
   let network = Kruskal_snir.create cfg in

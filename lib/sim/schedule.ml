@@ -19,7 +19,3 @@ let static_proc (c : Config.t) ~ntasks rank =
 
 let is_static (c : Config.t) =
   match c.scheduling with Config.Block | Config.Cyclic -> true | Config.Dynamic -> false
-
-(** Task ranks assigned to [proc], in execution order (static policies). *)
-let tasks_of_proc (c : Config.t) ~ntasks proc =
-  List.filter (fun r -> static_proc c ~ntasks r = proc) (Hscd_util.Ints.range 0 (ntasks - 1))

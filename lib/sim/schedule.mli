@@ -9,6 +9,3 @@
 val static_proc : Hscd_arch.Config.t -> ntasks:int -> int -> int
 
 val is_static : Hscd_arch.Config.t -> bool
-
-(** Task ranks assigned to a processor, in execution order (static). *)
-val tasks_of_proc : Hscd_arch.Config.t -> ntasks:int -> int -> int list

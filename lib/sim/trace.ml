@@ -127,7 +127,6 @@ module Slab = struct
     s
 
   let of_int_array a = of_int_array_sub a (Array.length a)
-  let to_int_array (s : t) = Array.init (length s) (Bigarray.Array1.get s)
 end
 
 type ptask = {
@@ -247,40 +246,23 @@ let pack (t : t) =
 
 module Builder = struct
   (* Slots stream into fixed-size chunks of five Bigarray slabs, in the
-     layout of [packed]. Chunks come from a per-domain pool, so the
-     generations a domain runs reuse the same scratch: [finish] copies the
-     live slots into exact-size slabs and hands the chunks back. The pool
-     keeps at most [pool_chunks] chunks; a longer trace takes fresh ones,
-     dropped when it finishes. Task and epoch descriptors are built as the
-     records [packed] holds, each epoch's tasks in an array sized from its
-     iteration count. Nothing on the per-event path allocates or hashes:
-     the interpreter passes array ids, marks convert from AST codes
-     without an intermediate variant, and compute work coalesces into a
-     pending counter exactly as {!of_program} does. [pack] above stays as
-     the independent reference implementation the test suite checks this
+     layout of [packed]; [finish] copies the live slots into exact-size
+     slabs. Task and epoch descriptors are built as the records [packed]
+     holds, each epoch's tasks in an array sized from its iteration count.
+     Nothing on the per-event path allocates or hashes: the interpreter
+     passes array ids, marks convert from AST codes without an
+     intermediate variant, and compute work coalesces into a pending
+     counter exactly as {!of_program} does. [pack] above stays as the
+     independent reference implementation the test suite checks this
      builder against, slot for slot. *)
 
   let chunk_slots = 4096
 
-  let pool_chunks = 2
-
   type chunk = { c_ops : Slab.t; c_addrs : Slab.t; c_values : Slab.t; c_marks : Slab.t; c_arrs : Slab.t }
 
-  let pool : chunk list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
   let take_chunk () =
-    let free = Domain.DLS.get pool in
-    match !free with
-    | c :: rest ->
-      free := rest;
-      c
-    | [] ->
-      let slab () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout chunk_slots in
-      { c_ops = slab (); c_addrs = slab (); c_values = slab (); c_marks = slab (); c_arrs = slab () }
-
-  let release_chunks chunks =
-    let free = Domain.DLS.get pool in
-    List.iter (fun c -> if List.length !free < pool_chunks then free := c :: !free) chunks
+    let slab () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout chunk_slots in
+    { c_ops = slab (); c_addrs = slab (); c_values = slab (); c_marks = slab (); c_arrs = slab () }
 
   let no_task = { p_iter = 0; off = 0; len = 0; ticket0 = 0; n_locks = 0 }
 
@@ -336,8 +318,8 @@ module Builder = struct
 
   let[@inline] pos b = b.base + b.i
 
-  (* Chunks are reused, so every slot writes all five fields; [i] is
-     below [chunk_slots], the length of every chunk slab. *)
+  (* Chunks are not zero-filled, so every slot writes all five fields;
+     [i] is below [chunk_slots], the length of every chunk slab. *)
   let[@inline] put b ~op ~addr ~value ~mark ~arr =
     if b.i >= chunk_slots then next_chunk b;
     let i = b.i and c = b.cur in
@@ -411,8 +393,7 @@ module Builder = struct
     let p_tasks = if b.n_tasks = Array.length b.tasks then b.tasks else Array.sub b.tasks 0 b.n_tasks in
     b.epochs <- { p_kind = b.cur_kind; p_tasks; p_n_tickets = b.ticket } :: b.epochs
 
-  (** Close the builder: copy the live slots out and return the chunks
-      to the domain's pool. *)
+  (** Close the builder: copy the live slots out into exact-size slabs. *)
   let finish b ~golden =
     let layout =
       match b.layout with
@@ -448,12 +429,11 @@ module Builder = struct
         p_max_tickets = b.max_tickets;
       }
     in
-    (* the chunks go back to the pool: any later emit must fail, not
-       write into a chunk another builder may own *)
+    (* any later emit must fail, not append to a trace already handed
+       out *)
     b.finished <- true;
     b.full <- [];
     b.i <- chunk_slots;
-    release_chunks chunks;
     p
 
   (** Eval hooks appending straight into the chunks — the streaming trace
@@ -490,54 +470,6 @@ let of_program_packed ?(check_races = true) ?(line_words = 4) (program : Ast.pro
   let b = Builder.create () in
   let result = Eval.run ~hooks:(Builder.hooks b) ~check_races ~line_words program in
   Builder.finish b ~golden:result.Eval.final_memory
-
-(** Reconstruct the boxed form from a packed trace — exact inverse of
-    {!pack}, for text serialization and differential tests against the
-    legacy replay loop. *)
-let unpack (p : packed) : t =
-  let epochs =
-    Array.map
-      (fun (pe : pepoch) ->
-        {
-          kind = pe.p_kind;
-          tasks =
-            Array.map
-              (fun (pt : ptask) ->
-                let events =
-                  Array.init pt.len (fun j ->
-                      let i = pt.off + j in
-                      let op = Slab.get p.ops i in
-                      if op = Event.Code.compute then Event.Compute (Slab.get p.addrs i)
-                      else if op = Event.Code.read then
-                        Event.Read
-                          {
-                            addr = Slab.get p.addrs i;
-                            mark = Event.Code.rmark_of (Slab.get p.marks i);
-                            value = Slab.get p.values i;
-                            array = Hscd_util.Symtab.name p.symtab (Slab.get p.arrs i);
-                          }
-                      else if op = Event.Code.write then
-                        Event.Write
-                          {
-                            addr = Slab.get p.addrs i;
-                            mark = Event.Code.wmark_of (Slab.get p.marks i);
-                            value = Slab.get p.values i;
-                            array = Hscd_util.Symtab.name p.symtab (Slab.get p.arrs i);
-                          }
-                      else if op = Event.Code.lock then Event.Lock
-                      else Event.Unlock)
-                in
-                { iter = pt.p_iter; events })
-              pe.p_tasks;
-        })
-      p.p_epochs
-  in
-  {
-    epochs;
-    layout = p.p_layout;
-    golden_memory = p.p_golden;
-    total_events = p.p_total_events;
-  }
 
 let packed_memory_words (p : packed) = max 1 p.p_layout.Shape.total_words
 

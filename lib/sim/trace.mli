@@ -15,8 +15,10 @@ type t = {
   total_events : int;
 }
 
-(** Generate the trace of a sema-checked (and normally compiler-marked)
-    program. [line_words] must match the simulated machine's line size. *)
+(** Generate the boxed trace of a sema-checked (and normally
+    compiler-marked) program. [line_words] must match the simulated
+    machine's line size. Only tests call it: it is the independent
+    reference generator that {!of_program_packed} is checked against. *)
 val of_program : ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -> t
 
 (** Packed structure-of-arrays form — the engine's native input. Each
@@ -46,7 +48,6 @@ module Slab : sig
   val of_int_array_sub : int array -> int -> t
 
   val of_int_array : int array -> t
-  val to_int_array : t -> int array
 end
 
 type ptask = {
@@ -79,15 +80,16 @@ type packed = {
     id assignment shared by the packed and boxed replay paths. *)
 val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
 
-(** Compile the boxed trace into the packed form. Kept as the independent
-    reference implementation the streaming {!Builder} is tested against. *)
+(** Compile a boxed trace into the packed form, the only direction a
+    boxed trace ever flows. Production code packs the traces that only
+    exist boxed: text traces from {!Trace_io.load}, fuzz-generated traces
+    and model-checker traces. Tests also use [pack (of_program p)] as the
+    independent reference the streaming {!Builder} is checked against. *)
 val pack : t -> packed
 
 (** Streaming trace builder that {!Hscd_lang.Eval} hooks append into
     directly. Slots go into fixed-size chunks of five Bigarray slabs (the
-    layout of {!packed}) taken from a per-domain pool of bounded size, so
-    successive generations on a domain reuse the same scratch. The
-    per-event path neither allocates nor hashes: array ids come from the
+    layout of {!packed}). The per-event path neither allocates nor hashes: array ids come from the
     interpreter, marks convert from AST codes without an intermediate
     variant, and compute work coalesces into a pending counter exactly as
     {!of_program} does. *)
@@ -99,8 +101,8 @@ module Builder : sig
   (** Eval hooks that stream events straight into the chunks. *)
   val hooks : t -> Hscd_lang.Eval.hooks
 
-  (** Close the builder into a packed trace with exact-size slabs, and
-      return its chunks to the pool. The builder cannot be used after. *)
+  (** Close the builder into a packed trace with exact-size slabs. The
+      builder cannot be used after. *)
   val finish : t -> golden:int array -> packed
 end
 
@@ -109,10 +111,6 @@ end
     bit-identical to [pack (of_program p)]. *)
 val of_program_packed :
   ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -> packed
-
-(** Reconstruct the boxed form (exact inverse of {!pack}), for text
-    serialization and differential tests. *)
-val unpack : packed -> t
 
 (** At least 1, for allocating scheme memory images. *)
 val packed_memory_words : packed -> int
@@ -124,7 +122,7 @@ val packed_slab_words : packed -> int
 val packed_n_epochs : packed -> int
 val packed_n_parallel_epochs : packed -> int
 
-(** (reads, writes) over the live slots, without unpacking. *)
+(** (reads, writes) over the live slots. *)
 val packed_access_counts : packed -> int * int
 
 val n_epochs : t -> int

@@ -18,6 +18,7 @@
 module Event = Hscd_arch.Event
 module Shape = Hscd_lang.Shape
 module Err = Hscd_util.Hscd_error
+module Slab = Trace.Slab
 
 let mark_str = function
   | Event.Unmarked -> "U"
@@ -41,42 +42,47 @@ let wmark_of_str = function
   | "B" -> Event.Bypass_write
   | s -> Err.fail Err.Parse "Trace_io: bad write mark %s" s
 
-let write_channel oc (t : Trace.t) =
+let write_channel oc (p : Trace.packed) =
   let pr fmt = Printf.fprintf oc fmt in
   pr "hscd-trace 1\n";
-  pr "words %d\n" t.layout.Shape.total_words;
+  pr "words %d\n" p.p_layout.Shape.total_words;
   List.iter
     (fun (a : Shape.t) ->
       pr "array %s %d %s\n" a.name a.base (String.concat " " (List.map string_of_int a.dims)))
-    (Shape.arrays_in_order t.layout);
-  Array.iteri (fun i v -> if v <> 0 then pr "golden %d %d\n" i v) t.golden_memory;
+    (Shape.arrays_in_order p.p_layout);
+  Array.iteri (fun i v -> if v <> 0 then pr "golden %d %d\n" i v) p.p_golden;
+  let array i = Hscd_util.Symtab.name p.symtab (Slab.get p.arrs i) in
   Array.iter
-    (fun (e : Trace.epoch) ->
-      (match e.kind with
+    (fun (e : Trace.pepoch) ->
+      (match e.p_kind with
       | Trace.Serial -> pr "epoch serial\n"
       | Trace.Parallel { lo; hi } -> pr "epoch parallel %d %d\n" lo hi);
       Array.iter
-        (fun (task : Trace.task) ->
-          pr "task %d\n" task.iter;
-          Array.iter
-            (fun ev ->
-              match ev with
-              | Event.Compute n -> pr "C %d\n" n
-              | Event.Read { addr; mark; value; array } ->
-                pr "R %d %s %d %s\n" addr (mark_str mark) value array
-              | Event.Write { addr; mark; value; array } ->
-                pr "W %d %s %d %s\n" addr (wmark_str mark) value array
-              | Event.Lock -> pr "L\n"
-              | Event.Unlock -> pr "U\n")
-            task.events)
-        e.tasks)
-    t.epochs
+        (fun (task : Trace.ptask) ->
+          pr "task %d\n" task.p_iter;
+          for i = task.off to task.off + task.len - 1 do
+            let op = Slab.get p.ops i
+            and addr = Slab.get p.addrs i
+            and value = Slab.get p.values i
+            and mark = Slab.get p.marks i in
+            if op = Event.Code.compute then pr "C %d\n" addr
+            else if op = Event.Code.read then
+              pr "R %d %s %d %s\n" addr (mark_str (Event.Code.rmark_of mark)) value (array i)
+            else if op = Event.Code.write then
+              pr "W %d %s %d %s\n" addr (wmark_str (Event.Code.wmark_of mark)) value (array i)
+            else if op = Event.Code.lock then pr "L\n"
+            else pr "U\n"
+          done)
+        e.p_tasks)
+    p.p_epochs
 
-let save path t =
+(** Write [p] in the text format. A boxed trace is saved as
+    [save path (Trace.pack t)]. *)
+let save path p =
   let oc = open_out path in
   (* close_out_noerr: close_out itself can raise (flush of a full disk)
      and would leak the descriptor from inside this handler *)
-  (try write_channel oc t with exn -> close_out_noerr oc; raise exn);
+  (try write_channel oc p with exn -> close_out_noerr oc; raise exn);
   close_out oc
 
 (* --- loading --- *)
@@ -91,7 +97,7 @@ type builder = {
   mutable cur_iter : int;
   mutable cur_events : Event.t list;  (* reversed *)
   mutable in_task : bool;
-  mutable total : int;
+  mutable total : int;  (* memory + sync events, as in [Trace.t.total_events] *)
 }
 
 let flush_task b =
@@ -142,8 +148,12 @@ let parse_line b line =
       Event.Write
         { addr = int_of_string addr; mark = wmark_of_str mark; value = int_of_string value; array }
       :: b.cur_events
-  | [ "L" ] -> b.cur_events <- Event.Lock :: b.cur_events
-  | [ "U" ] -> b.cur_events <- Event.Unlock :: b.cur_events
+  | [ "L" ] ->
+    b.total <- b.total + 1;
+    b.cur_events <- Event.Lock :: b.cur_events
+  | [ "U" ] ->
+    b.total <- b.total + 1;
+    b.cur_events <- Event.Unlock :: b.cur_events
   | _ -> Err.fail Err.Parse "Trace_io: bad line: %s" line
 
 let load path : Trace.t =
@@ -222,13 +232,7 @@ let binary_magic = "HSCDTRC3"
 (** Slab words covered by one chunk checksum (512 KiB of file). *)
 let chunk_words = 65536
 
-module Slab = Trace.Slab
-
-(* order-sensitive avalanche fold — a single flipped bit anywhere in the
-   stream avalanches through the final sum *)
-let mix h v =
-  let h = (h lxor v) * 0x9E3779B1 in
-  (h lxor (h lsr 27)) * 0x85EBCA77
+let mix = Hscd_util.Checksum.mix
 
 let corrupt what = Err.fail Err.Corrupt "Trace_io: corrupt binary trace (%s)" what
 
@@ -251,7 +255,7 @@ let put_int w v =
 let put_str w s =
   put_int w (String.length s);
   output_string w.oc s;
-  String.iter (fun c -> w.wsum <- mix w.wsum (Char.code c)) s
+  w.wsum <- Hscd_util.Checksum.sum_string w.wsum s
 
 let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
   output_string oc binary_magic;
@@ -421,7 +425,7 @@ let get_str r =
     filled := !filled + k
   done;
   let s = Bytes.unsafe_to_string b in
-  String.iter (fun c -> r.rsum <- mix r.rsum (Char.code c)) s;
+  r.rsum <- Hscd_util.Checksum.sum_string r.rsum s;
   s
 
 let skip r n =

@@ -31,13 +31,6 @@ let push_back t x =
   t.buf.((t.head + t.size) mod Array.length t.buf) <- x;
   t.size <- t.size + 1
 
-let push_front t x =
-  if t.size = Array.length t.buf then grow t x;
-  let cap = Array.length t.buf in
-  t.head <- (t.head + cap - 1) mod cap;
-  t.buf.(t.head) <- x;
-  t.size <- t.size + 1
-
 let pop_front_or t ~empty =
   if t.size = 0 then empty
   else begin
@@ -49,23 +42,8 @@ let pop_front_or t ~empty =
 
 let pop_front t = if t.size = 0 then None else Some (pop_front_or t ~empty:t.buf.(0))
 
-let pop_back t =
-  if t.size = 0 then None
-  else begin
-    let x = t.buf.((t.head + t.size - 1) mod Array.length t.buf) in
-    t.size <- t.size - 1;
-    Some x
-  end
-
-let peek_front t = if t.size = 0 then None else Some t.buf.(t.head)
-
 let clear t =
   t.head <- 0;
   t.size <- 0
 
 let to_list t = List.init t.size (fun i -> t.buf.((t.head + i) mod Array.length t.buf))
-
-let of_list xs =
-  let t = create ~capacity:(max 1 (List.length xs)) () in
-  List.iter (push_back t) xs;
-  t

@@ -1,4 +1,4 @@
-(** Growable ring-buffer FIFO with amortized O(1) push/pop at both ends.
+(** Growable ring-buffer FIFO with amortized O(1) push and pop.
 
     The engine's work queues (per-processor pending lists and the shared
     self-scheduling queue) were list appends — O(n) per push, quadratic per
@@ -14,7 +14,6 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push_back : 'a t -> 'a -> unit
-val push_front : 'a t -> 'a -> unit
 
 (** [None] when empty. *)
 val pop_front : 'a t -> 'a option
@@ -23,14 +22,7 @@ val pop_front : 'a t -> 'a option
     allocates nothing. *)
 val pop_front_or : 'a t -> empty:'a -> 'a
 
-val pop_back : 'a t -> 'a option
-
-(** Front element without removing it. *)
-val peek_front : 'a t -> 'a option
-
 val clear : 'a t -> unit
 
 (** Front-to-back order. *)
 val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t

@@ -89,8 +89,6 @@ let to_string t =
   in
   Printf.sprintf "%s: %s%s" (kind_name t.kind) t.message ctx
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 (* render the payload, not "Hscd_error.Error(_)" *)
 let () =
   Printexc.register_printer (function Error t -> Some ("hscd error: " ^ to_string t) | _ -> None)

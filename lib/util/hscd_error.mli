@@ -73,5 +73,3 @@ val exit_code : t -> int
 
 (** One line: [kind: message (in context, in context)]. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-(** Integer helpers shared across the cache and address-mapping layers. *)
+(** Integer helpers: powers of two and ceiling division. *)
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -18,16 +18,3 @@ let round_up a b = ceil_div a b * b
 let pow2 n =
   if n < 0 || n > 61 then invalid_arg "pow2: exponent out of range";
   1 lsl n
-
-let clamp ~lo ~hi v = max lo (min hi v)
-
-(** Inclusive integer range as a list; empty when [hi < lo]. *)
-let range lo hi =
-  let rec loop i acc = if i < lo then acc else loop (i - 1) (i :: acc) in
-  loop hi []
-
-let sum = List.fold_left ( + ) 0
-
-let max_list = function [] -> invalid_arg "max_list: empty" | x :: xs -> List.fold_left max x xs
-
-let min_list = function [] -> invalid_arg "min_list: empty" | x :: xs -> List.fold_left min x xs

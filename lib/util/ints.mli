@@ -1,4 +1,4 @@
-(** Integer helpers shared across the cache and address-mapping layers. *)
+(** Integer helpers: powers of two and ceiling division. *)
 
 val is_pow2 : int -> bool
 
@@ -14,15 +14,3 @@ val round_up : int -> int -> int
 
 (** [pow2 n] is [2^n] for [0 <= n <= 61]. *)
 val pow2 : int -> int
-
-val clamp : lo:int -> hi:int -> int -> int
-
-(** Inclusive integer range as a list; empty when [hi < lo]. *)
-val range : int -> int -> int list
-
-val sum : int list -> int
-
-(** Raise [Invalid_argument] on the empty list. *)
-val max_list : int list -> int
-
-val min_list : int list -> int

@@ -1,16 +1,8 @@
 let magic = "HSCDJNL1"
 
-(* the same order-sensitive avalanche fold as the binary trace format *)
-let mix h v =
-  let h = (h lxor v) * 0x9E3779B1 in
-  (h lxor (h lsr 27)) * 0x85EBCA77
-
-let sum_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
-  !h
-
-let record_sum ~key payload = sum_string (sum_string (mix (mix 0 (String.length key)) (String.length payload)) key) payload
+let record_sum ~key payload =
+  Checksum.(
+    sum_string (sum_string (mix (mix 0 (String.length key)) (String.length payload)) key) payload)
 
 type t = {
   oc : out_channel;

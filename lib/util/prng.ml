@@ -51,9 +51,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-(** Geometric-ish small integer, used by workload generators: returns [k]
-    with probability proportional to [p^k], capped at [cap]. *)
-let geometric t ~p ~cap =
-  let rec loop k = if k >= cap then cap else if float t < p then loop (k + 1) else k in
-  loop 0

@@ -34,7 +34,3 @@ val choose : t -> 'a array -> 'a
 
 (** In-place Fisher–Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-(** [geometric t ~p ~cap] is [k] with probability proportional to [p^k],
-    capped at [cap]. *)
-val geometric : t -> p:float -> cap:int -> int

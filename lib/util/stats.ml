@@ -5,16 +5,6 @@ let mean xs =
   | [] -> 0.0
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let n = float_of_int (List.length xs) in
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. (n -. 1.0)
-
-let stddev xs = sqrt (variance xs)
-
 (** [percentile p xs] with [p] in [0,100], nearest-rank on the sorted data. *)
 let percentile p xs =
   match List.sort compare xs with
@@ -26,57 +16,3 @@ let percentile p xs =
     List.nth sorted idx
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-let ratio_f num den = if den = 0.0 then 0.0 else num /. den
-
-(** Running counter with mean/max tracking, for latency accounting. *)
-module Accumulator = struct
-  type t = {
-    mutable count : int;
-    mutable total : float;
-    mutable max_v : float;
-    mutable min_v : float;
-  }
-
-  let create () = { count = 0; total = 0.0; max_v = neg_infinity; min_v = infinity }
-
-  let add t v =
-    t.count <- t.count + 1;
-    t.total <- t.total +. v;
-    if v > t.max_v then t.max_v <- v;
-    if v < t.min_v then t.min_v <- v
-
-  let count t = t.count
-  let total t = t.total
-  let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
-  let max_value t = if t.count = 0 then 0.0 else t.max_v
-  let min_value t = if t.count = 0 then 0.0 else t.min_v
-
-  let merge a b =
-    {
-      count = a.count + b.count;
-      total = a.total +. b.total;
-      max_v = Float.max a.max_v b.max_v;
-      min_v = Float.min a.min_v b.min_v;
-    }
-end
-
-(** Fixed-bucket histogram over non-negative integers. *)
-module Histogram = struct
-  type t = { buckets : int array; width : int; mutable overflow : int; mutable n : int }
-
-  let create ~buckets ~width = { buckets = Array.make buckets 0; width; overflow = 0; n = 0 }
-
-  let add t v =
-    t.n <- t.n + 1;
-    let b = v / t.width in
-    if b < Array.length t.buckets then t.buckets.(b) <- t.buckets.(b) + 1
-    else t.overflow <- t.overflow + 1
-
-  let count t = t.n
-  let bucket t i = t.buckets.(i)
-  let overflow t = t.overflow
-
-  let to_list t =
-    Array.to_list (Array.mapi (fun i c -> (i * t.width, (i + 1) * t.width, c)) t.buckets)
-end

@@ -2,43 +2,8 @@
 
 val mean : float list -> float
 
-(** Sample variance (n-1 denominator); 0 for fewer than two samples. *)
-val variance : float list -> float
-
-val stddev : float list -> float
-
 (** Nearest-rank percentile, [p] in [0, 100]. *)
 val percentile : float -> float list -> float
 
 (** Integer ratio as a float; 0 when the denominator is 0. *)
 val ratio : int -> int -> float
-
-val ratio_f : float -> float -> float
-
-(** Running counter with mean/min/max tracking. *)
-module Accumulator : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val total : t -> float
-  val mean : t -> float
-  val max_value : t -> float
-  val min_value : t -> float
-  val merge : t -> t -> t
-end
-
-(** Fixed-bucket histogram over non-negative integers. *)
-module Histogram : sig
-  type t
-
-  val create : buckets:int -> width:int -> t
-  val add : t -> int -> unit
-  val count : t -> int
-  val bucket : t -> int -> int
-  val overflow : t -> int
-
-  (** [(lo, hi, count)] per bucket. *)
-  val to_list : t -> (int * int * int) list
-end

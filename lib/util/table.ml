@@ -72,7 +72,6 @@ let print t = print_string (render t); print_newline ()
 let fi = string_of_int
 let ff1 v = Printf.sprintf "%.1f" v
 let ff2 v = Printf.sprintf "%.2f" v
-let ff3 v = Printf.sprintf "%.3f" v
 let fpct v = Printf.sprintf "%.2f%%" (v *. 100.0)
 
 (** Human-readable byte sizes, used by the Fig 5 storage table. *)

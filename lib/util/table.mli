@@ -24,7 +24,6 @@ val print : t -> unit
 val fi : int -> string
 val ff1 : float -> string
 val ff2 : float -> string
-val ff3 : float -> string
 
 (** Fraction as a percentage ([0.123] -> ["12.30%"]). *)
 val fpct : float -> string

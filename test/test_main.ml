@@ -3,6 +3,7 @@ let () =
   Alcotest.run "hscd"
     [
       ("util", Test_util.suite);
+      ("checksum", Test_checksum.suite);
       ("lang", Test_lang.suite);
       ("eval", Test_eval.suite);
       ("oracle", Test_oracle.suite);

@@ -1,10 +1,14 @@
 (** The packed (structure-of-arrays) trace form is the engine's native
-    input; the boxed event stream replays through a legacy loop kept
-    precisely so these tests can assert the two are bit-identical — same
-    cycles, metrics, violations, traffic and final memory — for every
-    scheme, over both compiled programs and the checked-in fuzz corpus.
-    Plus unit tests for the symbol interner backing the [array:int]
-    scheme interface. *)
+    input and the only form production code generates or replays. The
+    boxed references survive for these tests alone: the boxed generator
+    ([Trace.of_program] + [Trace.pack]) checks the streaming builder,
+    the boxed replay loop ([Run.simulate_boxed]) checks the packed one,
+    and [Hscd_util.Minheap] checks the engine's ready queue. Every result
+    must be bit-identical — same cycles, metrics, violations, traffic and
+    final memory — for every scheme, over compiled programs (including
+    the [@perf-smoke] inputs) and the checked-in fuzz corpus. Plus unit
+    tests for the symbol interner backing the [array:int] scheme
+    interface. *)
 
 module Config = Hscd_arch.Config
 module Run = Hscd_sim.Run
@@ -54,7 +58,7 @@ let test_symtab_unknown () =
 let test_pack_structure () =
   let c = Run.compile (Kernels.jacobi1d ~n:64 ~iters:2 ()) in
   let p = c.Run.packed_trace in
-  let boxed = Run.boxed_trace c in
+  let boxed = Trace.of_program ~line_words:Config.default.Config.line_words c.Run.marked in
   Alcotest.(check int) "event count preserved" boxed.Trace.total_events p.Trace.p_total_events;
   Alcotest.(check bool) "slots cover events" true (p.Trace.n_slots >= p.Trace.p_total_events);
   Alcotest.(check int) "parallel slabs same length" (Trace.Slab.length p.Trace.ops)
@@ -100,13 +104,12 @@ let equiv_program ?(cfg = Config.default) name program =
     (name ^ ": streaming = boxed-then-pack, structurally")
     true
     (Trace_io.equal_packed (Trace.pack boxed) c.Run.packed_trace);
-  Alcotest.(check bool)
-    (name ^ ": unpack round-trips")
-    true
-    (Trace_io.equal (Trace.unpack c.Run.packed_trace) boxed);
   check_equivalence ~cfg name boxed c.Run.packed_trace
 
-let test_equiv_stencil () = equiv_program "jacobi1d" (Kernels.jacobi1d ~n:64 ~iters:3 ())
+let test_equiv_stencil () =
+  equiv_program "jacobi1d" (Kernels.jacobi1d ~n:64 ~iters:3 ());
+  (* the @perf-smoke P=16 input *)
+  equiv_program "jacobi1d n=512" (Kernels.jacobi1d ~n:512 ~iters:2 ())
 
 let test_equiv_locks () = equiv_program "reduction" (Kernels.reduction ~n:48 ())
 
@@ -134,9 +137,10 @@ let test_equiv_48_processors () =
   let cfg = { Config.default with processors = 48 } in
   equiv_program ~cfg "boundary@48" (Kernels.boundary_exchange ~n:192 ~iters:2 ())
 
+(* the @perf-smoke wide input *)
 let test_equiv_1024_processors () =
   let cfg = { Config.default with processors = 1024 } in
-  equiv_program ~cfg "jacobi1d@1024" (Kernels.jacobi1d ~n:2048 ~iters:2 ())
+  equiv_program ~cfg "jacobi1d@1024" (Kernels.jacobi1d ~n:8192 ~iters:2 ())
 
 let test_equiv_locks_contended () =
   (* dynamic self-scheduling at P=48: many processors park on tickets
@@ -222,13 +226,6 @@ let corpus_files () =
 let test_equiv_corpus () =
   List.iter (fun (f, trace) -> check_equivalence f trace (Trace.pack trace)) (corpus_files ())
 
-let test_unpack_pack_corpus () =
-  List.iter
-    (fun (f, trace) ->
-      Alcotest.(check bool) (f ^ ": unpack (pack t) = t") true
-        (Trace_io.equal (Trace.unpack (Trace.pack trace)) trace))
-    (corpus_files ())
-
 (* ---------- streaming builder ≡ pack ---------- *)
 
 let test_streaming_perfect_models () =
@@ -243,6 +240,19 @@ let test_builder_requires_init () =
   (match Trace.Builder.finish b ~golden:[||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument from finish before init")
+
+let test_builder_use_after_finish () =
+  let b = Trace.Builder.create () in
+  let h = Trace.Builder.hooks b in
+  h.Hscd_lang.Eval.on_init { Hscd_lang.Shape.arrays = Hashtbl.create 1; total_words = 1 };
+  h.on_epoch_begin Hscd_lang.Eval.Serial;
+  h.on_task_begin ~iter:0;
+  h.on_task_end ();
+  h.on_epoch_end ();
+  ignore (Trace.Builder.finish b ~golden:[| 0 |]);
+  match h.on_lock () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "expected Invalid_argument from an emit after finish"
 
 let suite =
   [
@@ -264,7 +274,7 @@ let suite =
     Alcotest.test_case "engine: clock headroom guard" `Quick test_clock_headroom;
     QCheck_alcotest.to_alcotest qcheck_ready_vs_minheap;
     Alcotest.test_case "packed=boxed: fuzz corpus" `Quick test_equiv_corpus;
-    Alcotest.test_case "unpack (pack t) = t: fuzz corpus" `Quick test_unpack_pack_corpus;
     Alcotest.test_case "streaming=boxed: Perfect Club models" `Slow test_streaming_perfect_models;
     Alcotest.test_case "builder: finish before init rejected" `Quick test_builder_requires_init;
+    Alcotest.test_case "builder: use after finish rejected" `Quick test_builder_use_after_finish;
   ]

@@ -8,34 +8,30 @@ module Metrics = Hscd_sim.Metrics
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
-let test_roundtrip_stencil () =
-  let c = Run.compile (Hscd_workloads.Kernels.jacobi1d ~n:32 ~iters:2 ()) in
-  let boxed = Run.boxed_trace c in
-  let path = tmp "hscd_trace_stencil.txt" in
-  Trace_io.save path boxed;
+(* write the text form straight from a compiled packed trace, load it
+   back, and pack: the result must equal the original structurally *)
+let text_roundtrip name prog =
+  let p = (Run.compile prog).Run.packed_trace in
+  let path = tmp ("hscd_trace_" ^ name ^ ".txt") in
+  Trace_io.save path p;
   let loaded = Trace_io.load path in
   Sys.remove path;
-  Alcotest.(check bool) "round-trip equal" true (Trace_io.equal boxed loaded);
-  Alcotest.(check int) "events preserved" boxed.Trace.total_events loaded.Trace.total_events
+  Alcotest.(check bool) (name ^ " round-trip equal") true
+    (Trace_io.equal_packed (Trace.pack loaded) p);
+  Alcotest.(check int) (name ^ " events preserved") p.Trace.p_total_events
+    loaded.Trace.total_events;
+  (p, loaded)
+
+let test_roundtrip_stencil () =
+  ignore (text_roundtrip "stencil" (Hscd_workloads.Kernels.jacobi1d ~n:32 ~iters:2 ()))
 
 let test_roundtrip_critical () =
   (* locks and bypass marks must survive serialization *)
-  let c = Run.compile (Hscd_workloads.Kernels.reduction ~n:16 ()) in
-  let boxed = Run.boxed_trace c in
-  let path = tmp "hscd_trace_crit.txt" in
-  Trace_io.save path boxed;
-  let loaded = Trace_io.load path in
-  Sys.remove path;
-  Alcotest.(check bool) "round-trip equal" true (Trace_io.equal boxed loaded)
+  ignore (text_roundtrip "crit" (Hscd_workloads.Kernels.reduction ~n:16 ()))
 
 let test_replay_equivalence () =
-  let c = Run.compile (Hscd_workloads.Kernels.matmul ~n:10 ()) in
-  let boxed = Run.boxed_trace c in
-  let path = tmp "hscd_trace_mm.txt" in
-  Trace_io.save path boxed;
-  let loaded = Trace_io.load path in
-  Sys.remove path;
-  let a = Run.simulate Run.TPI boxed in
+  let p, loaded = text_roundtrip "mm" (Hscd_workloads.Kernels.matmul ~n:10 ()) in
+  let a = Run.simulate_packed Run.TPI p in
   let b = Run.simulate Run.TPI loaded in
   Alcotest.(check int) "same cycles" a.cycles b.cycles;
   Alcotest.(check (float 1e-12)) "same miss rate"
@@ -76,7 +72,7 @@ let test_roundtrip_generated () =
     let params = Hscd_check.Gen.random_params prng in
     let trace = Hscd_check.Gen.generate prng params in
     let path = tmp (Printf.sprintf "hscd_trace_gen%d.txt" seed) in
-    Trace_io.save path trace;
+    Trace_io.save path (Trace.pack trace);
     let loaded = Trace_io.load path in
     Sys.remove path;
     Alcotest.(check bool)
@@ -128,11 +124,31 @@ let test_roundtrip_degenerate () =
   List.iter
     (fun (name, trace) ->
       let path = tmp ("hscd_trace_" ^ name ^ ".txt") in
-      Trace_io.save path trace;
+      Trace_io.save path (Trace.pack trace);
       let loaded = Trace_io.load path in
       Sys.remove path;
       Alcotest.(check bool) (name ^ " round-trips") true (Trace_io.equal trace loaded))
     [ ("empty", empty); ("single", single) ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_corpus_resave_bytes () =
+  (* the writer is pinned byte for byte: re-saving each checked-in corpus
+     trace through [pack] reproduces the file exactly *)
+  let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
+  let files =
+    List.filter (fun f -> Filename.check_suffix f ".trace") (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check bool) "corpus present" true (files <> []);
+  List.iter
+    (fun f ->
+      let src = Filename.concat dir f in
+      let path = tmp ("hscd_resave_" ^ f) in
+      Trace_io.save path (Trace.pack (Trace_io.load src));
+      let bytes = read_file path in
+      Sys.remove path;
+      Alcotest.(check bool) (f ^ " re-saved byte-identical") true (bytes = read_file src))
+    (List.sort compare files)
 
 (* ---------- binary format ---------- *)
 
@@ -375,6 +391,7 @@ let suite =
     Alcotest.test_case "round-trip generated fuzz traces" `Quick test_roundtrip_generated;
     Alcotest.test_case "round-trip empty and single-event" `Quick test_roundtrip_degenerate;
     Alcotest.test_case "round-trip critical" `Quick test_roundtrip_critical;
+    Alcotest.test_case "corpus re-saves byte-identical" `Quick test_corpus_resave_bytes;
     Alcotest.test_case "replay equivalence" `Quick test_replay_equivalence;
     Alcotest.test_case "bad input rejected" `Quick test_bad_input_rejected;
     Alcotest.test_case "mark strings" `Quick test_mark_strings;

@@ -44,32 +44,13 @@ let test_prng_float_range () =
 
 let test_stats_mean_var () =
   check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean [ 1.0; 2.0; 3.0; 4.0 ]);
-  check (Alcotest.float 1e-9) "variance" (5.0 /. 3.0) (Stats.variance [ 1.0; 2.0; 3.0; 4.0 ]);
-  check (Alcotest.float 1e-9) "empty mean" 0.0 (Stats.mean []);
-  check (Alcotest.float 1e-9) "singleton var" 0.0 (Stats.variance [ 5.0 ])
+  check (Alcotest.float 1e-9) "empty mean" 0.0 (Stats.mean [])
 
 let test_stats_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   check (Alcotest.float 1e-9) "p50" 50.0 (Stats.percentile 50.0 xs);
   check (Alcotest.float 1e-9) "p100" 100.0 (Stats.percentile 100.0 xs);
   check (Alcotest.float 1e-9) "p1" 1.0 (Stats.percentile 1.0 xs)
-
-let test_stats_accumulator () =
-  let a = Stats.Accumulator.create () in
-  List.iter (fun v -> Stats.Accumulator.add a v) [ 2.0; 4.0; 6.0 ];
-  check Alcotest.int "count" 3 (Stats.Accumulator.count a);
-  check (Alcotest.float 1e-9) "mean" 4.0 (Stats.Accumulator.mean a);
-  check (Alcotest.float 1e-9) "max" 6.0 (Stats.Accumulator.max_value a);
-  check (Alcotest.float 1e-9) "min" 2.0 (Stats.Accumulator.min_value a)
-
-let test_stats_histogram () =
-  let h = Stats.Histogram.create ~buckets:4 ~width:10 in
-  List.iter (fun v -> Stats.Histogram.add h v) [ 0; 5; 15; 39; 40; 100 ];
-  check Alcotest.int "bucket0" 2 (Stats.Histogram.bucket h 0);
-  check Alcotest.int "bucket1" 1 (Stats.Histogram.bucket h 1);
-  check Alcotest.int "bucket3" 1 (Stats.Histogram.bucket h 3);
-  check Alcotest.int "overflow" 2 (Stats.Histogram.overflow h);
-  check Alcotest.int "count" 6 (Stats.Histogram.count h)
 
 (* --- bitset --- *)
 
@@ -179,10 +160,7 @@ let test_ints () =
   Alcotest.(check bool) "pow2 checks" true (Ints.is_pow2 1 && Ints.is_pow2 4096 && not (Ints.is_pow2 12));
   check Alcotest.int "ceil_div" 4 (Ints.ceil_div 10 3);
   check Alcotest.int "ceil_div exact" 3 (Ints.ceil_div 9 3);
-  check Alcotest.int "round_up" 12 (Ints.round_up 10 4);
-  check Alcotest.(list int) "range" [ 2; 3; 4 ] (Ints.range 2 4);
-  check Alcotest.(list int) "empty range" [] (Ints.range 3 2);
-  check Alcotest.int "clamp" 5 (Ints.clamp ~lo:0 ~hi:5 9)
+  check Alcotest.int "round_up" 12 (Ints.round_up 10 4)
 
 let qcheck_round_up =
   QCheck.Test.make ~name:"round_up is a multiple and minimal" ~count:500
@@ -233,17 +211,6 @@ let test_deque_fifo () =
   check Alcotest.int "pop_front_or when empty" (-1) (Hscd_util.Deque.pop_front_or d ~empty:(-1));
   Alcotest.(check bool) "is_empty" true (Hscd_util.Deque.is_empty d)
 
-let test_deque_both_ends () =
-  let d = Hscd_util.Deque.create () in
-  Hscd_util.Deque.push_back d 2;
-  Hscd_util.Deque.push_front d 1;
-  Hscd_util.Deque.push_back d 3;
-  check Alcotest.(list int) "order" [ 1; 2; 3 ] (Hscd_util.Deque.to_list d);
-  check Alcotest.(option int) "peek" (Some 1) (Hscd_util.Deque.peek_front d);
-  check Alcotest.(option int) "pop_back" (Some 3) (Hscd_util.Deque.pop_back d);
-  check Alcotest.(option int) "pop_front" (Some 1) (Hscd_util.Deque.pop_front d);
-  check Alcotest.int "one left" 1 (Hscd_util.Deque.length d)
-
 let test_deque_wraparound () =
   (* interleaved push/pop forces head to wrap around the ring *)
   let d = Hscd_util.Deque.create ~capacity:4 () in
@@ -292,8 +259,6 @@ let suite =
     Alcotest.test_case "prng float" `Quick test_prng_float_range;
     Alcotest.test_case "stats mean/var" `Quick test_stats_mean_var;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
-    Alcotest.test_case "stats accumulator" `Quick test_stats_accumulator;
-    Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
     Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
     QCheck_alcotest.to_alcotest qcheck_bitset_vs_reference;
@@ -303,7 +268,6 @@ let suite =
     Alcotest.test_case "table mismatch" `Quick test_table_row_mismatch;
     Alcotest.test_case "table fbytes" `Quick test_table_fbytes;
     Alcotest.test_case "deque fifo" `Quick test_deque_fifo;
-    Alcotest.test_case "deque both ends" `Quick test_deque_both_ends;
     Alcotest.test_case "deque wraparound" `Quick test_deque_wraparound;
     Alcotest.test_case "minheap sorted" `Quick test_minheap_sorted;
     Alcotest.test_case "minheap ties" `Quick test_minheap_ties_by_value;

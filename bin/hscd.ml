@@ -40,44 +40,26 @@ let install_exit_signals () =
   handle Sys.sigterm 15;
   handle Sys.sigint 2
 
-let known_programs () =
-  String.concat ", "
-    (List.map (fun (e : Hscd_workloads.Perfect.entry) -> e.name) Hscd_workloads.Perfect.all
-    @ List.map fst Hscd_workloads.Kernels.all)
-
 let read_program name =
-  match Hscd_workloads.Perfect.find name with
-  | Some e -> e.build ()
-  | None -> (
-    match List.assoc_opt name Hscd_workloads.Kernels.all with
-    | Some b -> b ()
-    | None ->
-      if Sys.file_exists name then
-        let ic = open_in name in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        Hscd_lang.Parser.parse_exn s
-      else
-        Err.fail Err.Usage "%s: not a benchmark, kernel or file (known: %s)" name
-          (known_programs ()))
+  match Hscd_workloads.Programs.find name with
+  | Some build -> build ()
+  | None ->
+    if Sys.file_exists name then
+      let ic = open_in name in
+      let n = in_channel_length ic in
+      let s = really_input_string ic n in
+      close_in ic;
+      Hscd_lang.Parser.parse_exn s
+    else
+      Err.fail Err.Usage "%s: not a benchmark, kernel or file (known: %s)" name
+        (String.concat ", " Hscd_workloads.Programs.names)
 
 let program_arg =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"PROGRAM" ~doc:"PFL source file, Perfect Club benchmark or kernel name")
 
 let scheme_conv =
-  let parse s =
-    match String.uppercase_ascii s with
-    | "BASE" -> Ok Hscd_sim.Run.Base
-    | "SC" -> Ok Hscd_sim.Run.SC
-    | "TPI" -> Ok Hscd_sim.Run.TPI
-    | "HW" -> Ok Hscd_sim.Run.HW
-    | "LIMITLESS" -> Ok Hscd_sim.Run.LimitLESS
-    | "VC" -> Ok Hscd_sim.Run.VC
-    | "INV" -> Ok Hscd_sim.Run.INV
-    | _ -> Error (`Msg "scheme must be BASE, SC, INV, VC, TPI, HW or LimitLESS")
-  in
+  let parse s = Result.map_error (fun e -> `Msg e.Err.message) (Hscd_sim.Run.scheme_of_name s) in
   Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Hscd_sim.Run.scheme_name k))
 
 let scheme_arg =

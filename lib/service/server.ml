@@ -5,13 +5,19 @@
     and journaling both admission and completion so a kill at any instant
     loses at most the in-flight cell.
 
+    Compare and sweep jobs run through {!Hscd_sim.Run.run_cells}, the
+    journaled cell runner of [hscd compare] and [hscd experiment], on one
+    domain and with the same retry policy; a job stops at its first
+    failed cell.
+
     Concurrency model: one event loop, no worker domains. Socket I/O is
     nonblocking with per-connection reassembly buffers (a hung client
     parks half a frame forever without blocking anyone; a slow reader
     that lets its output buffer hit the cap is dropped). Simulation cells
     run inline between pump passes — the cell is the unit of latency, and
     admission, progress streaming and backpressure stay responsive at
-    cell granularity. This keeps the daemon fork-safe and deterministic:
+    cell granularity (the runner's [on_done] hook streams [Progress] and
+    pumps the sockets). This keeps the daemon fork-safe and deterministic:
     results are bit-identical to a sequential [hscd experiment] run by
     construction, because they are produced by the same calls in the same
     per-job order.
@@ -21,20 +27,26 @@
       [accept|digest] record per admitted job (written {e before} the
       [Accepted] reply — durable once acknowledged), one [done|digest]
       record per finished job (written before the [Done] reply).
-    - [state_dir/job-<digest>.jnl]: one record per completed cell of the
-      running job (the marshalled engine result keyed by cell name).
+    - [state_dir/job-<digest>.jnl]: the running job's {!Hscd_sim.Run.run_cells}
+      checkpoint, one record per completed cell (the marshalled engine
+      result keyed by cell name, [bench/SCHEME]); removed once the job's
+      [done] record is written.
     - On restart: accepted-but-not-done jobs re-enqueue in admission
       order (bypassing capacity — they were admitted once), and a resumed
       job replays only its missing cells, bit-identically.
     - On SIGTERM/SIGINT ({!request_drain}): stop admitting ([Busy]
-      replies), finish the in-flight cell, checkpoint, exit cleanly. *)
+      replies), finish the in-flight cell, checkpoint, exit cleanly. A
+      cell that would start after the request refuses to run; the
+      interrupted job gets no [Failed] reply and stays accepted, to
+      resume from its journal on restart. *)
 
 module E = Hscd_util.Hscd_error
 module Journal = Hscd_util.Journal
 module Config = Hscd_arch.Config
 module Run = Hscd_sim.Run
-module Engine = Hscd_sim.Engine
+module Pool = Hscd_util.Pool
 module Perfect = Hscd_workloads.Perfect
+module Programs = Hscd_workloads.Programs
 module P = Protocol
 
 type settings = {
@@ -74,23 +86,6 @@ let install_signal_handlers () =
 
 type job = { digest : string; tenant : string; spec : P.job_spec }
 
-type plan =
-  | Cells_plan of {
-      keys : string array;
-      run : int -> (Engine.result, E.t) result;
-    }
-  | Compile_plan of (unit -> (P.payload, E.t) result)
-
-type running = {
-  job : job;
-  keys : string array;
-  run_cell : int -> (Engine.result, E.t) result;
-  results : Engine.result option array;
-  mutable finished : int;
-  cjournal : Journal.t;
-  cpath : string;
-}
-
 type conn = {
   id : int;
   fd : Unix.file_descr;
@@ -111,7 +106,6 @@ type t = {
   accepted : (string, job) Hashtbl.t;  (* queued or running *)
   done_tbl : (string, P.payload) Hashtbl.t;
   subs : (string, int list) Hashtbl.t;  (* digest -> subscriber conn ids *)
-  mutable running : running option;
   mutable next_id : int;
 }
 
@@ -129,18 +123,9 @@ let job_journal_path st digest = Filename.concat st.settings.state_dir ("job-" ^
 
 (* ---- job validation and planning ---- *)
 
-let find_target name =
-  match Perfect.find name with
-  | Some e -> Some (`Perfect e)
-  | None -> (
-    match List.assoc_opt (String.lowercase_ascii name) Hscd_workloads.Kernels.all with
-    | Some b -> Some (`Kernel b)
-    | None -> None)
-
 let build_target target ~small =
-  match find_target target with
-  | Some (`Perfect e) -> if small then e.Perfect.build_small () else e.Perfect.build ()
-  | Some (`Kernel b) -> b ()
+  match Programs.find ~small target with
+  | Some build -> build ()
   | None -> E.fail E.Usage "unknown target %s" target
 
 let parse_schemes names =
@@ -165,7 +150,7 @@ let check_cfg (c : P.cfg_spec) =
     detected here, so the refusal is an immediate typed [Rejected] rather
     than a deferred [Failed]. *)
 let validate_spec (spec : P.job_spec) =
-  let check_target t = if find_target t = None then Error ("unknown target " ^ t) else Ok () in
+  let check_target t = if Programs.find t = None then Error ("unknown target " ^ t) else Ok () in
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   match spec with
   | P.Compile { target; cfg; _ } -> check_target target >>= fun () -> check_cfg cfg
@@ -176,86 +161,6 @@ let validate_spec (spec : P.job_spec) =
   | P.Sweep { schemes; cfg; _ } ->
     (match parse_schemes schemes with Ok _ -> Ok () | Error m -> Error m) >>= fun () ->
     check_cfg cfg
-
-(* Cells compile through {!Run.compile}'s shared cache (in-memory +
-   optional on-disk), so overlapping jobs from different tenants
-   regenerate each reference stream exactly once per daemon. A transient
-   cell failure is retried inline a couple of times; the supervised-pool
-   policy machinery stays with multi-domain sweeps. *)
-let rec with_retries n f =
-  match f () with
-  | Ok _ as ok -> ok
-  | Error e when n > 0 && E.transient e -> with_retries (n - 1) f
-  | Error _ as err -> err
-
-let cell_retries = 2
-
-let plan_of_spec (spec : P.job_spec) : plan =
-  match spec with
-  | P.Compile { target; cfg; small } ->
-    Compile_plan
-      (fun () ->
-        let cfg = P.config_of_spec cfg in
-        match Run.compile_result ~cfg ~intertask:true (build_target target ~small) with
-        | Error _ as e -> e
-        | Ok c ->
-          Ok
-            (P.Compiled
-               {
-                 target;
-                 epochs = Hscd_sim.Trace.packed_n_epochs c.Run.packed_trace;
-                 events = c.Run.packed_trace.Hscd_sim.Trace.p_total_events;
-               }))
-  | P.Compare { target; schemes; cfg; small } ->
-    let kinds = match parse_schemes schemes with Ok ks -> ks | Error m -> E.fail E.Rejected "%s" m in
-    let cfg = P.config_of_spec cfg in
-    let keys =
-      Array.of_list (List.map (fun k -> target ^ "/" ^ Run.scheme_name k) kinds)
-    in
-    let kinds = Array.of_list kinds in
-    let compiled =
-      lazy (Run.compile_result ~cfg ~intertask:true (build_target target ~small))
-    in
-    Cells_plan
-      {
-        keys;
-        run =
-          (fun i ->
-            match Lazy.force compiled with
-            | Error _ as e -> e
-            | Ok c ->
-              with_retries cell_retries (fun () ->
-                  Run.simulate_packed_result ~cfg kinds.(i) c.Run.packed_trace));
-      }
-  | P.Sweep { schemes; cfg; small } ->
-    let kinds = match parse_schemes schemes with Ok ks -> ks | Error m -> E.fail E.Rejected "%s" m in
-    let cfg = P.config_of_spec cfg in
-    let benches = List.map (fun (e : Perfect.entry) -> e.Perfect.name) Perfect.all in
-    let grid =
-      List.concat_map (fun b -> List.map (fun k -> (b, k)) kinds) benches |> Array.of_list
-    in
-    let keys = Array.map (fun (b, k) -> b ^ "/" ^ Run.scheme_name k) grid in
-    let compiled : (string, (Run.compiled, E.t) result) Hashtbl.t = Hashtbl.create 8 in
-    let compile b =
-      match Hashtbl.find_opt compiled b with
-      | Some r -> r
-      | None ->
-        let r = Run.compile_result ~cfg ~intertask:true (build_target b ~small) in
-        Hashtbl.replace compiled b r;
-        r
-    in
-    Cells_plan
-      {
-        keys;
-        run =
-          (fun i ->
-            let b, k = grid.(i) in
-            match compile b with
-            | Error _ as e -> e
-            | Ok c ->
-              with_retries cell_retries (fun () ->
-                  Run.simulate_packed_result ~cfg k c.Run.packed_trace));
-      }
 
 (* ---- connection I/O ---- *)
 
@@ -438,6 +343,59 @@ let pump st timeout =
 
 (* ---- job execution ---- *)
 
+(* A compare or sweep job is the cells [bench/SCHEME] of
+   {!Run.run_cells}, journaled in [job-<digest>.jnl] under those names.
+   Cells compile through {!Run.compile}'s shared cache (in-memory +
+   optional on-disk), so overlapping jobs from different tenants
+   regenerate each reference stream exactly once per daemon; each
+   benchmark compiles on its first cell, so the sockets are served
+   between compiles too. The first failed cell stops the job. *)
+let run_cells st (job : job) ~cfg ~small benches schemes =
+  let kinds = match parse_schemes schemes with Ok ks -> ks | Error m -> E.fail E.Rejected "%s" m in
+  let cfg = P.config_of_spec cfg in
+  let cells = List.concat_map (fun b -> List.map (fun k -> (b, k)) kinds) benches in
+  let total = List.length cells in
+  let key (b, k) = b ^ "/" ^ Run.scheme_name k in
+  let compiled = Hashtbl.create 8 in
+  let compile b =
+    match Hashtbl.find_opt compiled b with
+    | Some c -> c
+    | None ->
+      let c = E.get_exn (Run.compile_result ~cfg ~intertask:true (build_target b ~small)) in
+      Hashtbl.replace compiled b c;
+      c
+  in
+  Run.run_cells ~jobs:1
+    ~policy:{ Pool.default_policy with keep_going = false }
+    ~checkpoint:(job_journal_path st job.digest)
+    ~on_done:(fun ~finished cell ->
+      broadcast st job.digest (P.Progress { digest = job.digest; cell = key cell; finished; total });
+      (* the last cell's Done goes out before the sockets are served *)
+      if finished < total then pump st 0.0)
+    ~key
+    ~label:(fun c -> "cell " ^ key c)
+    (fun (b, k) ->
+      if draining () then E.fail E.Busy "draining";
+      Run.simulate_packed ~cfg k (compile b).Run.packed_trace)
+    cells
+  |> Result.map (fun results ->
+         P.Cells (List.map2 (fun c result -> { P.cell = key c; result }) cells results))
+
+let run_job st (job : job) =
+  match job.spec with
+  | P.Compile { target; cfg; small } ->
+    let cfg = P.config_of_spec cfg in
+    Run.compile_result ~cfg ~intertask:true (build_target target ~small)
+    |> Result.map (fun (c : Run.compiled) ->
+           P.Compiled
+             {
+               target;
+               epochs = Hscd_sim.Trace.packed_n_epochs c.packed_trace;
+               events = c.packed_trace.Hscd_sim.Trace.p_total_events;
+             })
+  | P.Compare { target; schemes; cfg; small } -> run_cells st job ~cfg ~small [ target ] schemes
+  | P.Sweep { schemes; cfg; small } -> run_cells st job ~cfg ~small Perfect.names schemes
+
 let fail_job st (job : job) err =
   (* a permanent failure is replied, not journaled as done: a later
      resubmission of the same digest re-attempts it from its journal *)
@@ -445,86 +403,23 @@ let fail_job st (job : job) err =
   clear_subs st job.digest;
   Hashtbl.remove st.accepted job.digest
 
-let finish_job st (r : running) =
-  let cells =
-    Array.to_list
-      (Array.mapi
-         (fun i res ->
-           match res with
-           | Some result -> { P.cell = r.keys.(i); result }
-           | None -> E.fail E.Internal "finish_job: missing cell %s" r.keys.(i))
-         r.results)
-  in
-  let payload = P.Cells cells in
-  Journal.append st.journal ~key:(done_key r.job.digest) (Marshal.to_string (payload : P.payload) []);
-  Hashtbl.replace st.done_tbl r.job.digest payload;
-  Hashtbl.remove st.accepted r.job.digest;
-  broadcast st r.job.digest (P.Done { digest = r.job.digest; payload });
-  clear_subs st r.job.digest;
-  Journal.close r.cjournal;
-  (* the per-cell journal is subsumed by the durable done record *)
-  (try Sys.remove r.cpath with Sys_error _ -> ());
-  st.running <- None
-
-let finish_compile st (job : job) payload =
+let finish_job st (job : job) payload =
   Journal.append st.journal ~key:(done_key job.digest) (Marshal.to_string (payload : P.payload) []);
   Hashtbl.replace st.done_tbl job.digest payload;
   Hashtbl.remove st.accepted job.digest;
   broadcast st job.digest (P.Done { digest = job.digest; payload });
-  clear_subs st job.digest
+  clear_subs st job.digest;
+  (* a job journal is subsumed by the durable done record *)
+  try Sys.remove (job_journal_path st job.digest) with Sys_error _ -> ()
 
-let start_job st (job : job) =
-  match plan_of_spec job.spec with
-  | Compile_plan run -> (
-    match run () with
-    | Ok payload -> finish_compile st job payload
-    | Error e -> fail_job st job e)
-  | Cells_plan { keys; run } -> (
-    let cpath = job_journal_path st job.digest in
-    match Journal.open_append cpath with
-    | Error e -> fail_job st job (E.add_context "cell journal" e)
-    | Ok cjournal ->
-      let results = Array.make (Array.length keys) None in
-      let finished = ref 0 in
-      (* resume: cells journaled before a kill replay from disk, not from
-         the simulator — bit-identical because the payload is the
-         marshalled engine result itself *)
-      let index = Hashtbl.create 16 in
-      Array.iteri (fun i k -> Hashtbl.replace index k i) keys;
-      List.iter
-        (fun (k, payload) ->
-          match Hashtbl.find_opt index k with
-          | Some i when results.(i) = None -> (
-            match Run.decode_result payload with
-            | Some r ->
-              results.(i) <- Some r;
-              incr finished
-            | None -> ())
-          | _ -> ())
-        (Journal.entries cjournal);
-      st.running <-
-        Some { job; keys; run_cell = run; results; finished = !finished; cjournal; cpath })
-  | exception E.Error e -> fail_job st job e
-  | exception exn -> fail_job st job (E.of_exn exn)
-
-let step_cell st (r : running) =
-  let n = Array.length r.keys in
-  let rec first_missing i = if i >= n then None else if r.results.(i) = None then Some i else first_missing (i + 1) in
-  match first_missing 0 with
-  | None -> finish_job st r
-  | Some i -> (
-    match r.run_cell i with
-    | Ok res ->
-      r.results.(i) <- Some res;
-      r.finished <- r.finished + 1;
-      Journal.append r.cjournal ~key:r.keys.(i) (Run.encode_result res);
-      broadcast st r.job.digest
-        (P.Progress { digest = r.job.digest; cell = r.keys.(i); finished = r.finished; total = n });
-      if r.finished = n then finish_job st r
-    | Error e ->
-      Journal.close r.cjournal;
-      st.running <- None;
-      fail_job st r.job (E.add_context ("cell " ^ r.keys.(i)) e))
+let execute st (job : job) =
+  match Result.join (E.guard (fun () -> run_job st job)) with
+  | Ok payload -> finish_job st job payload
+  | Error _ when draining () ->
+    (* interrupted, not failed: the job stays accepted in [jobs.jnl] and
+       resumes from its journal on restart *)
+    ()
+  | Error e -> fail_job st job e
 
 (* ---- recovery ---- *)
 
@@ -567,9 +462,6 @@ let mkdir_p dir =
   go dir
 
 let shutdown st =
-  (match st.running with
-  | Some r -> Journal.close r.cjournal (* cells so far are checkpointed *)
-  | None -> ());
   List.iter (fun c -> flush_conn c) st.conns;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) st.conns;
   (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
@@ -607,7 +499,6 @@ let serve ?(on_ready = fun () -> ()) settings =
         accepted = Hashtbl.create 16;
         done_tbl = Hashtbl.create 16;
         subs = Hashtbl.create 16;
-        running = None;
         next_id = 0;
       }
     in
@@ -616,14 +507,11 @@ let serve ?(on_ready = fun () -> ()) settings =
     let rec loop () =
       if draining () then ()
       else begin
-        (match st.running with
-        | Some r ->
-          step_cell st r;
+        (match Scheduler.next st.sched with
+        | Some (_tenant, job) ->
+          execute st job;
           pump st 0.0
-        | None -> (
-          match Scheduler.next st.sched with
-          | Some (_tenant, job) -> start_job st job
-          | None -> pump st 0.25));
+        | None -> pump st 0.25);
         loop ()
       end
     in

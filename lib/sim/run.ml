@@ -243,12 +243,6 @@ let config_digest (cfg : Config.t) =
 let compiled_digest (c : compiled) =
   Digest.to_hex (Digest.string (Hscd_lang.Printer.program_to_string c.marked))
 
-(** One simulation cell as a guarded [result] (never raises): the unit of
-    work the sweep daemon journals and retries. *)
-let simulate_packed_result ?cfg kind trace =
-  Err.guard ~context:("simulate " ^ scheme_name kind) (fun () ->
-      simulate_packed ?cfg kind trace)
-
 (* ------------------------------------------------------------------ *)
 (* The cell runner: every compare and experiment sweep is a list of     *)
 (* cells run on the supervised pool. With a checkpoint, one journal     *)
@@ -265,7 +259,8 @@ let decode_result payload =
   | r -> Some r
   | exception _ -> None
 
-let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ~key ~label f cells =
+let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ?(on_done = fun ~finished:_ _ -> ())
+    ~key ~label f cells =
   let with_journal k =
     match checkpoint with
     | None -> k None []
@@ -281,11 +276,16 @@ let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ~key ~label f ce
   let results = Array.map (fun c -> Option.bind (Hashtbl.find_opt prior (key c)) decode_result) cells in
   let todo = List.filter (fun i -> results.(i) = None) (List.init (Array.length cells) Fun.id) in
   let todo_arr = Array.of_list todo in
+  let finished = ref (Array.length cells - Array.length todo_arr) in
   let outcomes, _stats =
     Pool.supervise ?jobs ~policy
       ~on_done:(fun t oc ->
-        match (journal, oc) with
-        | Some j, Pool.Done r -> Journal.append j ~key:(key cells.(todo_arr.(t))) (encode_result r)
+        match oc with
+        | Pool.Done r ->
+          let cell = cells.(todo_arr.(t)) in
+          Option.iter (fun j -> Journal.append j ~key:(key cell) (encode_result r)) journal;
+          incr finished;
+          on_done ~finished:!finished cell
         | _ -> ())
       (fun i -> f cells.(i))
       todo

@@ -96,22 +96,14 @@ val config_digest : Hscd_arch.Config.t -> string
 (** Stable digest of a compiled program (the marked source text). *)
 val compiled_digest : compiled -> string
 
-(** {!simulate_packed} as a guarded [result] — never raises; the form
-    the daemon journals and retries per cell. *)
-val simulate_packed_result :
-  ?cfg:Hscd_arch.Config.t ->
-  scheme_kind ->
-  Trace.packed ->
-  (Engine.result, Hscd_util.Hscd_error.t) result
-
 (** {1 Supervised cells}
 
-    Every compare and experiment sweep runs through {!run_cells} on the
+    Every compare and experiment sweep, and every compare and sweep job
+    of the daemon ([hscd serve]), runs through {!run_cells} on the
     supervised pool ({!Hscd_util.Pool.supervise}); there is no other
     executor. *)
 
-(** The journal payload of one cell: the marshalled {!Engine.result}.
-    Used by every sweep journal and by the daemon's per-job journals. *)
+(** The journal payload of one cell: the marshalled {!Engine.result}. *)
 val encode_result : Engine.result -> string
 
 (** Inverse of {!encode_result}; [None] for a payload that does not
@@ -127,11 +119,18 @@ val decode_result : string -> Engine.result option
     completes is appended the moment it finishes — so a rerun after a
     crash, kill or torn tail resumes bit-identically. On [Error] (the
     first failing cell in input order, with [label cell] as context),
-    every cell completed so far is already durable in the journal. *)
+    every cell completed so far is already durable in the journal.
+
+    [on_done ~finished cell] runs in the calling domain each time a
+    freshly simulated cell completes, after its journal record is
+    appended. [finished] counts every completed cell, those reused from
+    the journal included, so it ends at the number of cells. The daemon
+    streams its [Progress] frames and serves its sockets from it. *)
 val run_cells :
   ?jobs:int ->
   ?policy:Hscd_util.Pool.policy ->
   ?checkpoint:string ->
+  ?on_done:(finished:int -> 'a -> unit) ->
   key:('a -> string) ->
   label:('a -> string) ->
   ('a -> Engine.result) ->

@@ -10,7 +10,10 @@
      from the cell journal and still matches the reference bit-for-bit;
    - a hung client parking half a frame while others complete jobs;
    - a flipped bit on the wire dropping only the offending connection;
-   - SIGTERM draining gracefully (exit 0, socket unlinked);
+   - SIGTERM draining gracefully (exit 0, socket unlinked), both idle and
+     mid-sweep: the interrupted sweep keeps its journaled cells, stays
+     accepted but not done, and a restarted daemon completes it
+     bit-identically;
    - with `--fd-probe DIR` (run by the main body under `ulimit -n 32`):
      hundreds of failing journal/trace opens inside a 32-descriptor
      budget, the regression test for close-on-error paths.
@@ -99,15 +102,21 @@ let cfg_spec = { P.processors = 16; line_words = 4; timetag_bits = 8 }
 let chaos_schemes = [ "TPI" ]
 let chaos_cfg_spec = { cfg_spec with P.timetag_bits = 4 }
 
+(* the mid-sweep drain: evaluation scale and the paper's four schemes, 24
+   cells, long enough that a SIGTERM sent on the first Progress frame
+   lands well before the last cell *)
+let drain_schemes = [ "BASE"; "SC"; "TPI"; "HW" ]
+
 (* Sequential reference, inline (domain-free — the parent forks later).
    These are the same compile_result/simulate_packed calls a sequential
    `hscd experiment` cell makes, so bit-identity against them is
    bit-identity against the CLI path. *)
-let reference spec_cfg names =
+let reference ?(small = true) spec_cfg names =
   let cfg = P.config_of_spec spec_cfg in
   List.concat_map
     (fun (e : Perfect.entry) ->
-      let c = get "reference compile" (Run.compile_result ~cfg ~intertask:true (e.build_small ())) in
+      let program = if small then e.build_small () else e.build () in
+      let c = get "reference compile" (Run.compile_result ~cfg ~intertask:true program) in
       List.map
         (fun s ->
           let kind = get "reference scheme" (Run.scheme_of_name s) in
@@ -162,6 +171,37 @@ let start_daemon ?(delay = 0.0) () =
        exit 2)
   | pid -> pid
 
+let check_exit_0 name pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> check name true
+  | _, status ->
+    check
+      (Printf.sprintf "%s (got %s)" name
+         (match status with
+         | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+         | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
+         | Unix.WSTOPPED n -> Printf.sprintf "stop %d" n))
+      false
+
+(* a job journal's records, split into those bit-identical to the
+   reference cell of the same name and the rest *)
+let journal_cells digest reference =
+  match Hscd_util.Journal.load (Filename.concat state ("job-" ^ digest ^ ".jnl")) with
+  | Ok entries ->
+    List.partition
+      (fun (key, payload) ->
+        match (Marshal.from_string payload 0 : Hscd_sim.Engine.result) with
+        | r -> List.assoc_opt key reference = Some r
+        | exception _ -> false)
+      entries
+  | Error _ -> ([], [])
+
+(* the [jobs.jnl] record keys: [accept|digest] and [done|digest] *)
+let jobs_journal_keys () =
+  match Hscd_util.Journal.load (Filename.concat state "jobs.jnl") with
+  | Ok entries -> List.map fst entries
+  | Error e -> failwith ("jobs.jnl: " ^ E.to_string e)
+
 let wait_ready () =
   let rec go n =
     if n = 0 then failwith "daemon did not come up";
@@ -201,6 +241,7 @@ let () =
 
   let sweep_ref = reference cfg_spec schemes in
   let chaos_ref = reference chaos_cfg_spec chaos_schemes in
+  let drain_ref = reference ~small:false cfg_spec drain_schemes in
   let sweep_spec = P.Sweep { schemes; cfg = cfg_spec; small = true } in
   let compare_spec = P.Compare { target = "TRFD"; schemes; cfg = cfg_spec; small = true } in
   let chaos_spec = P.Sweep { schemes = chaos_schemes; cfg = chaos_cfg_spec; small = true } in
@@ -337,17 +378,7 @@ let () =
   check "daemon killed mid-sweep after 3 checkpointed cells" (!seen = 3);
   (* the kill left durable, bit-identical cells behind: this is what the
      restarted daemon resumes from instead of re-simulating *)
-  let journaled =
-    match Hscd_util.Journal.load (Filename.concat state ("job-" ^ dk ^ ".jnl")) with
-    | Ok entries ->
-      List.filter
-        (fun (key, payload) ->
-          match (Marshal.from_string payload 0 : Hscd_sim.Engine.result) with
-          | r -> List.assoc_opt key chaos_ref = Some r
-          | exception _ -> false)
-        entries
-    | Error _ -> []
-  in
+  let journaled, _ = journal_cells dk chaos_ref in
   check
     (Printf.sprintf "cell journal survived the kill with %d reference-identical cells"
        (List.length journaled))
@@ -370,17 +401,42 @@ let () =
 
   (* --- graceful drain: SIGTERM exits 0 and unlinks the socket --- *)
   Unix.kill pid Sys.sigterm;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> check "SIGTERM drains gracefully with exit 0" true
-  | _, status ->
-    check
-      (Printf.sprintf "SIGTERM drains gracefully with exit 0 (got %s)"
-         (match status with
-         | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-         | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-         | Unix.WSTOPPED n -> Printf.sprintf "stop %d" n))
-      false);
+  check_exit_0 "SIGTERM drains gracefully with exit 0" pid;
   check "drained daemon unlinked its socket" (not (Sys.file_exists socket));
+
+  (* --- SIGTERM mid-sweep: checkpointed and kept, neither failed nor done --- *)
+  let pid = start_daemon () in
+  wait_ready ();
+  let td = get "connect drain" (Client.connect ~socket ~tenant:"alice" ()) in
+  let drain_spec = P.Sweep { schemes = drain_schemes; cfg = cfg_spec; small = false } in
+  let dd, _ = get "submit drain sweep" (Client.submit td drain_spec) in
+  let rec first_progress () =
+    match Client.recv_response td with
+    | Ok (P.Progress { digest; _ }) when digest = dd -> ()
+    | Ok _ -> first_progress ()
+    | Error e -> failwith ("drain watch: " ^ E.to_string e)
+  in
+  first_progress ();
+  Unix.kill pid Sys.sigterm;
+  check_exit_0 "SIGTERM mid-sweep drains with exit 0" pid;
+  Client.close td;
+  let same, differing = journal_cells dd drain_ref in
+  let n = List.length same + List.length differing in
+  check
+    (Printf.sprintf "drained sweep journaled %d of %d cells" n (List.length drain_ref))
+    (n >= 1 && n < List.length drain_ref);
+  check "every journaled cell is bit-identical to the reference" (differing = []);
+  let keys = jobs_journal_keys () in
+  check "jobs.jnl keeps the drained job accepted, not done"
+    (List.mem ("accept|" ^ dd) keys && not (List.mem ("done|" ^ dd) keys));
+  let pid = start_daemon () in
+  let payload =
+    get "resubmit after drain" (Client.run_job ~socket ~tenant:"alice" drain_spec)
+  in
+  check "restarted daemon completes the drained sweep bit-identically"
+    (cells_match payload drain_ref);
+  Unix.kill pid Sys.sigterm;
+  check_exit_0 "restarted daemon drains with exit 0" pid;
 
   if !failures > 0 then begin
     Printf.printf "service_smoke: %d failure(s)\n" !failures;

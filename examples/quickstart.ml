@@ -1,5 +1,7 @@
-(** Quickstart: parse a small PFL program, run the coherence compiler, and
-    simulate it under the TPI scheme on the paper's default machine.
+(** Quickstart: parse a small PFL program, run the coherence compiler,
+    simulate it under the TPI scheme on the paper's default machine, and
+    compare the paper's four schemes on the same trace. Exits non-zero if
+    any run is incoherent.
 
     Run with: [dune exec examples/quickstart.exe] *)
 
@@ -40,11 +42,19 @@ let () =
   Printf.printf "execution time : %d cycles\n" result.cycles;
   Printf.printf "miss rate      : %.2f%%\n" (100.0 *. Core.Sim.Metrics.miss_rate m);
   Printf.printf "avg miss lat.  : %.1f cycles\n" (Core.Sim.Metrics.avg_read_miss_latency m);
-  Printf.printf "coherent       : %s\n"
-    (if result.memory_ok && m.violations = 0 then "yes (verified against golden interpreter)"
-     else "NO — violations detected");
+  assert (result.memory_ok && m.violations = 0);
+  Printf.printf "coherent       : yes (verified against golden interpreter)\n";
 
   (* 3. Peek at the final memory through the golden interpreter. *)
   let checked = Core.Lang.Sema.check_exn program in
   let r = Core.Lang.Eval.run checked in
-  Printf.printf "a[63] after 5 smoothing steps = %d\n" (Core.Lang.Eval.peek r "a" [ 63 ])
+  Printf.printf "a[63] after 5 smoothing steps = %d\n" (Core.Lang.Eval.peek r "a" [ 63 ]);
+
+  (* 4. The paper's four schemes, one compiled trace. *)
+  let _compiled, results = Core.compare_schemes program in
+  print_endline "\n=== all four schemes ===";
+  List.iter
+    (fun (r : Core.Sim.Run.comparison) ->
+      assert (r.result.memory_ok && r.result.metrics.violations = 0);
+      Printf.printf "%-5s %d cycles\n" (Core.Sim.Run.scheme_name r.kind) r.result.cycles)
+    results

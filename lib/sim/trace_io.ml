@@ -188,10 +188,29 @@ let load path : Trace.t =
       Hashtbl.replace arrays name
         { Shape.name; dims; size = Shape.size_of_dims dims; base })
     b.arrays;
+  (* fields the replay indexes by: a trace is input from outside *)
+  let check_word what i =
+    if i < 0 || i >= b.words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i b.words
+  in
+  let check_event = function
+    | Event.Read { addr; array; _ } | Event.Write { addr; array; _ } ->
+      check_word "address" addr;
+      if not (Hashtbl.mem arrays array) then Err.fail Err.Parse "Trace_io: unknown array %s" array
+    | Event.Compute n when n < 0 -> Err.fail Err.Parse "Trace_io: negative compute count %d" n
+    | _ -> ()
+  in
+  let epochs = Array.of_list (List.rev b.epochs) in
+  Array.iter
+    (fun (e : Trace.epoch) -> Array.iter (fun (t : Trace.task) -> Array.iter check_event t.events) e.tasks)
+    epochs;
   let golden = Array.make (max 1 b.words) 0 in
-  List.iter (fun (i, v) -> golden.(i) <- v) b.golden;
+  List.iter
+    (fun (i, v) ->
+      check_word "golden index" i;
+      golden.(i) <- v)
+    b.golden;
   {
-    Trace.epochs = Array.of_list (List.rev b.epochs);
+    Trace.epochs;
     layout = { Shape.arrays; total_words = b.words };
     golden_memory = golden;
     total_events = b.total;
@@ -236,9 +255,16 @@ let mix = Hscd_util.Checksum.mix
 
 let corrupt what = Err.fail Err.Corrupt "Trace_io: corrupt binary trace (%s)" what
 
-(* domain-separated seed per (slab, chunk): a chunk that checks out in the
-   wrong slot is still rejected *)
-let chunk_seed slab c = mix (mix 0 (0xC0FFEE + slab)) c
+(* the chunk table's entry for chunk [c] of slab number [slab]: [mix]
+   folded over the slab's slots [c*cw .. min n ((c+1)*cw) - 1], from a
+   domain-separated seed per (slab, chunk) so that a chunk that checks out
+   in the wrong slot is still rejected *)
+let chunk_sum s ~slab ~n ~cw c =
+  let sum = ref (mix (mix 0 (0xC0FFEE + slab)) c) in
+  for i = c * cw to min n ((c + 1) * cw) - 1 do
+    sum := mix !sum (Slab.get s i)
+  done;
+  !sum
 
 let chunks_of ~n ~cw = if n = 0 then 0 else ((n - 1) / cw) + 1
 
@@ -324,11 +350,7 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
   Array.iteri
     (fun j s ->
       for c = 0 to nchunks - 1 do
-        let sum = ref (chunk_seed j c) in
-        for i = c * cw to min n ((c + 1) * cw) - 1 do
-          sum := mix !sum (Slab.get s i)
-        done;
-        put_int w !sum
+        put_int w (chunk_sum s ~slab:j ~n ~cw c)
       done)
     slabs;
   (* header checksum, written raw (not folded into itself) *)
@@ -557,17 +579,20 @@ let read_header r : header =
     h_slab_base = slab_base;
   }
 
-(* per-slot structural validation; ops/marks/arrs interplay means it runs
-   over a slot range, not per chunk *)
-let validate_slots ~ops ~marks ~arrs ~n_syms ~max_code lo hi =
+(* per-slot structural validation; the slabs' interplay (the opcode says
+   what the other fields mean) means it runs over a slot range, not per
+   chunk *)
+let validate_slots (p : Trace.packed) ~n_syms ~max_code lo hi =
+  let total_words = p.p_layout.Shape.total_words in
   for i = lo to hi - 1 do
-    let op = Slab.get ops i in
+    let op = Slab.get p.ops i and addr = Slab.get p.addrs i in
     if op < Event.Code.compute || op > Event.Code.unlock then corrupt "opcode";
-    if
-      (op = Event.Code.read || op = Event.Code.write)
-      && (Slab.get arrs i < 0 || Slab.get arrs i >= n_syms)
-    then corrupt "array id";
-    if op = Event.Code.read && (Slab.get marks i < 0 || Slab.get marks i > max_code) then
+    if op = Event.Code.compute && addr < 0 then corrupt "compute count";
+    if op = Event.Code.read || op = Event.Code.write then begin
+      if Slab.get p.arrs i < 0 || Slab.get p.arrs i >= n_syms then corrupt "array id";
+      if addr < 0 || addr >= total_words then corrupt "address"
+    end;
+    if op = Event.Code.read && (Slab.get p.marks i < 0 || Slab.get p.marks i > max_code) then
       corrupt "mark code"
   done
 
@@ -594,13 +619,10 @@ let read_slab r ~n ~cw ~sums ~slab =
   let s = Slab.create (max 1 n) in
   let nchunks = chunks_of ~n ~cw in
   for c = 0 to nchunks - 1 do
-    let sum = ref (chunk_seed slab c) in
     for i = c * cw to min n ((c + 1) * cw) - 1 do
-      let v = get_raw_int r in
-      Slab.set s i v;
-      sum := mix !sum v
+      Slab.set s i (get_raw_int r)
     done;
-    if !sum <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
+    if chunk_sum s ~slab ~n ~cw c <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
   done;
   s
 
@@ -613,9 +635,9 @@ let read_packed_channel ic : Trace.packed =
   for j = 0 to 4 do
     slabs.(j) <- read_slab r ~n ~cw:h.h_chunk_words ~sums:h.h_sums ~slab:j
   done;
-  validate_slots ~ops:slabs.(0) ~marks:slabs.(3) ~arrs:slabs.(4) ~n_syms:h.h_n_syms
-    ~max_code:h.h_max_code 0 n;
-  packed_of_header h slabs
+  let p = packed_of_header h slabs in
+  validate_slots p ~n_syms:h.h_n_syms ~max_code:h.h_max_code 0 n;
+  p
 
 (** Load a binary packed trace, validating structure and checksum; raises
     [Hscd_error.Error] (kind [Corrupt]) on anything truncated, corrupt,
@@ -690,14 +712,9 @@ module Mapped = struct
   let validate_chunk m j c =
     let idx = (j * m.m_nchunks) + c in
     if Bytes.get m.m_chunk_ok idx = '\000' then begin
-      let s = slab_of m j in
       let n = m.m_trace.Trace.n_slots in
-      let cw = m.m_chunk_words in
-      let sum = ref (chunk_seed j c) in
-      for i = c * cw to min n ((c + 1) * cw) - 1 do
-        sum := mix !sum (Slab.get s i)
-      done;
-      if !sum <> m.m_sums.(idx) then corrupt "slab chunk checksum";
+      if chunk_sum (slab_of m j) ~slab:j ~n ~cw:m.m_chunk_words c <> m.m_sums.(idx) then
+        corrupt "slab chunk checksum";
       Bytes.set m.m_chunk_ok idx '\001'
     end
 
@@ -715,8 +732,7 @@ module Mapped = struct
             validate_chunk m j c
           done
         done;
-        validate_slots ~ops:(slab_of m 0) ~marks:(slab_of m 3) ~arrs:(slab_of m 4)
-          ~n_syms:m.m_n_syms ~max_code:m.m_max_code lo hi
+        validate_slots m.m_trace ~n_syms:m.m_n_syms ~max_code:m.m_max_code lo hi
       end;
       Bytes.set m.m_epoch_ok e '\001'
     end

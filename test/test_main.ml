@@ -29,5 +29,4 @@ let () =
       ("compile-cache", Test_compile_cache.suite);
       ("experiments", Test_experiments.suite);
       ("service", Test_service.suite);
-      ("core", [ Alcotest.test_case "facade placeholder" `Quick (fun () -> Core.placeholder ()) ]);
     ]

@@ -40,17 +40,31 @@ let test_replay_equivalence () =
 
 let test_bad_input_rejected () =
   let path = tmp "hscd_trace_bad.txt" in
-  let oc = open_out path in
-  output_string oc "hscd-trace 1\nnonsense line here\n";
-  close_out oc;
-  (match Trace_io.load path with
-  | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Parse; _ } -> ()
-  | exception e -> Alcotest.fail ("expected a typed Parse error, got " ^ Printexc.to_string e)
-  | _ -> Alcotest.fail "expected a typed Parse error on malformed trace");
-  (* the result API never lets the exception escape *)
-  (match Trace_io.load_result path with
-  | Error e -> Alcotest.(check bool) "load_result: parse kind" true (e.kind = Hscd_util.Hscd_error.Parse)
-  | Ok _ -> Alcotest.fail "load_result accepted a malformed trace");
+  let expect_parse name text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    (match Trace_io.load path with
+    | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Parse; _ } -> ()
+    | exception e ->
+      Alcotest.fail (name ^ ": expected a typed Parse error, got " ^ Printexc.to_string e)
+    | _ -> Alcotest.fail (name ^ ": expected a typed Parse error on malformed trace"));
+    (* the result API never lets the exception escape *)
+    match Trace_io.load_result path with
+    | Error e ->
+      Alcotest.(check bool) (name ^ ": load_result parse kind") true
+        (e.kind = Hscd_util.Hscd_error.Parse)
+    | Ok _ -> Alcotest.fail (name ^ ": load_result accepted a malformed trace")
+  in
+  expect_parse "nonsense line" "hscd-trace 1\nnonsense line here\n";
+  (* well-formed lines whose fields the replay would index out of range *)
+  let header = "hscd-trace 1\nwords 4\narray a 0 4\n" in
+  let body = "epoch serial\ntask 0\n" in
+  expect_parse "read address past words" (header ^ body ^ "R 999 N 0 a\n");
+  expect_parse "negative write address" (header ^ body ^ "W -1 N 0 a\n");
+  expect_parse "golden index past words" (header ^ "golden 9 5\n" ^ body ^ "R 1 N 0 a\n");
+  expect_parse "negative compute count" (header ^ body ^ "C -100000\nW 1 N 5 a\nR 1 N 5 a\n");
+  expect_parse "undeclared array name" (header ^ body ^ "R 1 N 0 zz\n");
   Sys.remove path
 
 let test_mark_strings () =
@@ -132,10 +146,12 @@ let test_roundtrip_degenerate () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
+
 let test_corpus_resave_bytes () =
   (* the writer is pinned byte for byte: re-saving each checked-in corpus
      trace through [pack] reproduces the file exactly *)
-  let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
+  let dir = corpus_dir () in
   let files =
     List.filter (fun f -> Filename.check_suffix f ".trace") (Array.to_list (Sys.readdir dir))
   in
@@ -282,6 +298,50 @@ let test_binary_rejects_corruption () =
     write_variant (Bytes.to_string b);
     expect_corrupt (Printf.sprintf "header word %d out of range" word) path
   done;
+  Sys.remove path;
+  (* checksum-valid files whose slot fields the replay would index out of
+     range: refused by [read_packed], and by [Mapped.validate_epoch] at the
+     epoch that owns the slot *)
+  let first (p : Trace.packed) op =
+    let rec go i = if Trace.Slab.get p.ops i = op then i else go (i + 1) in
+    go 0
+  in
+  let owner (p : Trace.packed) i =
+    let rec go e =
+      if
+        Array.exists
+          (fun (t : Trace.ptask) -> t.Trace.off <= i && i < t.Trace.off + t.Trace.len)
+          p.Trace.p_epochs.(e).Trace.p_tasks
+      then e
+      else go (e + 1)
+    in
+    go 0
+  in
+  (* the address slab holds a read/write's address and a compute's count *)
+  let expect_bad_slot name p op v =
+    let i = first p op in
+    let old = Trace.Slab.get p.Trace.addrs i in
+    Trace.Slab.set p.Trace.addrs i v;
+    Trace_io.write_packed path p;
+    Trace.Slab.set p.Trace.addrs i old;
+    expect_corrupt name path;
+    let m = Trace_io.map_packed path in
+    for e = 0 to owner p i - 1 do
+      Trace_io.Mapped.validate_epoch m e
+    done;
+    match Trace_io.Mapped.validate_epoch m (owner p i) with
+    | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Corrupt; _ } -> ()
+    | exception e -> Alcotest.fail (name ^ ": expected Corrupt from the map, got " ^ Printexc.to_string e)
+    | () -> Alcotest.fail (name ^ ": mapped epoch accepted the slot")
+  in
+  let module Code = Hscd_arch.Event.Code in
+  let p = c.Run.packed_trace in
+  expect_bad_slot "read address past total words" p Code.read 10_000_000;
+  expect_bad_slot "negative read address" p Code.read (-1);
+  expect_bad_slot "write address past total words" p Code.write 10_000_000;
+  (* compiled kernels carry no compute slots; a corpus trace does *)
+  let basic = Trace.pack (Trace_io.load (Filename.concat (corpus_dir ()) "basic.trace")) in
+  expect_bad_slot "negative compute count" basic Code.compute (-100_000);
   Sys.remove path;
   (* a missing file is an [Io] error, not [Corrupt] *)
   match Trace_io.read_packed_result path with

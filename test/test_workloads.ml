@@ -8,6 +8,7 @@ module Run = Hscd_sim.Run
 module Metrics = Hscd_sim.Metrics
 module Kernels = Hscd_workloads.Kernels
 module Perfect = Hscd_workloads.Perfect
+module Programs = Hscd_workloads.Programs
 
 let test_kernels_sema_clean () =
   List.iter
@@ -92,6 +93,23 @@ let test_kernel_results () =
   let r = Eval.run (Sema.check_exn (Kernels.transpose ~n:8 ())) in
   Alcotest.(check int) "transpose" (Eval.peek r "m" [ 2; 5 ]) (Eval.peek r "mt" [ 5; 2 ])
 
+let test_program_resolver () =
+  let built ?(small = false) name = Option.map (fun b -> b ()) (Programs.find ~small name) in
+  List.iter
+    (fun name ->
+      let expected = built name in
+      Alcotest.(check bool) (name ^ " resolves") true (expected <> None);
+      List.iter
+        (fun n -> Alcotest.(check bool) (n ^ " resolves to " ^ name) true (built n = expected))
+        [ String.uppercase_ascii name; String.lowercase_ascii name ])
+    Programs.names;
+  Alcotest.(check int) "every Perfect model and kernel"
+    (List.length Perfect.names + List.length Kernels.all)
+    (List.length Programs.names);
+  Alcotest.(check bool) "small picks the test scale" true
+    (built ~small:true "ocean" = Some ((Option.get (Perfect.find "OCEAN")).build_small ()));
+  Alcotest.(check bool) "unknown" true (Programs.find "nope" = None)
+
 let suite =
   [
     Alcotest.test_case "kernels sema-clean" `Quick test_kernels_sema_clean;
@@ -101,4 +119,5 @@ let suite =
     Alcotest.test_case "benchmark characters" `Quick test_benchmark_characters;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "kernel golden values" `Quick test_kernel_results;
+    Alcotest.test_case "program names resolve in any case" `Quick test_program_resolver;
   ]

@@ -350,7 +350,7 @@ let pump st timeout =
    regenerate each reference stream exactly once per daemon; each
    benchmark compiles on its first cell, so the sockets are served
    between compiles too. The first failed cell stops the job. *)
-let run_cells st (job : job) ~cfg ~small benches schemes =
+let run_grid st (job : job) ~cfg ~small benches schemes =
   let kinds = match parse_schemes schemes with Ok ks -> ks | Error m -> E.fail E.Rejected "%s" m in
   let cfg = P.config_of_spec cfg in
   let cells = List.concat_map (fun b -> List.map (fun k -> (b, k)) kinds) benches in
@@ -393,8 +393,8 @@ let run_job st (job : job) =
                epochs = Hscd_sim.Trace.packed_n_epochs c.packed_trace;
                events = c.packed_trace.Hscd_sim.Trace.p_total_events;
              })
-  | P.Compare { target; schemes; cfg; small } -> run_cells st job ~cfg ~small [ target ] schemes
-  | P.Sweep { schemes; cfg; small } -> run_cells st job ~cfg ~small Perfect.names schemes
+  | P.Compare { target; schemes; cfg; small } -> run_grid st job ~cfg ~small [ target ] schemes
+  | P.Sweep { schemes; cfg; small } -> run_grid st job ~cfg ~small Perfect.names schemes
 
 let fail_job st (job : job) err =
   (* a permanent failure is replied, not journaled as done: a later

@@ -103,23 +103,18 @@ val compiled_digest : compiled -> string
     supervised pool ({!Hscd_util.Pool.supervise}); there is no other
     executor. *)
 
-(** The journal payload of one cell: the marshalled {!Engine.result}. *)
-val encode_result : Engine.result -> string
-
-(** Inverse of {!encode_result}; [None] for a payload that does not
-    decode. *)
-val decode_result : string -> Engine.result option
-
 (** [run_cells ~jobs ~policy ~checkpoint ~key ~label f cells] runs [f]
-    on every cell as one supervised-pool task (retried with backoff on
-    transient failure per [policy], default
+    on every cell as one supervised-pool task (a failed attempt is
+    retried with backoff, whatever its error kind, per [policy], default
     {!Hscd_util.Pool.default_policy}) and returns the results in input
     order. With [checkpoint], cells already in that journal under
     [key cell] are reused without simulating, and every cell that
     completes is appended the moment it finishes — so a rerun after a
     crash, kill or torn tail resumes bit-identically. On [Error] (the
     first failing cell in input order, with [label cell] as context),
-    every cell completed so far is already durable in the journal.
+    every cell completed so far is already durable in the journal. A
+    record's payload is the cell's marshalled {!Engine.result}; a
+    record that does not decode is simulated again.
 
     [on_done ~finished cell] runs in the calling domain each time a
     freshly simulated cell completes, after its journal record is

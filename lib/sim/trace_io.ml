@@ -256,13 +256,14 @@ let mix = Hscd_util.Checksum.mix
 let corrupt what = Err.fail Err.Corrupt "Trace_io: corrupt binary trace (%s)" what
 
 (* the chunk table's entry for chunk [c] of slab number [slab]: [mix]
-   folded over the slab's slots [c*cw .. min n ((c+1)*cw) - 1], from a
-   domain-separated seed per (slab, chunk) so that a chunk that checks out
-   in the wrong slot is still rejected *)
-let chunk_sum s ~slab ~n ~cw c =
+   folded over [get i] for the slots [i] = [c*cw .. min n ((c+1)*cw) - 1],
+   in ascending order (the buffered reader streams the file through
+   [get]), from a domain-separated seed per (slab, chunk) so that a chunk
+   that checks out in the wrong slot is still rejected *)
+let chunk_sum ~slab ~n ~cw c get =
   let sum = ref (mix (mix 0 (0xC0FFEE + slab)) c) in
   for i = c * cw to min n ((c + 1) * cw) - 1 do
-    sum := mix !sum (Slab.get s i)
+    sum := mix !sum (get i)
   done;
   !sum
 
@@ -350,7 +351,7 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
   Array.iteri
     (fun j s ->
       for c = 0 to nchunks - 1 do
-        put_int w (chunk_sum s ~slab:j ~n ~cw c)
+        put_int w (chunk_sum ~slab:j ~n ~cw c (Slab.get s))
       done)
     slabs;
   (* header checksum, written raw (not folded into itself) *)
@@ -619,10 +620,12 @@ let read_slab r ~n ~cw ~sums ~slab =
   let s = Slab.create (max 1 n) in
   let nchunks = chunks_of ~n ~cw in
   for c = 0 to nchunks - 1 do
-    for i = c * cw to min n ((c + 1) * cw) - 1 do
-      Slab.set s i (get_raw_int r)
-    done;
-    if chunk_sum s ~slab ~n ~cw c <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
+    let read i =
+      let v = get_raw_int r in
+      Slab.set s i v;
+      v
+    in
+    if chunk_sum ~slab ~n ~cw c read <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
   done;
   s
 
@@ -713,7 +716,7 @@ module Mapped = struct
     let idx = (j * m.m_nchunks) + c in
     if Bytes.get m.m_chunk_ok idx = '\000' then begin
       let n = m.m_trace.Trace.n_slots in
-      if chunk_sum (slab_of m j) ~slab:j ~n ~cw:m.m_chunk_words c <> m.m_sums.(idx) then
+      if chunk_sum ~slab:j ~n ~cw:m.m_chunk_words c (Slab.get (slab_of m j)) <> m.m_sums.(idx) then
         corrupt "slab chunk checksum";
       Bytes.set m.m_chunk_ok idx '\001'
     end

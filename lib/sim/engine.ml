@@ -17,8 +17,8 @@
     flat cache arrays, work items are rank+offset encoded in a single int
     and popped from unboxed deques, a task's critical-section tickets are
     a base+count pair instead of a list, and all per-epoch scratch
-    (processor states, ticket slots, idle set, ready queue, deques) is
-    allocated once per run and reset across epochs. What replay still
+    (processor states, ticket slots, ready queue, deques) is allocated
+    once per run and reset across epochs. What replay still
     allocates is per epoch (its closures) and per machine as the trace
     first touches it (cache frames, fetch maps, directory entries): the
     benchmark's traced runs measure [engine.words_per_event] at about
@@ -27,15 +27,29 @@
     The next processor to run comes from {!Ready}, a binary min-heap of
     one packed int per runnable processor, [(clock lsl pbits) lor pidx]:
     a single int compare orders by clock and breaks ties on the lowest
-    index, the order a linear lowest-clock scan would produce. After each
-    event the running processor goes back through {!Ready.push_pop}: while
-    its key is still below the root it keeps running without touching
-    the heap, otherwise it replaces the root with one sift-down. Processors
-    leave the queue while blocked on a critical-section ticket — parked in
-    a per-ticket slot and re-enqueued by the matching unlock — or while
-    out of work, and idle processors are woken in index order when
-    self-scheduled work reappears (a migrated task tail). Work queues are
-    ring-buffer deques, so task distribution is O(1) per task.
+    index, the order a linear lowest-clock scan would produce. The heap's
+    key array is padded with [max_int] past its live prefix, so a
+    sift-down picks the smaller child without a bounds test or a branch.
+    After each event the running processor goes back through
+    {!Ready.push_pop}: while its key is still below the root it keeps
+    running without touching the heap, otherwise it replaces the root
+    with one sift-down. A compute slot that follows an event and is not
+    the last of its range is applied with that event, saving a trip
+    through the heap: compute touches no shared state, so the next
+    shared event keeps its key. Processors leave the queue while blocked
+    on a critical-section ticket — parked in a per-ticket slot and
+    re-enqueued by the matching unlock — or while out of work, and idle
+    processors are woken in index order when self-scheduled work
+    reappears (a migrated task tail); an idle count skips that scan when
+    no processor is idle. Work queues are ring-buffer deques, so task
+    distribution is O(1) per task.
+
+    An epoch pays only for the processors it uses: a processor's record
+    is reset when the epoch first hands it work, only those processors
+    are activated (a self-scheduled epoch's queue goes to processors in
+    index order until it runs out), and the barrier takes the latest of
+    their clocks plus stalls, while every processor the epoch never used
+    finishes at the epoch's start plus its stall.
 
     The per-event path calls no other module except the scheme's
     [read]/[write]: slabs are read with [Bigarray.Array1.get] at their
@@ -108,14 +122,17 @@ let[@inline] wmark_of code = if code = 0 then Event.Normal_write else Event.Bypa
 
 module Ready = struct
   type t = {
-    keys : int array;  (** heap-ordered packed keys, [size] of them live *)
+    keys : int array;
+        (** heap-ordered packed keys, [size] of them live; every slot at or
+            past [size] holds [max_int], and one spare slot past the
+            largest heap means a last left child always has a right one *)
     mutable size : int;
     pbits : int;  (** bits of the processor index in a key *)
   }
 
   let create ~processors =
     let rec bits b = if (processors - 1) lsr b = 0 then b else bits (b + 1) in
-    { keys = Array.make (max 1 processors) 0; size = 0; pbits = bits 0 }
+    { keys = Array.make (max 1 processors + 1) max_int; size = 0; pbits = bits 0 }
 
   let[@inline] key t ~clock pidx = (clock lsl t.pbits) lor pidx
   let[@inline] pidx t key = key land ((1 lsl t.pbits) - 1)
@@ -125,7 +142,10 @@ module Ready = struct
   let clock_limit t = max_int asr (t.pbits + 1)
 
   let length t = t.size
-  let clear t = t.size <- 0
+
+  let clear t =
+    Array.fill t.keys 0 t.size max_int;
+    t.size <- 0
 
   (* sifts move a hole and write [key] once, where it lands *)
   let rec sift_up (a : int array) i key =
@@ -140,12 +160,13 @@ module Ready = struct
       else a.(i) <- key
     end
 
+  (* a missing right child reads [max_int], so the smaller child is picked
+     by one compare whose result is added to the index, not branched on *)
   let rec sift_down (a : int array) n i key =
     let l = (2 * i) + 1 in
     if l >= n then a.(i) <- key
     else begin
-      let r = l + 1 in
-      let c = if r < n && a.(r) < a.(l) then r else l in
+      let c = l + Bool.to_int (a.(l + 1) < a.(l)) in
       let ck = a.(c) in
       if ck < key then begin
         a.(i) <- ck;
@@ -166,13 +187,16 @@ module Ready = struct
       let top = a.(0) in
       let n = t.size - 1 in
       t.size <- n;
-      if n > 0 then sift_down a n 0 a.(n);
+      let last = a.(n) in
+      a.(n) <- max_int;
+      if n > 0 then sift_down a n 0 last;
       top
     end
 
+  (* an empty heap's root is [max_int], above every key *)
   let[@inline] push_pop t key =
     let a = t.keys in
-    if t.size = 0 || key < a.(0) then key
+    if key < a.(0) then key
     else begin
       let top = a.(0) in
       sift_down a t.size 0 key;
@@ -203,6 +227,8 @@ type pstate = {
   mutable s_rank : int;  (** current task's rank, -1 when none *)
   mutable s_next_ticket : int;  (** next unclaimed ticket of the task *)
   mutable s_left : int;  (** tickets not yet claimed *)
+  mutable s_epoch : int;  (** epoch the record was last reset for *)
+  mutable s_idle : bool;  (** out of work; meaningful once reset for the epoch *)
 }
 
 (* blocked when the next event is a Lock whose ticket is not yet due; a
@@ -230,12 +256,16 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
   let procs =
     Array.init cfg.processors (fun s_pidx ->
         { s_pidx; s_clock = 0; s_pending = Deque.create (); s_idx = 0; s_stop = 0; s_end = 0;
-          s_off = 0; s_rank = -1; s_next_ticket = 0; s_left = 0 })
+          s_off = 0; s_rank = -1; s_next_ticket = 0; s_left = 0; s_epoch = -1; s_idle = true })
   in
+  (* the processors reset this epoch, in first-use order *)
+  let touched = Array.make cfg.processors 0 in
+  let n_touched = ref 0 in
+  (* idle processors, counting those not yet reset this epoch *)
+  let n_idle = ref 0 in
   let dynamic_queue = Deque.create ~capacity:16 () in
   let ready = Ready.create ~processors:cfg.processors in
   let ticket_waiter = Array.make (max 1 trace.Trace.p_max_tickets) (-1) in
-  let idle = Array.make cfg.processors false in
   let stalls = Array.make cfg.processors 0 in
   Array.iteri
     (fun epoch_no (epoch : Trace.pepoch) ->
@@ -248,8 +278,17 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
       let tasks = epoch.Trace.p_tasks in
       let ntasks = Array.length tasks in
       let n_tickets = epoch.Trace.p_n_tickets in
-      Array.iter
-        (fun p ->
+      n_touched := 0;
+      n_idle := cfg.processors;
+      Deque.clear dynamic_queue;
+      Ready.clear ready;
+      Array.fill ticket_waiter 0 n_tickets (-1);
+      (* a processor's record is reset when the epoch first uses it, so an
+         epoch costs only the processors it runs; one never reset idles at
+         [!global] *)
+      let touch p =
+        if p.s_epoch <> epoch_no then begin
+          p.s_epoch <- epoch_no;
           p.s_clock <- !global;
           Deque.clear p.s_pending;
           p.s_idx <- 0;
@@ -258,23 +297,27 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
           p.s_off <- 0;
           p.s_rank <- -1;
           p.s_next_ticket <- 0;
-          p.s_left <- 0)
-        procs;
-      Deque.clear dynamic_queue;
-      Ready.clear ready;
-      Array.fill ticket_waiter 0 (Array.length ticket_waiter) (-1);
-      Array.fill idle 0 (Array.length idle) false;
+          p.s_left <- 0;
+          p.s_idle <- true;
+          touched.(!n_touched) <- p.s_pidx;
+          incr n_touched
+        end
+      in
+      let assign pi w =
+        let p = procs.(pi) in
+        touch p;
+        Deque.push_back p.s_pending w
+      in
       (* task distribution *)
       (match epoch.Trace.p_kind with
       | Trace.Serial ->
         for rank = 0 to ntasks - 1 do
-          Deque.push_back procs.(0).s_pending (w_item ~rank ~start:0)
+          assign 0 (w_item ~rank ~start:0)
         done
       | Trace.Parallel _ ->
         if Schedule.is_static cfg then
           for rank = 0 to ntasks - 1 do
-            let p = Schedule.static_proc cfg ~ntasks rank in
-            Deque.push_back procs.(p).s_pending (w_item ~rank ~start:0)
+            assign (Schedule.static_proc cfg ~ntasks rank) (w_item ~rank ~start:0)
           done
         else
           for rank = 0 to ntasks - 1 do
@@ -349,20 +392,38 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
          slot, or the idle set *)
       let activate p =
         if try_refill p then begin
-          idle.(p.s_pidx) <- false;
+          if p.s_idle then begin
+            p.s_idle <- false;
+            decr n_idle
+          end;
           enqueue p
         end
-        else idle.(p.s_pidx) <- true
+        else if not p.s_idle then begin
+          p.s_idle <- true;
+          incr n_idle
+        end
       in
-      (* a migrated tail landed on an empty queue: idle processors claim
-         it in index order, like the linear scan used to *)
+      (* self-scheduled work is waiting (an epoch's tasks, or a migrated
+         tail that landed on an empty queue): idle processors claim it in
+         index order, like a linear scan, stopping once it runs out *)
+      let rec wake_from i =
+        if i < Array.length procs && not (Deque.is_empty dynamic_queue) then begin
+          let p = procs.(i) in
+          if p.s_epoch <> epoch_no || p.s_idle then begin
+            touch p;
+            activate p
+          end;
+          wake_from (i + 1)
+        end
+      in
       let wake_idle () =
-        if not (Deque.is_empty dynamic_queue) then
-          Array.iter
-            (fun p -> if idle.(p.s_pidx) && not (Deque.is_empty dynamic_queue) then activate p)
-            procs
+        if !n_idle > 0 && not (Deque.is_empty dynamic_queue) then wake_from 0
       in
-      Array.iter activate procs;
+      (* only processors holding static work are reset yet; the dynamic
+         queue, if any, goes to the rest in index order *)
+      for k = 0 to !n_touched - 1 do
+        activate procs.(touched.(k))
+      done;
       wake_idle ();
       (* [key] is the packed key of the processor to run next, -1 once no
          processor is runnable *)
@@ -425,7 +486,18 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
               end
             end
           end;
-          p.s_idx <- i + 1;
+          (* a compute slot right after touches no shared state, so it is
+             applied now, saving a trip through the queue; the next shared
+             event keeps its (clock, pidx) key. A range's last slot is
+             never folded, so task ends and queue claims keep their order *)
+          let j = i + 1 in
+          if j + 1 < p.s_stop && sget ops j = Event.Code.compute then begin
+            let n = sget addrs j in
+            p.s_clock <- p.s_clock + n;
+            metrics.compute_cycles <- metrics.compute_cycles + n;
+            p.s_idx <- j + 1
+          end
+          else p.s_idx <- j;
           (* a runnable processor stays on unless another one is now
              earlier: one compare, or one sift-down replacing the root *)
           if p.s_idx < p.s_stop && not (blocked ops p ~expected:!expected_ticket) then
@@ -444,8 +516,14 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
       (* epoch boundary: scheme work (into the per-run stall scratch),
          barrier, network-load update *)
       S.epoch_boundary sch ~stalls;
-      let finish = ref !global in
-      for i = 0 to Array.length procs - 1 do
+      let max_stall = ref 0 in
+      for i = 0 to Array.length stalls - 1 do
+        if stalls.(i) > !max_stall then max_stall := stalls.(i)
+      done;
+      (* a processor never reset this epoch finishes at [!global] *)
+      let finish = ref (!global + !max_stall) in
+      for k = 0 to !n_touched - 1 do
+        let i = touched.(k) in
         let c = procs.(i).s_clock + stalls.(i) in
         if c > !finish then finish := c
       done;

@@ -21,7 +21,14 @@ val max_violations : int
 (** The ready queue of {!run}: a binary min-heap of packed keys
     [(clock lsl pbits) lor pidx], where [pbits] is the number of bits
     needed for [processors - 1], so one int compare orders by clock and
-    then by processor index. Holds at most [processors] keys. *)
+    then by processor index. Holds at most [processors] keys.
+
+    The key array has one spare slot, and every slot at or past the
+    heap's size holds [max_int]. A sift-down therefore always finds a
+    right child, and picks the smaller child by adding a compare's
+    result to the index rather than branching on it; an empty queue's
+    root is [max_int], so {!push_pop} needs no emptiness test. Every
+    operation below keeps that padding. *)
 module Ready : sig
   type t
 
@@ -38,6 +45,10 @@ module Ready : sig
   val clock_limit : t -> int
 
   val length : t -> int
+
+  (** Empty the queue, refilling the slots it held with [max_int]. *)
+  val clear : t -> unit
+
   val push : t -> int -> unit
 
   (** Smallest key, or [-1] when empty. *)

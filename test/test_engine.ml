@@ -225,6 +225,51 @@ let test_migration_reenqueue () =
   Alcotest.(check int) "still coherent" 0 r.metrics.violations;
   Alcotest.(check bool) "memory ok" true r.memory_ok
 
+(* Counts the replayed metrics must reproduce from the trace alone,
+   whatever the scheme, machine size or scheduling: every access, lock and
+   compute slot is replayed exactly once, and compute cycles survive the
+   engine's folding of compute slots into the event before them *)
+let test_accounting_identities () =
+  let configs =
+    [
+      ("P=1", { Config.default with processors = 1 });
+      ("P=16", Config.default);
+      ("P=1024 block", { Config.default with processors = 1024; scheduling = Config.Block });
+      ( "P=16 dynamic+migration",
+        { Config.default with scheduling = Config.Dynamic; migration_rate = 0.3 } );
+    ]
+  in
+  List.iter
+    (fun name ->
+      let program = (Option.get (Hscd_workloads.Programs.find ~small:true name)) () in
+      List.iter
+        (fun (cname, cfg) ->
+          let t = (Run.compile ~cfg program).Run.packed_trace in
+          let reads, writes = Trace.packed_access_counts t in
+          let locks = ref 0 and compute = ref 0 in
+          for i = 0 to t.Trace.n_slots - 1 do
+            let op = Trace.Slab.get t.Trace.ops i in
+            if op = Hscd_arch.Event.Code.lock then incr locks
+            else if op = Hscd_arch.Event.Code.compute then
+              compute := !compute + Trace.Slab.get t.Trace.addrs i
+          done;
+          List.iter
+            (fun kind ->
+              let m = (Run.simulate_packed ~cfg kind t).Engine.metrics in
+              let check what =
+                Alcotest.(check int)
+                  (Printf.sprintf "%s %s %s: %s" name cname (Run.scheme_name kind) what)
+              in
+              check "reads" reads (Metrics.reads m);
+              check "writes" writes (Metrics.writes m);
+              check "read misses" (Metrics.reads m - Metrics.read_hits m) m.Metrics.read_miss_count;
+              check "barriers" (Trace.packed_n_epochs t) m.Metrics.barriers;
+              check "lock acquires" !locks m.Metrics.lock_acquires;
+              check "compute cycles" !compute m.Metrics.compute_cycles)
+            Run.extended_schemes)
+        configs)
+    Hscd_workloads.Programs.names
+
 let suite =
   [
     Alcotest.test_case "all schemes coherent" `Quick test_all_schemes_coherent;
@@ -242,4 +287,5 @@ let suite =
     Alcotest.test_case "ready queue: empty tasks skipped" `Quick test_empty_task_skip;
     Alcotest.test_case "ready queue: empty tasks (dynamic)" `Quick test_empty_tasks_dynamic;
     Alcotest.test_case "ready queue: migration re-enqueue" `Quick test_migration_reenqueue;
+    Alcotest.test_case "accounting identities" `Quick test_accounting_identities;
   ]

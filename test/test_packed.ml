@@ -154,6 +154,53 @@ let test_equiv_migration_1024 () =
   in
   equiv_program ~cfg "gather+migration@1024" (Kernels.gather ~n:2048 ~iters:2 ())
 
+(* at P=1024 most processors run no task of an epoch, so replay resets
+   only those it uses; under dynamic scheduling the queue empties before
+   every processor has claimed a task, which leaves idle processors for
+   the idle count to track *)
+let test_equiv_reduction_1024 () =
+  List.iter
+    (fun scheduling ->
+      let cfg = { Config.default with processors = 1024; scheduling } in
+      equiv_program ~cfg
+        ("reduction@1024," ^ Config.scheduling_name scheduling)
+        (Kernels.reduction ~n:1536 ()))
+    [ Config.Block; Config.Dynamic ]
+
+(* [reduction] with compute work on both sides of its critical section:
+   replay folds the compute slot between a write and a [Lock] into the
+   write, and the processor then parks on its ticket with the folded
+   clock *)
+let reduction_with_work n =
+  let open Hscd_lang.Builder in
+  program
+    [ array "data" [ n ]; array "total" [ 1 ] ]
+    [
+      proc "main" []
+        [
+          doall "i" (int 0) (int (n - 1)) [ s1 "data" (var "i") (var "i" %% int 7); work 3 ];
+          s1 "total" (int 0) (int 0);
+          doall "i" (int 0)
+            (int (n - 1))
+            [
+              s1 "data" (var "i") (var "i");
+              work 5;
+              critical [ s1 "total" (int 0) (a1 "total" (int 0) %+ a1 "data" (var "i")) ];
+              work 2;
+              s1 "data" (var "i") (int 1);
+            ];
+        ];
+    ]
+
+let test_equiv_work_around_locks () =
+  List.iter
+    (fun (processors, scheduling) ->
+      let cfg = { Config.default with processors; scheduling } in
+      equiv_program ~cfg
+        (Printf.sprintf "reduction+work@%d,%s" processors (Config.scheduling_name scheduling))
+        (reduction_with_work 1536))
+    [ (16, Config.Dynamic); (1024, Config.Block); (1024, Config.Dynamic) ]
+
 let test_clock_headroom () =
   (* a barrier this long pushes the second epoch's clock past the limit
      of 10-bit processor keys; the engine must refuse, not wrap *)
@@ -165,8 +212,12 @@ let test_clock_headroom () =
 
 (* ---------- packed-key ready queue ≡ Minheap ---------- *)
 
-type rq_op = Push of int * int | Pop | Push_pop of int * int
+type rq_op = Push of int * int | Pop | Push_pop of int * int | Fill of int | Clear
 
+(* [Fill] pushes to capacity and [Clear] empties the queue, so the runs
+   reach a full heap (whose last left child has only the spare slot to
+   its right) and reuse slots a clear gave back: a key left behind past
+   the heap's size would be picked by the branchless child choice *)
 let qcheck_ready_vs_minheap =
   let op =
     QCheck.Gen.(
@@ -175,9 +226,12 @@ let qcheck_ready_vs_minheap =
           (3, map2 (fun c i -> Push (c, i)) (int_bound 200) (int_bound 1_000_000));
           (2, return Pop);
           (3, map2 (fun c i -> Push_pop (c, i)) (int_bound 200) (int_bound 1_000_000));
+          (1, map (fun seed -> Fill seed) (int_bound 1_000_000));
+          (1, return Clear);
         ])
   in
-  let gen = QCheck.Gen.(pair (int_range 1 1100) (list_size (int_bound 300) op)) in
+  let processors = QCheck.Gen.(frequency [ (1, int_range 1 1100); (2, int_range 1 40) ]) in
+  let gen = QCheck.Gen.(pair processors (list_size (int_bound 300) op)) in
   QCheck.Test.make ~name:"ready queue pops in Minheap order" ~count:300
     (QCheck.make gen) (fun (processors, ops) ->
       let module Ready = Hscd_sim.Engine.Ready in
@@ -186,6 +240,10 @@ let qcheck_ready_vs_minheap =
       let h = Minheap.create processors in
       let unpack k = if k < 0 then None else Some (Ready.clock q k, Ready.pidx q k) in
       let pop_both () = unpack (Ready.pop q) = Minheap.pop h in
+      let push_both c i =
+        Ready.push q (Ready.key q ~clock:c i);
+        Minheap.push h ~key:c i
+      in
       let step ok op =
         ok
         &&
@@ -194,15 +252,24 @@ let qcheck_ready_vs_minheap =
         | (Push _ | Push_pop _) when Ready.length q = processors -> pop_both ()
         | Pop -> pop_both ()
         | Push (c, i) ->
-          let i = i mod processors in
-          Ready.push q (Ready.key q ~clock:c i);
-          Minheap.push h ~key:c i;
+          push_both c (i mod processors);
           true
         | Push_pop (c, i) ->
           let i = i mod processors in
           let a = unpack (Ready.push_pop q (Ready.key q ~clock:c i)) in
           Minheap.push h ~key:c i;
           a = Minheap.pop h
+        | Fill seed ->
+          for k = Ready.length q to processors - 1 do
+            push_both (seed * (k + 1) mod 211) ((seed + k) mod processors)
+          done;
+          Ready.length q = processors
+        | Clear ->
+          Ready.clear q;
+          while Minheap.pop h <> None do
+            ()
+          done;
+          Ready.length q = 0 && Ready.pop q = -1
       in
       let rec drain acc = match unpack (Ready.pop q) with None -> List.rev acc | Some kv -> drain (kv :: acc) in
       let rec drain_h acc = match Minheap.pop h with None -> List.rev acc | Some kv -> drain_h (kv :: acc) in
@@ -233,6 +300,19 @@ let test_streaming_perfect_models () =
      generation vs. independent boxed generation, every scheme bit-identical *)
   List.iter
     (fun (e : Hscd_workloads.Perfect.entry) -> equiv_program e.name (e.build_small ()))
+    Hscd_workloads.Perfect.all
+
+(* the Perfect models carry compute slots between their accesses, and
+   migration ends ranges mid-task: replay folds a compute slot into the
+   event before it only when it is not a range's last, so task ends and
+   queue claims keep their global order *)
+let test_equiv_perfect_migration () =
+  let cfg =
+    { Config.default with processors = 16; scheduling = Config.Dynamic; migration_rate = 0.3 }
+  in
+  List.iter
+    (fun (e : Hscd_workloads.Perfect.entry) ->
+      equiv_program ~cfg (e.name ^ "+migration") (e.build_small ()))
     Hscd_workloads.Perfect.all
 
 let test_builder_requires_init () =
@@ -271,10 +351,14 @@ let suite =
     Alcotest.test_case "packed=boxed: 1024 processors" `Quick test_equiv_1024_processors;
     Alcotest.test_case "packed=boxed: contended locks, dynamic" `Quick test_equiv_locks_contended;
     Alcotest.test_case "packed=boxed: migration at 1024" `Quick test_equiv_migration_1024;
+    Alcotest.test_case "packed=boxed: reduction at 1024" `Quick test_equiv_reduction_1024;
+    Alcotest.test_case "packed=boxed: work around locks" `Quick test_equiv_work_around_locks;
     Alcotest.test_case "engine: clock headroom guard" `Quick test_clock_headroom;
     QCheck_alcotest.to_alcotest qcheck_ready_vs_minheap;
     Alcotest.test_case "packed=boxed: fuzz corpus" `Quick test_equiv_corpus;
     Alcotest.test_case "streaming=boxed: Perfect Club models" `Slow test_streaming_perfect_models;
+    Alcotest.test_case "packed=boxed: Perfect models, dynamic + migration" `Quick
+      test_equiv_perfect_migration;
     Alcotest.test_case "builder: finish before init rejected" `Quick test_builder_requires_init;
     Alcotest.test_case "builder: use after finish rejected" `Quick test_builder_use_after_finish;
   ]

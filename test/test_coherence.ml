@@ -13,6 +13,7 @@ module Hwdir = Hscd_coherence.Hwdir
 module Base = Hscd_coherence.Base
 module Limitless = Hscd_coherence.Limitless
 module Overhead = Hscd_coherence.Overhead
+module Fetch_map = Hscd_coherence.Fetch_map
 module Kruskal_snir = Hscd_network.Kruskal_snir
 module Traffic = Hscd_network.Traffic
 
@@ -277,6 +278,42 @@ let test_overhead_scaling () =
   in
   Alcotest.(check bool) "quadratic vs linear" true (fm_ratio > 3.9 && tpi_ratio < 2.1)
 
+(* one bit per line: marks at and around byte boundaries, and at the last
+   line of a map whose length is not a multiple of 8, set exactly their
+   own bit, for their own processor only *)
+let test_fetch_map_bits () =
+  let lines = 37 in
+  let t = Fetch_map.create ~processors:4 ~lines in
+  let marked = [ 0; 7; 8; 15; 16; 31; 32; 36 ] in
+  List.iter (Fetch_map.mark t ~proc:2) marked;
+  Fetch_map.mark t ~proc:2 8;
+  for line = 0 to lines - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "proc 2 line %d" line)
+      (List.mem line marked)
+      (Fetch_map.was_fetched t ~proc:2 line);
+    List.iter
+      (fun proc ->
+        Alcotest.(check bool) (Printf.sprintf "proc %d line %d" proc line) false
+          (Fetch_map.was_fetched t ~proc line))
+      [ 0; 1; 3 ]
+  done
+
+(* processors that never fetch keep sharing the one zero map: marking one
+   processor adds exactly one map of ceil(lines/8) bytes to the heap *)
+let test_fetch_map_shares_zero () =
+  let lines = 1000 in
+  let t = Fetch_map.create ~processors:1024 ~lines in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let map_words = Obj.reachable_words (Obj.repr (Bytes.create ((lines + 7) / 8))) in
+  let w0 = words () in
+  Fetch_map.mark t ~proc:5 999;
+  Fetch_map.mark t ~proc:5 0;
+  Alcotest.(check int) "one processor's map" (w0 + map_words) (words ());
+  Fetch_map.mark t ~proc:700 63;
+  Alcotest.(check int) "two processors' maps" (w0 + (2 * map_words)) (words ());
+  Alcotest.(check bool) "others unmarked" false (Fetch_map.was_fetched t ~proc:6 999)
+
 let suite =
   [
     Alcotest.test_case "memstate foreign tracking" `Quick test_memstate_foreign;
@@ -299,4 +336,6 @@ let suite =
     Alcotest.test_case "limitless" `Quick test_limitless_trap_latency;
     Alcotest.test_case "fig5 totals" `Quick test_overhead_fig5_totals;
     Alcotest.test_case "overhead scaling" `Quick test_overhead_scaling;
+    Alcotest.test_case "fetch map: one bit per line" `Quick test_fetch_map_bits;
+    Alcotest.test_case "fetch map: shared zero map" `Quick test_fetch_map_shares_zero;
   ]

@@ -535,7 +535,12 @@ let read_header r : header =
           | _ -> corrupt "epoch kind"
         in
         let p_n_tickets = get_int r in
+        (* replay sizes its ticket slots by the maximum and grants tickets
+           in order, so the tasks' ranges must tile [0, p_n_tickets) in
+           rank order *)
+        if p_n_tickets < 0 || p_n_tickets > p_max_tickets then corrupt "ticket count";
         let n_tasks = get_count r "task count" in
+        let next_ticket = ref 0 in
         let task_list =
           read_seq n_tasks (fun () ->
               let p_iter = get_int r in
@@ -544,8 +549,11 @@ let read_header r : header =
               let ticket0 = get_int r in
               let n_locks = get_int r in
               if off < 0 || len < 0 || off + len > n_slots then corrupt "task bounds";
+              if ticket0 <> !next_ticket || n_locks < 0 then corrupt "task tickets";
+              next_ticket := ticket0 + n_locks;
               { Trace.p_iter; off; len; ticket0; n_locks })
         in
+        if !next_ticket <> p_n_tickets then corrupt "ticket count";
         { Trace.p_kind; p_tasks = Array.of_list task_list; p_n_tickets })
   in
   (* not an item count (a small trace still records the full chunk

@@ -342,6 +342,25 @@ let test_binary_rejects_corruption () =
   (* compiled kernels carry no compute slots; a corpus trace does *)
   let basic = Trace.pack (Trace_io.load (Filename.concat (corpus_dir ()) "basic.trace")) in
   expect_bad_slot "negative compute count" basic Code.compute (-100_000);
+  (* checksum-valid critical-section tickets that replay would index out
+     of its ticket slots, or grant out of order *)
+  let expect_bad_tickets name p f =
+    Trace_io.write_packed path { p with Trace.p_epochs = Array.map f p.Trace.p_epochs };
+    expect_corrupt name path
+  in
+  let locked =
+    (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
+  in
+  let map_locked_tasks f (e : Trace.pepoch) =
+    let f (t : Trace.ptask) = if t.Trace.n_locks > 0 then f t else t in
+    { e with Trace.p_tasks = Array.map f e.Trace.p_tasks }
+  in
+  expect_bad_tickets "epoch tickets past the maximum" locked (fun e ->
+      { e with Trace.p_n_tickets = locked.Trace.p_max_tickets + 1 });
+  expect_bad_tickets "task ticket past the epoch's" locked
+    (map_locked_tasks (fun t -> { t with Trace.ticket0 = t.Trace.ticket0 + 1000 }));
+  expect_bad_tickets "overlapping ticket ranges" locked
+    (map_locked_tasks (fun t -> { t with Trace.n_locks = t.Trace.n_locks + 1 }));
   Sys.remove path;
   (* a missing file is an [Io] error, not [Corrupt] *)
   match Trace_io.read_packed_result path with

@@ -524,7 +524,15 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
       let finish = ref (!global + !max_stall) in
       for k = 0 to !n_touched - 1 do
         let i = touched.(k) in
-        let c = procs.(i).s_clock + stalls.(i) in
+        let p = procs.(i) in
+        (* every runnable processor has drained its range, so one still
+           inside it is parked on a ticket no task grants *)
+        if p.s_idx < p.s_stop then
+          Hscd_util.Hscd_error.fail Corrupt
+            "Engine.run: epoch %d ends with processor %d waiting for ticket %d, which no task \
+             grants"
+            epoch_no i p.s_next_ticket;
+        let c = p.s_clock + stalls.(i) in
         if c > !finish then finish := c
       done;
       metrics.barriers <- metrics.barriers + 1;

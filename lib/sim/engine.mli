@@ -63,7 +63,9 @@ end
 (** Native replay of the packed structure-of-arrays trace form.
     [on_epoch] fires with the epoch index as replay enters each epoch —
     the hook {!Trace_io.Mapped.validate_epoch} plugs into for lazy
-    validation of memory-mapped traces. *)
+    validation of memory-mapped traces. Raises a [Corrupt]
+    {!Hscd_util.Hscd_error.Error} when an epoch ends with a processor
+    waiting for a lock ticket that no task grants. *)
 val run :
   ?on_epoch:(int -> unit) ->
   Hscd_arch.Config.t ->

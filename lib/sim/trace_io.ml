@@ -117,6 +117,12 @@ let flush_epoch b =
     b.cur_tasks <- [];
     b.cur_kind <- None
 
+(* an event line belongs to the task line above it, and a task line to
+   the epoch line above it *)
+let add_event b e =
+  if not b.in_task then Err.fail Err.Parse "Trace_io: event outside a task";
+  b.cur_events <- e :: b.cur_events
+
 let parse_line b line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "" ] -> ()
@@ -132,28 +138,27 @@ let parse_line b line =
     flush_epoch b;
     b.cur_kind <- Some (Trace.Parallel { lo = int_of_string lo; hi = int_of_string hi })
   | [ "task"; iter ] ->
+    if b.cur_kind = None then Err.fail Err.Parse "Trace_io: task outside an epoch";
     flush_task b;
     b.cur_iter <- int_of_string iter;
     b.in_task <- true
-  | [ "C"; n ] -> b.cur_events <- Event.Compute (int_of_string n) :: b.cur_events
+  | [ "C"; n ] -> add_event b (Event.Compute (int_of_string n))
   | [ "R"; addr; mark; value; array ] ->
     b.total <- b.total + 1;
-    b.cur_events <-
-      Event.Read
-        { addr = int_of_string addr; mark = mark_of_str mark; value = int_of_string value; array }
-      :: b.cur_events
+    add_event b
+      (Event.Read
+         { addr = int_of_string addr; mark = mark_of_str mark; value = int_of_string value; array })
   | [ "W"; addr; mark; value; array ] ->
     b.total <- b.total + 1;
-    b.cur_events <-
-      Event.Write
-        { addr = int_of_string addr; mark = wmark_of_str mark; value = int_of_string value; array }
-      :: b.cur_events
+    add_event b
+      (Event.Write
+         { addr = int_of_string addr; mark = wmark_of_str mark; value = int_of_string value; array })
   | [ "L" ] ->
     b.total <- b.total + 1;
-    b.cur_events <- Event.Lock :: b.cur_events
+    add_event b Event.Lock
   | [ "U" ] ->
     b.total <- b.total + 1;
-    b.cur_events <- Event.Unlock :: b.cur_events
+    add_event b Event.Unlock
   | _ -> Err.fail Err.Parse "Trace_io: bad line: %s" line
 
 let load path : Trace.t =

@@ -35,7 +35,17 @@ let test_common_all_correct () =
 let test_common_memoizes () =
   let a = Common.run_all ~small:true () in
   let b = Common.run_all ~small:true () in
-  Alcotest.(check bool) "same physical result" true (a == b)
+  Alcotest.(check bool) "same physical result" true (a == b);
+  (* a scheme already simulated in the sweep under another scheme list is
+     the same cell, not a second simulation *)
+  let tpi = Common.run_all ~schemes:[ Hscd_sim.Run.TPI ] ~small:true () in
+  List.iter2
+    (fun (r : Common.bench_result) (t : Common.bench_result) ->
+      Alcotest.(check (list string)) (t.bench ^ ": requested schemes") [ "TPI" ]
+        (List.map (fun (k, _) -> Hscd_sim.Run.scheme_name k) t.by_scheme);
+      Alcotest.(check bool) (t.bench ^ ": TPI cell reused") true
+        (Common.result_of t Hscd_sim.Run.TPI == Common.result_of r Hscd_sim.Run.TPI))
+    a tpi
 
 let test_memo_key_covers_every_config_field () =
   (* a timing knob the old hand-listed key left out: after a default-config

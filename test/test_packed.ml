@@ -6,7 +6,7 @@
     and [Hscd_util.Minheap] checks the engine's ready queue. Every result
     must be bit-identical — same cycles, metrics, violations, traffic and
     final memory — for every scheme, over compiled programs (including
-    the [@perf-smoke] inputs) and the checked-in fuzz corpus. Plus unit
+    the [alloc_smoke] inputs) and the checked-in fuzz corpus. Plus unit
     tests for the symbol interner backing the [array:int] scheme
     interface. *)
 
@@ -108,7 +108,7 @@ let equiv_program ?(cfg = Config.default) name program =
 
 let test_equiv_stencil () =
   equiv_program "jacobi1d" (Kernels.jacobi1d ~n:64 ~iters:3 ());
-  (* the @perf-smoke P=16 input *)
+  (* the alloc_smoke P=16 input *)
   equiv_program "jacobi1d n=512" (Kernels.jacobi1d ~n:512 ~iters:2 ())
 
 let test_equiv_locks () = equiv_program "reduction" (Kernels.reduction ~n:48 ())
@@ -137,7 +137,7 @@ let test_equiv_48_processors () =
   let cfg = { Config.default with processors = 48 } in
   equiv_program ~cfg "boundary@48" (Kernels.boundary_exchange ~n:192 ~iters:2 ())
 
-(* the @perf-smoke wide input *)
+(* the alloc_smoke P=1024 input *)
 let test_equiv_1024_processors () =
   let cfg = { Config.default with processors = 1024 } in
   equiv_program ~cfg "jacobi1d@1024" (Kernels.jacobi1d ~n:8192 ~iters:2 ())

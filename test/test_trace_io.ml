@@ -65,6 +65,9 @@ let test_bad_input_rejected () =
   expect_parse "golden index past words" (header ^ "golden 9 5\n" ^ body ^ "R 1 N 0 a\n");
   expect_parse "negative compute count" (header ^ body ^ "C -100000\nW 1 N 5 a\nR 1 N 5 a\n");
   expect_parse "undeclared array name" (header ^ body ^ "R 1 N 0 zz\n");
+  (* events that belong to no task *)
+  expect_parse "task before any epoch" (header ^ "task 0\nW 0 N 5 a\nepoch serial\n");
+  expect_parse "event before any task" (header ^ "epoch serial\nW 0 N 5 a\n");
   Sys.remove path
 
 let test_mark_strings () =
@@ -367,6 +370,51 @@ let test_binary_rejects_corruption () =
   | Error e -> Alcotest.(check bool) "missing file: io kind" true (e.kind = Hscd_util.Hscd_error.Io)
   | Ok _ -> Alcotest.fail "missing file accepted"
 
+(* A lock slot waits for a ticket that only an earlier unlock grants. A
+   task that never unlocks (text), or locked tasks that each claim one
+   ticket more than they hold while their ranges still tile (binary),
+   leave a processor parked at the barrier: replay must fail [Corrupt]
+   instead of dropping the parked slots. *)
+let test_replay_rejects_ungranted_ticket () =
+  let expect_corrupt_replay name f =
+    match f () with
+    | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Corrupt; _ } -> ()
+    | exception e -> Alcotest.fail (name ^ ": expected Corrupt, got " ^ Printexc.to_string e)
+    | (_ : Hscd_sim.Engine.result) -> Alcotest.fail (name ^ ": replay dropped the parked slots")
+  in
+  let path = tmp "hscd_ticket.txt" in
+  let oc = open_out path in
+  output_string oc
+    "hscd-trace 1\nwords 4\narray A 0 4\ngolden 0 5\ngolden 1 7\nepoch parallel 0 2\n\
+     task 0\nL\nW 0 B 5 A\ntask 1\nL\nW 1 B 7 A\nU\n";
+  close_out oc;
+  let loaded = Trace_io.load path in
+  Sys.remove path;
+  expect_corrupt_replay "task without unlock" (fun () -> Run.simulate Run.TPI loaded);
+  let locked =
+    (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
+  in
+  let claim_one_more (e : Trace.pepoch) =
+    let next = ref 0 in
+    let claim (t : Trace.ptask) =
+      let n_locks = if t.Trace.n_locks > 0 then t.Trace.n_locks + 1 else 0 in
+      let t = { t with Trace.ticket0 = !next; n_locks } in
+      next := !next + n_locks;
+      t
+    in
+    let p_tasks = Array.map claim e.Trace.p_tasks in
+    { e with Trace.p_tasks; p_n_tickets = !next }
+  in
+  let p_epochs = Array.map claim_one_more locked.Trace.p_epochs in
+  let p_max_tickets = Array.fold_left (fun m e -> max m e.Trace.p_n_tickets) 0 p_epochs in
+  let path = tmp "hscd_ticket.hscdtrc" in
+  Trace_io.write_packed path { locked with Trace.p_epochs; p_max_tickets };
+  expect_corrupt_replay "binary, one ticket more per task" (fun () ->
+      Run.simulate_packed Run.TPI (Trace_io.read_packed path));
+  expect_corrupt_replay "mapped, one ticket more per task" (fun () ->
+      Run.simulate_mapped Run.TPI (Trace_io.map_packed path));
+  Sys.remove path
+
 (* ---------- memory-mapped loading ---------- *)
 
 let test_mmap_roundtrip () =
@@ -480,6 +528,8 @@ let suite =
       test_binary_roundtrip_generated;
     Alcotest.test_case "binary replay equivalence" `Quick test_binary_replay_equivalence;
     Alcotest.test_case "binary rejects corruption" `Quick test_binary_rejects_corruption;
+    Alcotest.test_case "replay rejects a ticket no task grants" `Quick
+      test_replay_rejects_ungranted_ticket;
     Alcotest.test_case "mmap: round-trip and replay" `Quick test_mmap_roundtrip;
     Alcotest.test_case "mmap: lazy chunk validation" `Quick test_mmap_lazy_validation;
     Alcotest.test_case "mmap: header damage fails at open" `Quick

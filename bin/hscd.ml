@@ -225,25 +225,17 @@ let trace_cmd =
     Term.(const run $ program_arg $ out_arg $ binary_arg)
 
 let replay_cmd =
-  let run path scheme procs line tag binary =
+  let run path scheme procs line tag =
     let cfg = cfg_of procs line tag in
-    (* Binary traces are sniffed by magic; --binary forces the attempt.
-       They are memory-mapped and their slab checksums validated lazily as
-       replay enters each epoch. *)
+    (* binary traces are told apart by their magic *)
     let r =
-      if binary || Hscd_sim.Trace_io.is_binary path then
-        Hscd_sim.Run.simulate_mapped ~cfg scheme (Hscd_sim.Trace_io.map_packed path)
+      if Hscd_sim.Trace_io.is_binary path then
+        Hscd_sim.Run.simulate_packed ~cfg scheme (Hscd_sim.Trace_io.read_packed path)
       else Hscd_sim.Run.simulate ~cfg scheme (Hscd_sim.Trace_io.load path)
     in
     print_metrics scheme r
   in
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE") in
-  let binary_arg =
-    Arg.(
-      value & flag
-      & info [ "binary" ]
-          ~doc:"Force reading the binary packed format (auto-detected by magic otherwise)")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Simulate a previously dumped trace file (text or binary)"
@@ -251,11 +243,11 @@ let replay_cmd =
          [
            `S Manpage.s_description;
            `P "Replays a trace written by $(b,hscd trace) through the timing engine. \
-               Binary packed traces ($(b,--binary) or auto-detected) are memory-mapped \
-               and their slab checksums validated lazily, one epoch span at a time, so \
-               replaying the first epoch touches O(header + epoch) bytes of the file.";
+               A file that starts with the binary magic is read as a binary packed \
+               trace, every slab chunk checked against its checksum before replay \
+               starts; any other file is parsed as a text trace.";
          ])
-    Term.(const run $ path_arg $ scheme_arg $ procs_arg $ line_arg $ tag_arg $ binary_arg)
+    Term.(const run $ path_arg $ scheme_arg $ procs_arg $ line_arg $ tag_arg)
 
 let fuzz_cmd =
   let module F = Hscd_check.Fuzz in

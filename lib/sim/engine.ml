@@ -239,8 +239,8 @@ let[@inline] blocked ops p ~expected =
   && p.s_left > 0
   && p.s_next_ticket <> expected
 
-let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((module S), sch))
-    ~(net : Kruskal_snir.t) ~(traffic : Traffic.t) (trace : Trace.packed) =
+let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.t)
+    ~(traffic : Traffic.t) (trace : Trace.packed) =
   let metrics = Metrics.create () in
   let violations = ref [] in
   let nviol = ref 0 in
@@ -269,7 +269,6 @@ let run ?(on_epoch = fun (_ : int) -> ()) (cfg : Config.t) (Scheme.Packed ((modu
   let stalls = Array.make cfg.processors 0 in
   Array.iteri
     (fun epoch_no (epoch : Trace.pepoch) ->
-      on_epoch epoch_no;
       if !global >= Ready.clock_limit ready then
         Hscd_util.Hscd_error.fail Internal
           "Engine.run: clock %d at epoch %d leaves no headroom in the ready queue's %d-bit \

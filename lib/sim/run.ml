@@ -186,19 +186,6 @@ let simulate_packed ?(cfg = Config.default) kind (trace : Trace.packed) =
   let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
   Engine.run cfg packed ~net:network ~traffic trace
 
-(** One scheme over a memory-mapped binary trace: slab chunks are
-    checksum-validated lazily, as replay first enters each epoch — a
-    corrupt byte in epoch [e]'s span surfaces as a typed [Corrupt] error
-    no later than the start of [e], and chunks no epoch touches are
-    validated only if something reads them. *)
-let simulate_mapped ?(cfg = Config.default) kind (m : Trace_io.Mapped.t) =
-  let cfg = Config.validate cfg in
-  let trace = Trace_io.Mapped.trace m in
-  let network = Kruskal_snir.create cfg in
-  let traffic = Traffic.create cfg in
-  let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
-  Engine.run ~on_epoch:(Trace_io.Mapped.validate_epoch m) cfg packed ~net:network ~traffic trace
-
 (** One scheme over a boxed trace via the reference replay loop —
     bit-identical to {!simulate_packed} on [Trace.pack trace]. Only tests
     call it. *)

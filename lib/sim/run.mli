@@ -57,11 +57,6 @@ val compile :
 val simulate_packed :
   ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace.packed -> Engine.result
 
-(** One scheme over a memory-mapped binary trace, validating slab
-    checksums lazily as replay enters each epoch. *)
-val simulate_mapped :
-  ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace_io.Mapped.t -> Engine.result
-
 (** One scheme over a boxed trace via the reference replay loop
     ({!Engine.run_boxed}) — bit-identical to {!simulate_packed} on the
     packed form. Only tests call it, as the differential reference. *)

@@ -97,12 +97,11 @@ let of_program ?(check_races = true) ?(line_words = 4) (program : Ast.program) =
 (* ------------------------------------------------------------------ *)
 
 (** Unboxed int slabs backing the packed form. [Bigarray] rather than
-    [int array] so a slab can either live on the OCaml heap or be a
-    zero-copy view into an [Unix.map_file]d trace file — the engine
-    replays both through the same accessors. Elements are OCaml ints
-    (63-bit); on disk they are the same 8-byte little-endian words the
-    binary trace format writes, so mapping is a reinterpretation, not a
-    decode. *)
+    [int array] so slab data lives outside the OCaml heap: the major GC
+    never scans it, and a trace's slots cost no heap words (the
+    generation gates in [test/alloc_smoke.ml] count on that). Elements
+    are OCaml ints (63-bit), written to disk as 8-byte little-endian
+    words by the binary trace format. *)
 module Slab = struct
   type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -114,9 +113,6 @@ module Slab = struct
   let length : t -> int = Bigarray.Array1.dim
   let get : t -> int -> int = Bigarray.Array1.get
   let set : t -> int -> int -> unit = Bigarray.Array1.set
-
-  (** Zero-copy sub-view sharing the underlying storage. *)
-  let sub : t -> int -> int -> t = Bigarray.Array1.sub
 
   (** Copy the first [len] elements of [a] into a fresh slab. *)
   let of_int_array_sub (a : int array) len =

@@ -28,9 +28,8 @@ val of_program : ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -
     without constructing a single variant. *)
 
 (** Unboxed int slabs backing the packed form: [Bigarray.Array1] of OCaml
-    ints, so a slab is either heap-allocated or a zero-copy view into an
-    [Unix.map_file]d binary trace ({!Trace_io.map_packed}) — the engine
-    replays both through the same accessors. *)
+    ints, so slab data lives outside the OCaml heap — the major GC never
+    scans it and a trace's slots cost no heap words. *)
 module Slab : sig
   type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -40,9 +39,6 @@ module Slab : sig
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
-
-  (** Zero-copy sub-view sharing the underlying storage. *)
-  val sub : t -> int -> int -> t
 
   (** Copy the first [len] elements of an [int array] into a fresh slab. *)
   val of_int_array_sub : int array -> int -> t

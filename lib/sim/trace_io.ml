@@ -1,19 +1,5 @@
-(** Plain-text serialization of traces, so a marked program's event stream
-    can be generated once and replayed by external tooling (or inspected
-    by hand). The format is line-oriented:
-
-    {v
-    hscd-trace 1
-    words <total_words>
-    array <name> <base> <dim> [<dim> ...]
-    golden <index> <value>            (only non-zero words)
-    epoch serial | epoch parallel <lo> <hi>
-    task <iter>
-    C <cycles>
-    R <addr> <mark> <value> <array>   (mark: N|U|B|T<d>)
-    W <addr> <mark> <value> <array>   (mark: N|B)
-    L / U                             (lock / unlock)
-    v} *)
+(* Text and binary trace files; the formats are described in
+   [trace_io.mli] and above [binary_magic]. *)
 
 module Event = Hscd_arch.Event
 module Shape = Hscd_lang.Shape
@@ -31,9 +17,15 @@ let mark_of_str s =
   | "U" -> Event.Unmarked
   | "N" -> Event.Normal_read
   | "B" -> Event.Bypass_read
-  | _ when String.length s > 1 && s.[0] = 'T' ->
-    Event.Time_read (int_of_string (String.sub s 1 (String.length s - 1)))
-  | _ -> Err.fail Err.Parse "Trace_io: bad read mark %s" s
+  | _ -> (
+    let d =
+      if String.length s > 1 && s.[0] = 'T' then
+        int_of_string_opt (String.sub s 1 (String.length s - 1))
+      else None
+    in
+    match d with
+    | Some d when d >= 0 -> Event.Time_read d
+    | _ -> Err.fail Err.Parse "Trace_io: bad read mark %s" s)
 
 let wmark_str = function Event.Normal_write -> "N" | Event.Bypass_write -> "B"
 
@@ -76,8 +68,6 @@ let write_channel oc (p : Trace.packed) =
         e.p_tasks)
     p.p_epochs
 
-(** Write [p] in the text format. A boxed trace is saved as
-    [save path (Trace.pack t)]. *)
 let save path p =
   let oc = open_out path in
   (* close_out_noerr: close_out itself can raise (flush of a full disk)
@@ -89,7 +79,7 @@ let save path p =
 
 type builder = {
   mutable words : int;
-  mutable arrays : (string * int * int list) list;  (* name, base, dims; reversed *)
+  mutable arrays : Shape.t list;
   mutable golden : (int * int) list;
   mutable epochs : Trace.epoch list;  (* reversed *)
   mutable cur_kind : Trace.epoch_kind option;
@@ -123,43 +113,56 @@ let add_event b e =
   if not b.in_task then Err.fail Err.Parse "Trace_io: event outside a task";
   b.cur_events <- e :: b.cur_events
 
+let int_field s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> Err.fail Err.Parse "Trace_io: bad integer %s" s
+
+(* an array entry, held to the same checks in both formats; [bad] raises
+   the format's error *)
+let array_shape ~bad name base dims =
+  if base < 0 then bad "array base";
+  if dims = [] || List.exists (fun d -> d <= 0) dims then bad "array dimension";
+  { Shape.name; dims; size = Shape.size_of_dims dims; base }
+
 let parse_line b line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "" ] -> ()
   | [ "hscd-trace"; "1" ] -> ()
-  | [ "words"; n ] -> b.words <- int_of_string n
+  | [ "words"; n ] ->
+    b.words <- int_field n;
+    if b.words < 0 then Err.fail Err.Parse "Trace_io: negative words"
   | "array" :: name :: base :: dims ->
-    b.arrays <- (name, int_of_string base, List.map int_of_string dims) :: b.arrays
-  | [ "golden"; i; v ] -> b.golden <- (int_of_string i, int_of_string v) :: b.golden
+    let bad what = Err.fail Err.Parse "Trace_io: bad %s" what in
+    b.arrays <- array_shape ~bad name (int_field base) (List.map int_field dims) :: b.arrays
+  | [ "golden"; i; v ] -> b.golden <- (int_field i, int_field v) :: b.golden
   | [ "epoch"; "serial" ] ->
     flush_epoch b;
     b.cur_kind <- Some Trace.Serial
   | [ "epoch"; "parallel"; lo; hi ] ->
     flush_epoch b;
-    b.cur_kind <- Some (Trace.Parallel { lo = int_of_string lo; hi = int_of_string hi })
+    b.cur_kind <- Some (Trace.Parallel { lo = int_field lo; hi = int_field hi })
   | [ "task"; iter ] ->
     if b.cur_kind = None then Err.fail Err.Parse "Trace_io: task outside an epoch";
     flush_task b;
-    b.cur_iter <- int_of_string iter;
+    b.cur_iter <- int_field iter;
     b.in_task <- true
-  | [ "C"; n ] -> add_event b (Event.Compute (int_of_string n))
+  | [ "C"; n ] -> add_event b (Event.Compute (int_field n))
   | [ "R"; addr; mark; value; array ] ->
     b.total <- b.total + 1;
     add_event b
-      (Event.Read
-         { addr = int_of_string addr; mark = mark_of_str mark; value = int_of_string value; array })
+      (Event.Read { addr = int_field addr; mark = mark_of_str mark; value = int_field value; array })
   | [ "W"; addr; mark; value; array ] ->
     b.total <- b.total + 1;
     add_event b
-      (Event.Write
-         { addr = int_of_string addr; mark = wmark_of_str mark; value = int_of_string value; array })
+      (Event.Write { addr = int_field addr; mark = wmark_of_str mark; value = int_field value; array })
   | [ "L" ] ->
     b.total <- b.total + 1;
     add_event b Event.Lock
   | [ "U" ] ->
     b.total <- b.total + 1;
     add_event b Event.Unlock
-  | _ -> Err.fail Err.Parse "Trace_io: bad line: %s" line
+  | _ -> Err.fail Err.Parse "Trace_io: bad line"
 
 let load path : Trace.t =
   let b =
@@ -177,9 +180,14 @@ let load path : Trace.t =
     }
   in
   let ic = try open_in path with Sys_error m -> Err.fail Err.Io "Trace_io: %s" m in
+  let lineno = ref 0 in
   (try
      while true do
-       parse_line b (input_line ic)
+       let line = input_line ic in
+       incr lineno;
+       try parse_line b line
+       with Err.Error e ->
+         raise (Err.Error (Err.add_context (Printf.sprintf "line %d: %s" !lineno line) e))
      done
    with
   | End_of_file -> close_in_noerr ic
@@ -188,11 +196,7 @@ let load path : Trace.t =
     raise exn);
   flush_epoch b;
   let arrays = Hashtbl.create 16 in
-  List.iter
-    (fun (name, base, dims) ->
-      Hashtbl.replace arrays name
-        { Shape.name; dims; size = Shape.size_of_dims dims; base })
-    b.arrays;
+  List.iter (fun (a : Shape.t) -> Hashtbl.replace arrays a.name a) b.arrays;
   (* fields the replay indexes by: a trace is input from outside *)
   let check_word what i =
     if i < 0 || i >= b.words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i b.words
@@ -221,15 +225,13 @@ let load path : Trace.t =
     total_events = b.total;
   }
 
-(** Structural equality of traces (for round-trip tests). *)
 let equal (a : Trace.t) (b : Trace.t) =
   a.epochs = b.epochs && a.golden_memory = b.golden_memory
   && a.layout.Shape.total_words = b.layout.Shape.total_words
 
 (* ------------------------------------------------------------------ *)
-(* Binary trace format: a direct dump of the packed slabs, mappable    *)
-(* with [Unix.map_file] and validated lazily. All ints are 8-byte      *)
-(* little-endian two's complement.                                     *)
+(* Binary trace format: a direct dump of the packed slabs. All ints    *)
+(* are 8-byte little-endian two's complement.                          *)
 (*   magic "HSCDTRC3"                                                  *)
 (*   total_words, n_arrays, then per array: name, base, n_dims, dims   *)
 (*   golden_len, n_nonzero, then (index, value) pairs                  *)
@@ -244,7 +246,8 @@ let equal (a : Trace.t) (b : Trace.t) =
 (*     relocated chunks cannot cancel out                              *)
 (*   header checksum (avalanche mix folded over every value above,     *)
 (*     written raw)                                                    *)
-(*   zero padding to an 8-byte file offset                             *)
+(*   zero padding to an 8-byte file offset (kept so files written by   *)
+(*     earlier versions of the v3 format still load)                   *)
 (*   five slabs, live slots only, as raw unchecksummed words (their    *)
 (*     integrity is the chunk table's): ops addrs values marks arrs    *)
 (* Nothing follows the slabs, so the expected file length is known     *)
@@ -253,7 +256,8 @@ let equal (a : Trace.t) (b : Trace.t) =
 
 let binary_magic = "HSCDTRC3"
 
-(** Slab words covered by one chunk checksum (512 KiB of file). *)
+(* slab words covered by one chunk checksum (512 KiB of file); the
+   reader checks each chunk as it streams past *)
 let chunk_words = 65536
 
 let mix = Hscd_util.Checksum.mix
@@ -262,9 +266,9 @@ let corrupt what = Err.fail Err.Corrupt "Trace_io: corrupt binary trace (%s)" wh
 
 (* the chunk table's entry for chunk [c] of slab number [slab]: [mix]
    folded over [get i] for the slots [i] = [c*cw .. min n ((c+1)*cw) - 1],
-   in ascending order (the buffered reader streams the file through
-   [get]), from a domain-separated seed per (slab, chunk) so that a chunk
-   that checks out in the wrong slot is still rejected *)
+   in ascending order (the reader streams the file through [get]), from a
+   domain-separated seed per (slab, chunk) so that a chunk that checks out
+   in the wrong slot is still rejected *)
 let chunk_sum ~slab ~n ~cw c get =
   let sum = ref (mix (mix 0 (0xC0FFEE + slab)) c) in
   for i = c * cw to min n ((c + 1) * cw) - 1 do
@@ -361,8 +365,7 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
     slabs;
   (* header checksum, written raw (not folded into itself) *)
   put_raw w w.wsum;
-  (* zero padding to an 8-byte file offset, so [Unix.map_file] can map
-     the slab region directly as a word-aligned [Bigarray] *)
+  (* zero padding to an 8-byte file offset, part of the v3 format *)
   let pad = (8 - (pos_out oc mod 8)) mod 8 in
   for _ = 1 to pad do
     output_char oc '\000'
@@ -376,9 +379,9 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
       done)
     slabs
 
-(* [chunk_words] is the lazy-validation granule of the chunk table; the
-   default suits real traces, tests shrink it to exercise multi-chunk
-   maps without gigantic fixtures. *)
+(* [chunk_words] is the granule of the chunk table; the default suits
+   real traces, tests shrink it to cover many chunks without gigantic
+   fixtures. *)
 let write_packed ?chunk_words path p =
   let oc = open_out_bin path in
   (try write_packed_channel ?chunk_words oc p
@@ -473,42 +476,53 @@ let read_magic r =
   r.rpos <- r.rpos + 8;
   if m <> binary_magic then corrupt "not a binary trace: bad magic"
 
-(* everything before the slab region, parsed and validated eagerly by
-   both the buffered and the mmap loaders *)
-type header = {
-  h_layout : Shape.layout;
-  h_golden : int array;
-  h_symtab : Hscd_util.Symtab.t;
-  h_n_syms : int;
-  h_max_code : int;
-  h_rmark_table : Event.rmark array;
-  h_total_events : int;
-  h_n_slots : int;
-  h_max_tickets : int;
-  h_epochs : Trace.pepoch array;
-  h_chunk_words : int;
-  h_sums : int array;  (** [5 * nchunks], row-major by slab *)
-  h_slab_base : int;  (** absolute file offset of the slab region *)
-}
+(* per-slot structural validation, once all five slabs are in: the
+   opcode says what the other fields mean *)
+let validate_slots (p : Trace.packed) ~n_syms ~max_code =
+  let total_words = p.p_layout.Shape.total_words in
+  for i = 0 to p.n_slots - 1 do
+    let op = Slab.get p.ops i and addr = Slab.get p.addrs i in
+    if op < Event.Code.compute || op > Event.Code.unlock then corrupt "opcode";
+    if op = Event.Code.compute && addr < 0 then corrupt "compute count";
+    if op = Event.Code.read || op = Event.Code.write then begin
+      if Slab.get p.arrs i < 0 || Slab.get p.arrs i >= n_syms then corrupt "array id";
+      if addr < 0 || addr >= total_words then corrupt "address"
+    end;
+    if op = Event.Code.read && (Slab.get p.marks i < 0 || Slab.get p.marks i > max_code) then
+      corrupt "mark code"
+  done
 
-let read_header r : header =
+(* one slab, verifying each chunk as it streams past *)
+let read_slab r ~n ~cw ~sums ~slab =
+  let s = Slab.create (max 1 n) in
+  let nchunks = chunks_of ~n ~cw in
+  for c = 0 to nchunks - 1 do
+    let read i =
+      let v = get_raw_int r in
+      Slab.set s i v;
+      v
+    in
+    if chunk_sum ~slab ~n ~cw c read <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
+  done;
+  s
+
+(* the whole file in order: the header, each slab with its chunks checked
+   as they stream past, then the per-slot checks *)
+let read_packed_channel ic : Trace.packed =
+  let r = reader ic in
+  read_magic r;
   let total_words = get_count r "total_words" in
   let n_arrays = get_count r "array count" in
   let array_list =
     read_seq n_arrays (fun () ->
         let name = get_str r in
         let base = get_int r in
-        if base < 0 then corrupt "array base";
         let n_dims = get_count r "dim count" in
         let dims = read_seq n_dims (fun () -> get_int r) in
-        if List.exists (fun d -> d <= 0) dims then corrupt "array dimension";
-        (name, base, dims))
+        array_shape ~bad:corrupt name base dims)
   in
   let arrays = Hashtbl.create 16 in
-  List.iter
-    (fun (name, base, dims) ->
-      Hashtbl.replace arrays name { Shape.name; dims; size = Shape.size_of_dims dims; base })
-    array_list;
+  List.iter (fun (a : Shape.t) -> Hashtbl.replace arrays a.name a) array_list;
   let layout = { Shape.arrays; total_words } in
   let golden_len = get_count r "golden length" in
   let golden = Array.make golden_len 0 in
@@ -573,91 +587,36 @@ let read_header r : header =
   let sum = r.rsum in
   if get_raw_int r <> sum then corrupt "header checksum mismatch";
   skip r ((8 - (tell r mod 8)) mod 8);
-  let slab_base = tell r in
   (* nothing follows the slabs, so truncation (and trailing junk) is
-     caught before any slab word is read or mapped *)
-  if r.rlimit <> slab_base + (5 * n_slots * 8) then corrupt "file length";
-  {
-    h_layout = layout;
-    h_golden = golden;
-    h_symtab = symtab;
-    h_n_syms = n_syms;
-    h_max_code = max_code;
-    h_rmark_table = rmark_table;
-    h_total_events = p_total_events;
-    h_n_slots = n_slots;
-    h_max_tickets = p_max_tickets;
-    h_epochs = Array.of_list epoch_list;
-    h_chunk_words = cw;
-    h_sums = sums;
-    h_slab_base = slab_base;
-  }
-
-(* per-slot structural validation; the slabs' interplay (the opcode says
-   what the other fields mean) means it runs over a slot range, not per
-   chunk *)
-let validate_slots (p : Trace.packed) ~n_syms ~max_code lo hi =
-  let total_words = p.p_layout.Shape.total_words in
-  for i = lo to hi - 1 do
-    let op = Slab.get p.ops i and addr = Slab.get p.addrs i in
-    if op < Event.Code.compute || op > Event.Code.unlock then corrupt "opcode";
-    if op = Event.Code.compute && addr < 0 then corrupt "compute count";
-    if op = Event.Code.read || op = Event.Code.write then begin
-      if Slab.get p.arrs i < 0 || Slab.get p.arrs i >= n_syms then corrupt "array id";
-      if addr < 0 || addr >= total_words then corrupt "address"
-    end;
-    if op = Event.Code.read && (Slab.get p.marks i < 0 || Slab.get p.marks i > max_code) then
-      corrupt "mark code"
-  done
-
-let packed_of_header (h : header) slabs : Trace.packed =
-  {
-    Trace.ops = slabs.(0);
-    addrs = slabs.(1);
-    values = slabs.(2);
-    marks = slabs.(3);
-    arrs = slabs.(4);
-    p_epochs = h.h_epochs;
-    symtab = h.h_symtab;
-    rmark_table = h.h_rmark_table;
-    p_layout = h.h_layout;
-    p_golden = h.h_golden;
-    p_total_events = h.h_total_events;
-    n_slots = h.h_n_slots;
-    p_max_tickets = h.h_max_tickets;
-  }
-
-(* one slab via the buffered reader, verifying each chunk as it streams
-   past *)
-let read_slab r ~n ~cw ~sums ~slab =
-  let s = Slab.create (max 1 n) in
-  let nchunks = chunks_of ~n ~cw in
-  for c = 0 to nchunks - 1 do
-    let read i =
-      let v = get_raw_int r in
-      Slab.set s i v;
-      v
-    in
-    if chunk_sum ~slab ~n ~cw c read <> sums.((slab * nchunks) + c) then corrupt "slab chunk checksum"
-  done;
-  s
-
-let read_packed_channel ic : Trace.packed =
-  let r = reader ic in
-  read_magic r;
-  let h = read_header r in
-  let n = h.h_n_slots in
-  let slabs = Array.make 5 (Slab.create 1) in
-  for j = 0 to 4 do
-    slabs.(j) <- read_slab r ~n ~cw:h.h_chunk_words ~sums:h.h_sums ~slab:j
-  done;
-  let p = packed_of_header h slabs in
-  validate_slots p ~n_syms:h.h_n_syms ~max_code:h.h_max_code 0 n;
+     caught before any slab word is read *)
+  if r.rlimit <> tell r + (5 * n_slots * 8) then corrupt "file length";
+  let slab j = read_slab r ~n:n_slots ~cw ~sums ~slab:j in
+  (* in file order: record fields have no specified evaluation order *)
+  let ops = slab 0 in
+  let addrs = slab 1 in
+  let values = slab 2 in
+  let marks = slab 3 in
+  let arrs = slab 4 in
+  let p =
+    {
+      Trace.ops;
+      addrs;
+      values;
+      marks;
+      arrs;
+      p_epochs = Array.of_list epoch_list;
+      symtab;
+      rmark_table;
+      p_layout = layout;
+      p_golden = golden;
+      p_total_events;
+      n_slots;
+      p_max_tickets;
+    }
+  in
+  validate_slots p ~n_syms ~max_code;
   p
 
-(** Load a binary packed trace, validating structure and checksum; raises
-    [Hscd_error.Error] (kind [Corrupt]) on anything truncated, corrupt,
-    or not in the format, and (kind [Io]) on OS-level failures. *)
 let read_packed path =
   let ic =
     try open_in_bin path with Sys_error m -> Err.fail Err.Io "Trace_io: %s" m
@@ -671,171 +630,12 @@ let read_packed path =
   close_in ic;
   p
 
-(** {!read_packed} as a [result] — the typed-error API: [Error] has kind
-    [Corrupt] for format/checksum violations, [Io] for OS failures, and
-    never lets an exception escape. *)
 let read_packed_result path =
   Err.guard ~context:path (fun () -> read_packed path)
 
-(** {!load} as a [result]: [Parse] for syntax errors, [Io] for OS
-    failures. *)
 let load_result path =
   Err.guard ~default:Err.Parse ~context:path (fun () -> load path)
 
-(* ------------------------------------------------------------------ *)
-(* Zero-copy loading: the slab region [Unix.map_file]d straight into     *)
-(* the packed trace's Bigarray slabs. The header is parsed and verified  *)
-(* eagerly (it is small); slab words are faulted in by the kernel on     *)
-(* first access and checked lazily, one 512 KiB chunk at a time, as the  *)
-(* replay front reaches them — opening a trace and replaying its first   *)
-(* epoch touches O(header + first epoch) bytes, not O(file).             *)
-(* ------------------------------------------------------------------ *)
-
-(* per-epoch [lo, hi) slot span, for chunk-granular lazy validation *)
-let epoch_spans (p : Trace.packed) =
-  Array.map
-    (fun (e : Trace.pepoch) ->
-      Array.fold_left
-        (fun (lo, hi) (t : Trace.ptask) -> (min lo t.Trace.off, max hi (t.Trace.off + t.Trace.len)))
-        (max_int, 0) e.Trace.p_tasks
-      |> fun (lo, hi) -> if hi <= 0 then (0, 0) else (lo, hi))
-    p.Trace.p_epochs
-
-module Mapped = struct
-  type t = {
-    m_trace : Trace.packed;
-    m_chunk_words : int;
-    m_nchunks : int;  (* per slab *)
-    m_sums : int array;  (* [5 * m_nchunks]; unused once every chunk is ok *)
-    m_chunk_ok : Bytes.t;  (* memo: '\001' once a chunk checksum verified *)
-    m_epoch_ok : Bytes.t;  (* memo: '\001' once an epoch's slots verified *)
-    m_spans : (int * int) array;
-    m_n_syms : int;
-    m_max_code : int;
-  }
-
-  let trace m = m.m_trace
-
-  let slab_of m j =
-    let p = m.m_trace in
-    match j with
-    | 0 -> p.Trace.ops
-    | 1 -> p.Trace.addrs
-    | 2 -> p.Trace.values
-    | 3 -> p.Trace.marks
-    | _ -> p.Trace.arrs
-
-  let validate_chunk m j c =
-    let idx = (j * m.m_nchunks) + c in
-    if Bytes.get m.m_chunk_ok idx = '\000' then begin
-      let n = m.m_trace.Trace.n_slots in
-      if chunk_sum ~slab:j ~n ~cw:m.m_chunk_words c (Slab.get (slab_of m j)) <> m.m_sums.(idx) then
-        corrupt "slab chunk checksum";
-      Bytes.set m.m_chunk_ok idx '\001'
-    end
-
-  (** Verify every chunk overlapping epoch [e]'s slot span plus the
-      structural per-slot invariants, memoized. Raises [Hscd_error.Error]
-      (kind [Corrupt]) — wire it to {!Engine.run}'s [on_epoch] so a
-      corrupted region is rejected when replay reaches it. *)
-  let validate_epoch m e =
-    if e >= 0 && e < Bytes.length m.m_epoch_ok && Bytes.get m.m_epoch_ok e = '\000' then begin
-      let lo, hi = m.m_spans.(e) in
-      if hi > lo then begin
-        let cw = m.m_chunk_words in
-        for j = 0 to 4 do
-          for c = lo / cw to (hi - 1) / cw do
-            validate_chunk m j c
-          done
-        done;
-        validate_slots m.m_trace ~n_syms:m.m_n_syms ~max_code:m.m_max_code lo hi
-      end;
-      Bytes.set m.m_epoch_ok e '\001'
-    end
-
-  (** Force full validation (all chunks, all epochs), for callers that
-      read slots outside replay order. *)
-  let validate_all m =
-    for j = 0 to 4 do
-      for c = 0 to m.m_nchunks - 1 do
-        validate_chunk m j c
-      done
-    done;
-    for e = 0 to Bytes.length m.m_epoch_ok - 1 do
-      validate_epoch m e
-    done
-
-  (* a trace loaded eagerly through the buffered reader: everything is
-     already verified, the memos start full *)
-  let of_validated (p : Trace.packed) =
-    let nchunks = chunks_of ~n:p.Trace.n_slots ~cw:chunk_words in
-    {
-      m_trace = p;
-      m_chunk_words = chunk_words;
-      m_nchunks = nchunks;
-      m_sums = [||];
-      m_chunk_ok = Bytes.make (5 * nchunks) '\001';
-      m_epoch_ok = Bytes.make (Array.length p.Trace.p_epochs) '\001';
-      m_spans = epoch_spans p;
-      m_n_syms = Array.length (Hscd_util.Symtab.names p.Trace.symtab);
-      m_max_code = Array.length p.Trace.rmark_table - 1;
-    }
-end
-
-(** Open a binary packed trace with the slab region memory-mapped
-    zero-copy. Big-endian hosts and empty slab regions fall back to the
-    buffered reader (returning a fully validated {!Mapped.t}); otherwise
-    the file is mapped and validated lazily.
-    Raises [Hscd_error.Error]: [Io] for OS/mmap failures, [Corrupt] for
-    header damage (slab damage surfaces from {!Mapped.validate_epoch}). *)
-let map_packed path : Mapped.t =
-  let ic = try open_in_bin path with Sys_error m -> Err.fail Err.Io "Trace_io: %s" m in
-  let m =
-    try
-      let r = reader ic in
-      read_magic r;
-      let h = read_header r in
-      if Sys.big_endian || h.h_n_slots = 0 then begin
-        seek_in ic 0;
-        Mapped.of_validated (read_packed_channel ic)
-      end
-      else begin
-        let region =
-          try
-            Bigarray.array1_of_genarray
-              (Unix.map_file (Unix.descr_of_in_channel ic)
-                 ~pos:(Int64.of_int h.h_slab_base) Bigarray.int Bigarray.c_layout false
-                 [| 5 * h.h_n_slots |])
-          with Unix.Unix_error (e, _, _) ->
-            Err.fail Err.Io "Trace_io: mmap %s: %s" path (Unix.error_message e)
-        in
-        let slab j = Slab.sub region (j * h.h_n_slots) h.h_n_slots in
-        let p = packed_of_header h [| slab 0; slab 1; slab 2; slab 3; slab 4 |] in
-        let nchunks = chunks_of ~n:h.h_n_slots ~cw:h.h_chunk_words in
-        {
-          Mapped.m_trace = p;
-          m_chunk_words = h.h_chunk_words;
-          m_nchunks = nchunks;
-          m_sums = h.h_sums;
-          m_chunk_ok = Bytes.make (5 * nchunks) '\000';
-          m_epoch_ok = Bytes.make (Array.length h.h_epochs) '\000';
-          m_spans = epoch_spans p;
-          m_n_syms = h.h_n_syms;
-          m_max_code = h.h_max_code;
-        }
-      end
-    with exn ->
-      close_in_noerr ic;
-      raise exn
-  in
-  close_in ic;
-  m
-
-(** {!map_packed} as a [result], mirroring {!read_packed_result}. *)
-let map_packed_result path = Err.guard ~context:path (fun () -> map_packed path)
-
-(** Cheap sniff: does [path] start with the binary magic?
-    (Lets the CLI auto-detect binary vs. text traces.) *)
 let is_binary path =
   match open_in_bin path with
   | exception Sys_error _ -> false (* unopenable means "not binary" too *)
@@ -854,10 +654,6 @@ let is_binary path =
   close_in_noerr ic;
   ok
 
-(** Structural equality of packed traces over their *logical* content:
-    live slab prefixes (capacities may differ between [pack] and a grown
-    {!Trace.Builder}), descriptors, interner contents, marks table,
-    address map, and golden memory. *)
 let equal_packed (a : Trace.packed) (b : Trace.packed) =
   let n = a.Trace.n_slots in
   let prefix_equal (x : Slab.t) (y : Slab.t) =

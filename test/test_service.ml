@@ -353,9 +353,6 @@ let failing_opens dir iterations =
     (match E.guard (fun () -> Hscd_sim.Trace_io.read_packed garbage) with
     | Ok _ -> failwith "garbage loaded as packed trace"
     | Error _ -> ());
-    (match E.guard (fun () -> Hscd_sim.Trace_io.map_packed garbage) with
-    | Ok _ -> failwith "garbage mapped as packed trace"
-    | Error _ -> ());
     ignore (Hscd_sim.Trace_io.is_binary garbage);
     ignore (Hscd_sim.Trace_io.is_binary (Filename.concat dir "does-not-exist"))
   done

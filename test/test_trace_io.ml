@@ -40,12 +40,19 @@ let test_replay_equivalence () =
 
 let test_bad_input_rejected () =
   let path = tmp "hscd_trace_bad.txt" in
-  let expect_parse name text =
+  (* [line]: the malformed line, which the error must name *)
+  let expect_parse ?line name text =
     let oc = open_out path in
     output_string oc text;
     close_out oc;
     (match Trace_io.load path with
-    | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Parse; _ } -> ()
+    | exception Hscd_util.Hscd_error.Error ({ kind = Hscd_util.Hscd_error.Parse; _ } as e) ->
+      Option.iter
+        (fun l ->
+          let msg = Hscd_util.Hscd_error.to_string e in
+          let named = List.exists (fun c -> c = "line " ^ l) e.context in
+          Alcotest.(check bool) (name ^ ": names the line in " ^ msg) true named)
+        line
     | exception e ->
       Alcotest.fail (name ^ ": expected a typed Parse error, got " ^ Printexc.to_string e)
     | _ -> Alcotest.fail (name ^ ": expected a typed Parse error on malformed trace"));
@@ -68,6 +75,15 @@ let test_bad_input_rejected () =
   (* events that belong to no task *)
   expect_parse "task before any epoch" (header ^ "task 0\nW 0 N 5 a\nepoch serial\n");
   expect_parse "event before any task" (header ^ "epoch serial\nW 0 N 5 a\n");
+  (* malformed fields: a bad integer, a bad or negative Time-Read mark,
+     and the array and size checks the binary header makes *)
+  expect_parse ~line:"2: words abc" "words not a number" "hscd-trace 1\nwords abc\n";
+  expect_parse ~line:"5: task x" "task not a number" (header ^ "epoch serial\ntask x\n");
+  expect_parse ~line:"6: R 1 Tx 0 a" "time-read mark not a number" (header ^ body ^ "R 1 Tx 0 a\n");
+  expect_parse ~line:"6: R 1 T-3 0 a" "negative time-read mark" (header ^ body ^ "R 1 T-3 0 a\n");
+  expect_parse ~line:"3: array a 0 0" "zero array dimension" "hscd-trace 1\nwords 4\narray a 0 0\n";
+  expect_parse ~line:"3: array a -5 4" "negative array base" "hscd-trace 1\nwords 4\narray a -5 4\n";
+  expect_parse ~line:"2: words -4" "negative words" "hscd-trace 1\nwords -4\narray a 0 4\n";
   Sys.remove path
 
 let test_mark_strings () =
@@ -275,15 +291,6 @@ let test_binary_rejects_corruption () =
     (fun (name, s) ->
       write_variant s;
       expect_corrupt name path;
-      (match Trace_io.map_packed_result path with
-      | Error e ->
-        Alcotest.(check bool) (name ^ ": map corrupt kind") true
-          (e.kind = Hscd_util.Hscd_error.Corrupt)
-      | Ok _ -> Alcotest.fail (name ^ ": map accepted a foreign file")
-      | exception e ->
-        Alcotest.fail
-          (Printf.sprintf "%s: exception escaped map_packed_result: %s" name
-             (Printexc.to_string e)));
       Alcotest.(check bool) (name ^ " not sniffed as binary") false (Trace_io.is_binary path))
     [ ("foreign magic", "HSCDJNL1\x00\x00\x00\x00\x00\x00\x00\x00");
       ("v2 magic", v2_magic ^ String.sub content 8 (len - 8)) ];
@@ -301,23 +308,28 @@ let test_binary_rejects_corruption () =
     write_variant (Bytes.to_string b);
     expect_corrupt (Printf.sprintf "header word %d out of range" word) path
   done;
+  (* a flipped byte inside the first array's name, and a file cut short
+     inside the slab region, on a trace with lock sections *)
+  let locked =
+    (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
+  in
+  Trace_io.write_packed path locked;
+  Hscd_check.Fault.Chaos.corrupt_file path ~byte:24;
+  expect_corrupt "array name damage" path;
+  Trace_io.write_packed path locked;
+  Hscd_check.Fault.Chaos.truncate_file path ~drop:16;
+  expect_corrupt "slab region cut short" path;
+  (* a checksum-valid header naming an array with no dimensions *)
+  let no_dims = Hashtbl.copy locked.Trace.p_layout.Hscd_lang.Shape.arrays in
+  Hashtbl.filter_map_inplace (fun _ (a : Hscd_lang.Shape.t) -> Some { a with dims = [] }) no_dims;
+  Trace_io.write_packed path
+    { locked with Trace.p_layout = { locked.Trace.p_layout with Hscd_lang.Shape.arrays = no_dims } };
+  expect_corrupt "array with no dimensions" path;
   Sys.remove path;
   (* checksum-valid files whose slot fields the replay would index out of
-     range: refused by [read_packed], and by [Mapped.validate_epoch] at the
-     epoch that owns the slot *)
+     range *)
   let first (p : Trace.packed) op =
     let rec go i = if Trace.Slab.get p.ops i = op then i else go (i + 1) in
-    go 0
-  in
-  let owner (p : Trace.packed) i =
-    let rec go e =
-      if
-        Array.exists
-          (fun (t : Trace.ptask) -> t.Trace.off <= i && i < t.Trace.off + t.Trace.len)
-          p.Trace.p_epochs.(e).Trace.p_tasks
-      then e
-      else go (e + 1)
-    in
     go 0
   in
   (* the address slab holds a read/write's address and a compute's count *)
@@ -327,15 +339,7 @@ let test_binary_rejects_corruption () =
     Trace.Slab.set p.Trace.addrs i v;
     Trace_io.write_packed path p;
     Trace.Slab.set p.Trace.addrs i old;
-    expect_corrupt name path;
-    let m = Trace_io.map_packed path in
-    for e = 0 to owner p i - 1 do
-      Trace_io.Mapped.validate_epoch m e
-    done;
-    match Trace_io.Mapped.validate_epoch m (owner p i) with
-    | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Corrupt; _ } -> ()
-    | exception e -> Alcotest.fail (name ^ ": expected Corrupt from the map, got " ^ Printexc.to_string e)
-    | () -> Alcotest.fail (name ^ ": mapped epoch accepted the slot")
+    expect_corrupt name path
   in
   let module Code = Hscd_arch.Event.Code in
   let p = c.Run.packed_trace in
@@ -350,9 +354,6 @@ let test_binary_rejects_corruption () =
   let expect_bad_tickets name p f =
     Trace_io.write_packed path { p with Trace.p_epochs = Array.map f p.Trace.p_epochs };
     expect_corrupt name path
-  in
-  let locked =
-    (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
   in
   let map_locked_tasks f (e : Trace.pepoch) =
     let f (t : Trace.ptask) = if t.Trace.n_locks > 0 then f t else t in
@@ -411,105 +412,26 @@ let test_replay_rejects_ungranted_ticket () =
   Trace_io.write_packed path { locked with Trace.p_epochs; p_max_tickets };
   expect_corrupt_replay "binary, one ticket more per task" (fun () ->
       Run.simulate_packed Run.TPI (Trace_io.read_packed path));
-  expect_corrupt_replay "mapped, one ticket more per task" (fun () ->
-      Run.simulate_mapped Run.TPI (Trace_io.map_packed path));
   Sys.remove path
 
-(* ---------- memory-mapped loading ---------- *)
-
-let test_mmap_roundtrip () =
-  let c = Run.compile ~cache:false (Hscd_workloads.Kernels.matmul ~n:10 ()) in
-  let path = tmp "hscd_map_rt.hscdtrc" in
-  Trace_io.write_packed path c.Run.packed_trace;
-  let m = Trace_io.map_packed path in
-  Trace_io.Mapped.validate_all m;
-  Alcotest.(check bool) "mapped slabs = written slabs" true
-    (Trace_io.equal_packed c.Run.packed_trace (Trace_io.Mapped.trace m));
-  (* replay straight off the map, lazy validation in the epoch hook *)
-  let m2 = Trace_io.map_packed path in
-  List.iter
-    (fun kind ->
-      Alcotest.(check bool)
-        (Run.scheme_name kind ^ ": mapped replay identical")
-        true
-        (Run.simulate_mapped kind m2 = Run.simulate_packed kind c.Run.packed_trace))
-    [ Run.Base; Run.TPI; Run.HW ];
-  Sys.remove path
-
-let test_mmap_lazy_validation () =
-  (* a corrupt byte in the last epoch's slab span: the map opens, early
-     epochs validate, and the damage surfaces — as a typed [Corrupt] —
-     only when validation reaches the chunk that covers it *)
+let test_binary_last_chunk_damage () =
+  (* the chunk table covers every slab word: a byte flipped in the last
+     chunk of the last slab is caught like one in the first *)
   let c = Run.compile ~cache:false (Hscd_workloads.Kernels.jacobi1d ~n:64 ~iters:3 ()) in
   let p = c.Run.packed_trace in
-  let n_eps = Array.length p.Trace.p_epochs in
-  Alcotest.(check bool) "fixture has several epochs" true (n_eps > 2);
   Alcotest.(check bool) "fixture spans several chunks" true (p.Trace.n_slots > 256);
-  let path = tmp "hscd_map_lazy.hscdtrc" in
+  let path = tmp "hscd_bin_last_chunk.hscdtrc" in
   (* a small chunk granule so the fixture covers many chunks per slab *)
   Trace_io.write_packed ~chunk_words:64 path p;
-  (* the latest live slot and the epoch owning it (slab capacity may pad
-     past the last task, and padding slots belong to no epoch) *)
-  let target_epoch = ref 0 and target_slot = ref 0 in
-  Array.iteri
-    (fun e (pe : Trace.pepoch) ->
-      Array.iter
-        (fun (t : Trace.ptask) ->
-          if t.Trace.off + t.Trace.len > !target_slot + 1 then begin
-            target_slot := t.Trace.off + t.Trace.len - 1;
-            target_epoch := e
-          end)
-        pe.Trace.p_tasks)
-    p.Trace.p_epochs;
-  Alcotest.(check bool) "damage lands outside epoch 0's chunks" true (!target_epoch > 0);
-  (* flip a byte of the target slot's word in the last (arrs) slab; the
-     file ends exactly at the slab region's end, so offsets resolve from
-     the tail without knowing the header size *)
+  (* the file ends with the last slab's last word *)
   let file_len = (Unix.stat path).Unix.st_size in
-  let n = p.Trace.n_slots in
-  Hscd_check.Fault.Chaos.corrupt_file path
-    ~byte:(file_len - ((n - !target_slot) * 8) + 3);
-  let m = Trace_io.map_packed path in
-  Trace_io.Mapped.validate_epoch m 0;
-  (match Trace_io.Mapped.validate_epoch m !target_epoch with
-  | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Corrupt; _ } -> ()
-  | exception e ->
-    Alcotest.fail ("expected Corrupt from the damaged epoch, got " ^ Printexc.to_string e)
-  | () -> Alcotest.fail "damaged epoch validated");
-  (* a fresh map still opens; validating everything finds the damage *)
-  let m2 = Trace_io.map_packed path in
-  (match Trace_io.Mapped.validate_all m2 with
-  | exception Hscd_util.Hscd_error.Error { kind = Hscd_util.Hscd_error.Corrupt; _ } -> ()
-  | exception e -> Alcotest.fail ("expected Corrupt from validate_all, got " ^ Printexc.to_string e)
-  | () -> Alcotest.fail "validate_all accepted a damaged map");
-  (* the eager reader agrees the file is bad *)
+  Hscd_check.Fault.Chaos.corrupt_file path ~byte:(file_len - 8 + 3);
   (match Trace_io.read_packed_result path with
   | Error e ->
-    Alcotest.(check bool) "eager read: corrupt kind" true (e.kind = Hscd_util.Hscd_error.Corrupt)
-  | Ok _ -> Alcotest.fail "eager read accepted a damaged file");
-  Sys.remove path
-
-let test_mmap_header_corruption_rejected_eagerly () =
-  (* damage in the header/descriptor section must fail at [map_packed]
-     itself — only slab chunks are validated lazily *)
-  let c = Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ()) in
-  let path = tmp "hscd_map_hdr.hscdtrc" in
-  Trace_io.write_packed path c.Run.packed_trace;
-  Hscd_check.Fault.Chaos.corrupt_file path ~byte:24;
-  (match Trace_io.map_packed_result path with
-  | Error e ->
-    Alcotest.(check bool) "header damage: corrupt kind" true
-      (e.kind = Hscd_util.Hscd_error.Corrupt)
-  | Ok _ -> Alcotest.fail "map accepted a damaged header");
-  (* truncation inside the slab region also fails at open: the region
-     cannot be mapped at its declared size *)
-  Trace_io.write_packed path c.Run.packed_trace;
-  Hscd_check.Fault.Chaos.truncate_file path ~drop:16;
-  (match Trace_io.map_packed_result path with
-  | Error e ->
-    Alcotest.(check bool) "truncated map: corrupt kind" true
-      (e.kind = Hscd_util.Hscd_error.Corrupt)
-  | Ok _ -> Alcotest.fail "map accepted a truncated file");
+    Alcotest.(check bool) "corrupt kind" true (e.kind = Hscd_util.Hscd_error.Corrupt);
+    Alcotest.(check string) "caught by the chunk table"
+      "Trace_io: corrupt binary trace (slab chunk checksum)" e.message
+  | Ok _ -> Alcotest.fail "damaged last chunk accepted");
   Sys.remove path
 
 let suite =
@@ -530,8 +452,5 @@ let suite =
     Alcotest.test_case "binary rejects corruption" `Quick test_binary_rejects_corruption;
     Alcotest.test_case "replay rejects a ticket no task grants" `Quick
       test_replay_rejects_ungranted_ticket;
-    Alcotest.test_case "mmap: round-trip and replay" `Quick test_mmap_roundtrip;
-    Alcotest.test_case "mmap: lazy chunk validation" `Quick test_mmap_lazy_validation;
-    Alcotest.test_case "mmap: header damage fails at open" `Quick
-      test_mmap_header_corruption_rejected_eagerly;
+    Alcotest.test_case "binary: last-chunk damage" `Quick test_binary_last_chunk_damage;
   ]

@@ -308,18 +308,11 @@ let test_binary_rejects_corruption () =
     write_variant (Bytes.to_string b);
     expect_corrupt (Printf.sprintf "header word %d out of range" word) path
   done;
-  (* a flipped byte inside the first array's name, and a file cut short
-     inside the slab region, on a trace with lock sections *)
+  (* a checksum-valid header naming an array with no dimensions, on a
+     trace with lock sections *)
   let locked =
     (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
   in
-  Trace_io.write_packed path locked;
-  Hscd_check.Fault.Chaos.corrupt_file path ~byte:24;
-  expect_corrupt "array name damage" path;
-  Trace_io.write_packed path locked;
-  Hscd_check.Fault.Chaos.truncate_file path ~drop:16;
-  expect_corrupt "slab region cut short" path;
-  (* a checksum-valid header naming an array with no dimensions *)
   let no_dims = Hashtbl.copy locked.Trace.p_layout.Hscd_lang.Shape.arrays in
   Hashtbl.filter_map_inplace (fun _ (a : Hscd_lang.Shape.t) -> Some { a with dims = [] }) no_dims;
   Trace_io.write_packed path
@@ -414,6 +407,21 @@ let test_replay_rejects_ungranted_ticket () =
       Run.simulate_packed Run.TPI (Trace_io.read_packed path));
   Sys.remove path
 
+let test_binary_header_damage () =
+  (* a flipped byte inside the first array's name, and a file cut short
+     inside the slab region, on a trace with lock sections *)
+  let locked =
+    (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
+  in
+  let path = tmp "hscd_bin_hdr.hscdtrc" in
+  Trace_io.write_packed path locked;
+  Hscd_check.Fault.Chaos.corrupt_file path ~byte:24;
+  expect_corrupt "array name damage" path;
+  Trace_io.write_packed path locked;
+  Hscd_check.Fault.Chaos.truncate_file path ~drop:16;
+  expect_corrupt "slab region cut short" path;
+  Sys.remove path
+
 let test_binary_last_chunk_damage () =
   (* the chunk table covers every slab word: a byte flipped in the last
      chunk of the last slab is caught like one in the first *)
@@ -452,5 +460,6 @@ let suite =
     Alcotest.test_case "binary rejects corruption" `Quick test_binary_rejects_corruption;
     Alcotest.test_case "replay rejects a ticket no task grants" `Quick
       test_replay_rejects_ungranted_ticket;
+    Alcotest.test_case "binary: header damage" `Quick test_binary_header_damage;
     Alcotest.test_case "binary: last-chunk damage" `Quick test_binary_last_chunk_damage;
   ]

@@ -10,10 +10,12 @@
     update for the analytic delay model. Every load's value is checked
     against the golden interpreter — a failing scheme cannot hide.
 
-    The hot path builds no block per event or per task: events are
-    decoded by index from the packed trace's unboxed int slabs (read
-    marks via a preallocated decode table, so no [Time_read] cell is ever
-    built), schemes fill a reused scratch {!Scheme.access_result} from
+    The hot path builds no block per event or per task: an event is
+    decoded by index from two adjacent words of the packed trace's
+    unboxed slot slab (opcode, mark code, array id and address from the
+    first, value or cycle count from the second; read marks via a
+    preallocated decode table, so no [Time_read] cell is ever built),
+    schemes fill a reused scratch {!Scheme.access_result} from
     flat cache arrays, work items are rank+offset encoded in a single int
     and popped from unboxed deques, a task's critical-section tickets are
     a base+count pair instead of a list, and all per-epoch scratch
@@ -52,9 +54,11 @@
     finishes at the epoch's start plus its stall.
 
     The per-event path calls no other module except the scheme's
-    [read]/[write]: slabs are read with [Bigarray.Array1.get] at their
-    concrete type (an inline, bounds-checked load), and the ready queue,
-    miss-class counting and write-mark decode live in this file. Builds
+    [read]/[write]: the slot slab is read with [Bigarray.Array1.get] at
+    its concrete type (an inline, bounds-checked load), the slot words
+    are decoded here rather than through {!Trace.op} and its siblings,
+    and the ready queue, miss-class counting and write-mark decode live
+    in this file. Builds
     with [-opaque] (dune's dev profile, which [dune exec] and the
     benchmark use) cannot inline across modules, so each such call would
     otherwise be an indirect call through a module block.
@@ -231,11 +235,18 @@ type pstate = {
   mutable s_idle : bool;  (** out of work; meaningful once reset for the epoch *)
 }
 
+(* Slot-word fields, as laid out in {!Trace.packed}: a compute, lock or
+   unlock slot's first word is its bare opcode *)
+let[@inline] op_of w = w land 0x7
+let[@inline] mark_of w = (w lsr 3) land 0xFFFF
+let[@inline] arr_of w = (w lsr 19) land 0x1FFF
+let[@inline] addr_of w = w asr 32
+
 (* blocked when the next event is a Lock whose ticket is not yet due; a
    top-level function, so the per-epoch closures need not capture it *)
-let[@inline] blocked ops p ~expected =
+let[@inline] blocked slots p ~expected =
   p.s_idx < p.s_stop
-  && sget ops p.s_idx = Event.Code.lock
+  && sget slots (2 * p.s_idx) = Event.Code.lock
   && p.s_left > 0
   && p.s_next_ticket <> expected
 
@@ -246,11 +257,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
   let nviol = ref 0 in
   let global = ref 0 in
   let prng = Hscd_util.Prng.of_int 0x5ca1ab1e in
-  let ops = trace.Trace.ops in
-  let addrs = trace.Trace.addrs in
-  let values = trace.Trace.values in
-  let marks = trace.Trace.marks in
-  let arrs = trace.Trace.arrs in
+  let slots = trace.Trace.slots in
   let rmark_table = trace.Trace.rmark_table in
   (* scratch allocated once per run, reset across epochs *)
   let procs =
@@ -384,7 +391,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
          blocked processors park in the slot of the ticket they wait for,
          workless processors in the idle set *)
       let enqueue p =
-        if blocked ops p ~expected:!expected_ticket then ticket_waiter.(p.s_next_ticket) <- p.s_pidx
+        if blocked slots p ~expected:!expected_ticket then ticket_waiter.(p.s_next_ticket) <- p.s_pidx
         else Ready.push ready (Ready.key ready ~clock:p.s_clock p.s_pidx)
       in
       (* refill p and put it wherever it now belongs: the ready queue, a ticket
@@ -431,20 +438,21 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
           let proc = Ready.pidx ready key in
           let p = procs.(proc) in
           let i = p.s_idx in
-          let op = sget ops i in
+          let w = sget slots (2 * i) in
+          let op = op_of w in
           if op = Event.Code.compute then begin
-            let n = sget addrs i in
+            let n = sget slots ((2 * i) + 1) in
             p.s_clock <- p.s_clock + n;
             metrics.compute_cycles <- metrics.compute_cycles + n
           end
           else if op = Event.Code.read then begin
-            let addr = sget addrs i in
+            let addr = addr_of w in
             let r =
-              S.read sch ~proc ~addr ~array:(sget arrs i) ~mark:rmark_table.(sget marks i)
+              S.read sch ~proc ~addr ~array:(arr_of w) ~mark:rmark_table.(mark_of w)
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
             record_read metrics r;
-            let golden = sget values i in
+            let golden = sget slots ((2 * i) + 1) in
             if r.Scheme.value <> golden then begin
               if !nviol < max_violations then
                 violations :=
@@ -455,8 +463,9 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
           end
           else if op = Event.Code.write then begin
             let r =
-              S.write sch ~proc ~addr:(sget addrs i) ~array:(sget arrs i) ~value:(sget values i)
-                ~mark:(wmark_of (sget marks i))
+              S.write sch ~proc ~addr:(addr_of w) ~array:(arr_of w)
+                ~value:(sget slots ((2 * i) + 1))
+                ~mark:(wmark_of (mark_of w))
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
             record_write metrics r
@@ -490,8 +499,8 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
              event keeps its (clock, pidx) key. A range's last slot is
              never folded, so task ends and queue claims keep their order *)
           let j = i + 1 in
-          if j + 1 < p.s_stop && sget ops j = Event.Code.compute then begin
-            let n = sget addrs j in
+          if j + 1 < p.s_stop && sget slots (2 * j) = Event.Code.compute then begin
+            let n = sget slots ((2 * j) + 1) in
             p.s_clock <- p.s_clock + n;
             metrics.compute_cycles <- metrics.compute_cycles + n;
             p.s_idx <- j + 1
@@ -499,7 +508,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
           else p.s_idx <- j;
           (* a runnable processor stays on unless another one is now
              earlier: one compare, or one sift-down replacing the root *)
-          if p.s_idx < p.s_stop && not (blocked ops p ~expected:!expected_ticket) then
+          if p.s_idx < p.s_stop && not (blocked slots p ~expected:!expected_ticket) then
             loop (Ready.push_pop ready (Ready.key ready ~clock:p.s_clock proc))
           else begin
             if p.s_idx < p.s_stop then ticket_waiter.(p.s_next_ticket) <- proc

@@ -136,11 +136,7 @@ type ptask = {
 type pepoch = { p_kind : epoch_kind; p_tasks : ptask array; p_n_tickets : int }
 
 type packed = {
-  ops : Slab.t;  (** {!Hscd_arch.Event.Code} opcode per slot *)
-  addrs : Slab.t;  (** address (or cycle count for compute slots) *)
-  values : Slab.t;  (** golden value per read/write slot *)
-  marks : Slab.t;  (** rmark/wmark code, interpreted per opcode *)
-  arrs : Slab.t;  (** interned array id per read/write slot *)
+  slots : Slab.t;  (** two words per slot, laid out as described below *)
   p_epochs : pepoch array;
   symtab : Hscd_util.Symtab.t;  (** array-name interning, {!Shape.layout} base order *)
   rmark_table : Event.rmark array;  (** decode table indexed by mark code *)
@@ -151,15 +147,62 @@ type packed = {
   p_max_tickets : int;  (** max tickets over all epochs (waiter-slot bound) *)
 }
 
+(* Slot [i] is words [2i] and [2i+1] of [slots]. Word [2i] of a read or
+   write holds the opcode in bits 0-2, the mark code in bits 3-18, the
+   array id in bits 19-31 and the address, signed, from bit 32; for
+   compute, lock and unlock it is the opcode alone. Word [2i+1] is the
+   golden value of a read or write, the cycle count of a compute slot,
+   and 0 for lock and unlock, so replay reads a slot as two adjacent
+   words. *)
+
+let op_mask = 0x7
+let mark_shift = 3
+let mark_mask = 0xFFFF
+let arr_shift = 19
+let arr_mask = 0x1FFF
+let addr_shift = 32
+let max_time_read = mark_mask - Event.Code.rmark_base
+let max_arrays = arr_mask
+let max_memory_words = (1 lsl 30) - 1
+
+(* word [2i] of a read or write; the fields must already fit *)
+let[@inline] mem_word ~op ~addr ~mark ~arr =
+  op lor (mark lsl mark_shift) lor (arr lsl arr_shift) lor (addr lsl addr_shift)
+
+let[@inline] op (p : packed) i = Slab.get p.slots (2 * i) land op_mask
+
+let addr (p : packed) i =
+  let w = Slab.get p.slots (2 * i) in
+  if w land op_mask = Event.Code.compute then Slab.get p.slots ((2 * i) + 1) else w asr addr_shift
+
+let value (p : packed) i =
+  if op p i = Event.Code.compute then 0 else Slab.get p.slots ((2 * i) + 1)
+
+let mark (p : packed) i = (Slab.get p.slots (2 * i) lsr mark_shift) land mark_mask
+let arr (p : packed) i = (Slab.get p.slots (2 * i) lsr arr_shift) land arr_mask
+
+let too_large what n limit =
+  Hscd_util.Hscd_error.fail Usage "Trace: %s %d does not fit the packed trace (limit %d)" what n
+    limit
+
+(* the limits that depend on the address map alone; every memory slot's
+   address and array id then fit their fields *)
+let check_layout (layout : Shape.layout) =
+  if layout.Shape.total_words > max_memory_words then
+    too_large "memory size in words" layout.Shape.total_words max_memory_words;
+  let n = Hashtbl.length layout.Shape.arrays in
+  if n > max_arrays then too_large "array count" n max_arrays
+
 (** Seed a symtab with the trace's arrays in [Shape.layout] base order —
     the canonical id assignment both replay paths share. *)
 let symtab_of_layout (layout : Shape.layout) =
   Hscd_util.Symtab.of_names (List.map (fun (a : Shape.t) -> a.Shape.name) (Shape.arrays_in_order layout))
 
 (** Compile the boxed trace into the packed form: one pass to size the
-    slabs, one to fill them. Tickets are assigned in (rank, event) order
+    slot slab, one to fill it. Tickets are assigned in (rank, event) order
     within each epoch — the order the engine grants critical sections. *)
 let pack (t : t) =
+  check_layout t.layout;
   let symtab = symtab_of_layout t.layout in
   let n_slots =
     Array.fold_left
@@ -167,15 +210,20 @@ let pack (t : t) =
         Array.fold_left (fun acc (task : task) -> acc + Array.length task.events) acc e.tasks)
       0 t.epochs
   in
-  let cap = max 1 n_slots in
-  let ops = Array.make cap 0 in
-  let addrs = Array.make cap 0 in
-  let values = Array.make cap 0 in
-  let marks = Array.make cap 0 in
-  let arrs = Array.make cap 0 in
+  let words = Array.make (2 * max 1 n_slots) 0 in
   let pos = ref 0 in
   let max_rcode = ref 0 in
   let max_tickets = ref 0 in
+  (* a boxed trace names its arrays and addresses freely; the fields
+     bound what the packed form can hold *)
+  let mem i ~op ~addr ~value ~mark ~array =
+    if addr < -(max_memory_words + 1) || addr > max_memory_words then
+      too_large "address" addr max_memory_words;
+    let arr = Hscd_util.Symtab.intern symtab array in
+    if arr >= max_arrays then too_large "array count" (arr + 1) max_arrays;
+    words.(2 * i) <- mem_word ~op ~addr ~mark ~arr;
+    words.((2 * i) + 1) <- value
+  in
   let p_epochs =
     Array.map
       (fun (e : epoch) ->
@@ -191,26 +239,22 @@ let pack (t : t) =
                   incr pos;
                   match ev with
                   | Event.Compute n ->
-                    ops.(i) <- Event.Code.compute;
-                    addrs.(i) <- n
+                    words.(2 * i) <- Event.Code.compute;
+                    words.((2 * i) + 1) <- n
                   | Event.Read { addr; mark; value; array } ->
-                    ops.(i) <- Event.Code.read;
-                    addrs.(i) <- addr;
-                    values.(i) <- value;
+                    (match mark with
+                    | Event.Time_read d when d < 0 || d > max_time_read ->
+                      too_large "Time-Read distance" d max_time_read
+                    | _ -> ());
                     let c = Event.Code.of_rmark mark in
                     if c > !max_rcode then max_rcode := c;
-                    marks.(i) <- c;
-                    arrs.(i) <- Hscd_util.Symtab.intern symtab array
+                    mem i ~op:Event.Code.read ~addr ~value ~mark:c ~array
                   | Event.Write { addr; mark; value; array } ->
-                    ops.(i) <- Event.Code.write;
-                    addrs.(i) <- addr;
-                    values.(i) <- value;
-                    marks.(i) <- Event.Code.of_wmark mark;
-                    arrs.(i) <- Hscd_util.Symtab.intern symtab array
+                    mem i ~op:Event.Code.write ~addr ~value ~mark:(Event.Code.of_wmark mark) ~array
                   | Event.Lock ->
-                    ops.(i) <- Event.Code.lock;
+                    words.(2 * i) <- Event.Code.lock;
                     incr ticket
-                  | Event.Unlock -> ops.(i) <- Event.Code.unlock)
+                  | Event.Unlock -> words.(2 * i) <- Event.Code.unlock)
                 task.events;
               { p_iter = task.iter; off; len = Array.length task.events; ticket0;
                 n_locks = !ticket - ticket0 })
@@ -221,11 +265,7 @@ let pack (t : t) =
       t.epochs
   in
   {
-    ops = Slab.of_int_array ops;
-    addrs = Slab.of_int_array addrs;
-    values = Slab.of_int_array values;
-    marks = Slab.of_int_array marks;
-    arrs = Slab.of_int_array arrs;
+    slots = Slab.of_int_array words;
     p_epochs;
     symtab;
     rmark_table = Event.Code.rmark_table ~max_code:!max_rcode;
@@ -241,30 +281,34 @@ let pack (t : t) =
 (* ------------------------------------------------------------------ *)
 
 module Builder = struct
-  (* Slots stream into fixed-size chunks of five Bigarray slabs, in the
-     layout of [packed]; [finish] copies the live slots into exact-size
-     slabs. Task and epoch descriptors are built as the records [packed]
-     holds, each epoch's tasks in an array sized from its iteration count.
-     Nothing on the per-event path allocates or hashes: the interpreter
-     passes array ids, marks convert from AST codes without an
-     intermediate variant, and compute work coalesces into a pending
-     counter exactly as {!of_program} does. [pack] above stays as the
-     independent reference implementation the test suite checks this
+  (* Slots stream into fixed-size Bigarray chunks, two words per slot in
+     the layout of [packed]; [finish] copies the live words into one
+     exact-size slab. Task and epoch descriptors are built as the records
+     [packed] holds, each epoch's tasks in an array sized from its
+     iteration count. Nothing on the per-event path allocates or hashes:
+     the interpreter passes array ids, marks convert from AST codes
+     without an intermediate variant, and compute work coalesces into a
+     pending counter exactly as {!of_program} does. [pack] above stays as
+     the independent reference implementation the test suite checks this
      builder against, slot for slot. *)
 
-  let chunk_slots = 4096
+  (* 16,384 slots, a 256 KB chunk. OCaml 5.1 charges a Bigarray smaller
+     than [Custom_minor_max_bsz] (70,000 bytes) to the major GC only when
+     it is promoted, and the major collections that chunk allocation
+     paces are what hold generation's resident size down: on the
+     fresh-programs benchmark, 4,096-slot (64 KB) chunks peaked at 121 MB
+     and 16,384-slot chunks at 88 MB, against 91 MB for five field slabs
+     of 4,096 slots. *)
+  let chunk_slots = 16384
 
-  type chunk = { c_ops : Slab.t; c_addrs : Slab.t; c_values : Slab.t; c_marks : Slab.t; c_arrs : Slab.t }
-
-  let take_chunk () =
-    let slab () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout chunk_slots in
-    { c_ops = slab (); c_addrs = slab (); c_values = slab (); c_marks = slab (); c_arrs = slab () }
+  let take_chunk () : Slab.t =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * chunk_slots)
 
   let no_task = { p_iter = 0; off = 0; len = 0; ticket0 = 0; n_locks = 0 }
 
   type t = {
-    mutable cur : chunk;  (** the chunk being filled *)
-    mutable full : chunk list;  (** filled chunks, newest first *)
+    mutable cur : Slab.t;  (** the chunk being filled *)
+    mutable full : Slab.t list;  (** filled chunks, newest first *)
     mutable i : int;  (** next free slot of [cur] *)
     mutable base : int;  (** slots in [full] *)
     mutable finished : bool;
@@ -314,46 +358,50 @@ module Builder = struct
 
   let[@inline] pos b = b.base + b.i
 
-  (* Chunks are not zero-filled, so every slot writes all five fields;
-     [i] is below [chunk_slots], the length of every chunk slab. *)
-  let[@inline] put b ~op ~addr ~value ~mark ~arr =
+  (* Chunks are not zero-filled, so every slot writes both words; [i] is
+     below [chunk_slots], so [2i+1] is inside the chunk. *)
+  let[@inline] put b w0 w1 =
     if b.i >= chunk_slots then next_chunk b;
     let i = b.i and c = b.cur in
     b.i <- i + 1;
-    Bigarray.Array1.unsafe_set c.c_ops i op;
-    Bigarray.Array1.unsafe_set c.c_addrs i addr;
-    Bigarray.Array1.unsafe_set c.c_values i value;
-    Bigarray.Array1.unsafe_set c.c_marks i mark;
-    Bigarray.Array1.unsafe_set c.c_arrs i arr
+    Bigarray.Array1.unsafe_set c (2 * i) w0;
+    Bigarray.Array1.unsafe_set c ((2 * i) + 1) w1
 
   let[@inline] flush_work b =
     if b.pending_work > 0 then begin
-      put b ~op:Event.Code.compute ~addr:b.pending_work ~value:0 ~mark:0 ~arr:0;
+      put b Event.Code.compute b.pending_work;
       b.pending_work <- 0
     end
 
   let emit_work b n = b.pending_work <- b.pending_work + n
 
+  (* the layout bounds every address and array id the interpreter
+     passes, so only the mark code needs a check, and only when it sets a
+     new maximum *)
   let emit_read b ~array ~addr ~value ~rcode =
     flush_work b;
-    if rcode > b.max_rcode then b.max_rcode <- rcode;
-    put b ~op:Event.Code.read ~addr ~value ~mark:rcode ~arr:array;
+    if rcode > b.max_rcode then begin
+      if rcode > mark_mask then
+        too_large "Time-Read distance" (rcode - Event.Code.rmark_base) max_time_read;
+      b.max_rcode <- rcode
+    end;
+    put b (mem_word ~op:Event.Code.read ~addr ~mark:rcode ~arr:array) value;
     b.total <- b.total + 1
 
   let emit_write b ~array ~addr ~value ~wcode =
     flush_work b;
-    put b ~op:Event.Code.write ~addr ~value ~mark:wcode ~arr:array;
+    put b (mem_word ~op:Event.Code.write ~addr ~mark:wcode ~arr:array) value;
     b.total <- b.total + 1
 
   let emit_lock b =
     flush_work b;
-    put b ~op:Event.Code.lock ~addr:0 ~value:0 ~mark:0 ~arr:0;
+    put b Event.Code.lock 0;
     b.ticket <- b.ticket + 1;
     b.total <- b.total + 1
 
   let emit_unlock b =
     flush_work b;
-    put b ~op:Event.Code.unlock ~addr:0 ~value:0 ~mark:0 ~arr:0;
+    put b Event.Code.unlock 0;
     b.total <- b.total + 1
 
   (* [Eval] runs one task per iteration of a parallel epoch and one per
@@ -389,7 +437,7 @@ module Builder = struct
     let p_tasks = if b.n_tasks = Array.length b.tasks then b.tasks else Array.sub b.tasks 0 b.n_tasks in
     b.epochs <- { p_kind = b.cur_kind; p_tasks; p_n_tickets = b.ticket } :: b.epochs
 
-  (** Close the builder: copy the live slots out into exact-size slabs. *)
+  (** Close the builder: copy the live words out into one exact-size slab. *)
   let finish b ~golden =
     let layout =
       match b.layout with
@@ -397,24 +445,17 @@ module Builder = struct
       | None -> invalid_arg "Trace.Builder: finish before init"
     in
     if b.finished then invalid_arg "Trace.Builder: finish after finish";
-    let n = pos b and chunks = List.rev (b.cur :: b.full) in
-    let exact field =
-      let s = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-      List.iteri
-        (fun k c ->
-          let off = k * chunk_slots in
-          let len = min chunk_slots (n - off) in
-          Bigarray.Array1.blit (Bigarray.Array1.sub (field c) 0 len) (Bigarray.Array1.sub s off len))
-        chunks;
-      s
-    in
+    let n = pos b in
+    let slots = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * n) in
+    List.iteri
+      (fun k c ->
+        let off = k * chunk_slots in
+        let len = 2 * min chunk_slots (n - off) in
+        Bigarray.Array1.(blit (sub c 0 len) (sub slots (2 * off) len)))
+      (List.rev (b.cur :: b.full));
     let p =
       {
-        ops = exact (fun c -> c.c_ops);
-        addrs = exact (fun c -> c.c_addrs);
-        values = exact (fun c -> c.c_values);
-        marks = exact (fun c -> c.c_marks);
-        arrs = exact (fun c -> c.c_arrs);
+        slots;
         p_epochs = Array.of_list (List.rev b.epochs);
         symtab = symtab_of_layout layout;
         rmark_table = Event.Code.rmark_table ~max_code:b.max_rcode;
@@ -437,7 +478,10 @@ module Builder = struct
       path constructs no variant cells. *)
   let hooks b : Eval.hooks =
     {
-      Eval.on_init = (fun layout -> b.layout <- Some layout);
+      Eval.on_init =
+        (fun layout ->
+          check_layout layout;
+          b.layout <- Some layout);
       on_epoch_begin =
         (fun kind ->
           epoch_begin b
@@ -463,21 +507,13 @@ end
     with builder hooks, never materializing the boxed [t]. Replay results
     are bit-identical to [pack (of_program p)] (asserted by the tests). *)
 let of_program_packed ?(check_races = true) ?(line_words = 4) (program : Ast.program) =
+  (* checked before [Eval.run] allocates the memory image *)
+  check_layout (Shape.layout ~line_words program.Ast.arrays);
   let b = Builder.create () in
   let result = Eval.run ~hooks:(Builder.hooks b) ~check_races ~line_words program in
   Builder.finish b ~golden:result.Eval.final_memory
 
 let packed_memory_words (p : packed) = max 1 p.p_layout.Shape.total_words
-
-(** Live heap words of the packed slabs (five ints per slot plus task and
-    epoch descriptors) — the footprint EXPERIMENTS.md reports against the
-    boxed form's per-event blocks. Counts slab *capacity*, not just live
-    slots: builder-grown slabs may hold up to 2x headroom and that memory
-    is just as resident. *)
-let packed_slab_words (p : packed) =
-  let task_words = 8 (* 5 fields + header + ~2 amortized epoch overhead *) in
-  (5 * max 1 (Slab.length p.ops))
-  + Array.fold_left (fun acc e -> acc + (task_words * Array.length e.p_tasks)) 0 p.p_epochs
 
 (* --- packed-native trace statistics (no boxed form required) --- *)
 
@@ -492,7 +528,7 @@ let packed_n_parallel_epochs (p : packed) =
 let packed_access_counts (p : packed) =
   let reads = ref 0 and writes = ref 0 in
   for i = 0 to p.n_slots - 1 do
-    let op = Slab.get p.ops i in
+    let op = op p i in
     if op = Event.Code.read then incr reads
     else if op = Event.Code.write then incr writes
   done;

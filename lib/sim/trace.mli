@@ -21,9 +21,8 @@ type t = {
     reference generator that {!of_program_packed} is checked against. *)
 val of_program : ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -> t
 
-(** Packed structure-of-arrays form — the engine's native input. Each
-    task's event stream lives in parallel unboxed slabs
-    (opcode, address, value, mark code, interned array id), built once at
+(** Packed form — the engine's native input. Every task's events are
+    slots of one unboxed slab, two words per slot, built once at
     trace-compile time; the replay hot path decodes events by index
     without constructing a single variant. *)
 
@@ -57,11 +56,10 @@ type ptask = {
 type pepoch = { p_kind : epoch_kind; p_tasks : ptask array; p_n_tickets : int }
 
 type packed = {
-  ops : Slab.t;  (** {!Hscd_arch.Event.Code} opcode per slot *)
-  addrs : Slab.t;  (** address (or cycle count for compute slots) *)
-  values : Slab.t;  (** golden value per read/write slot *)
-  marks : Slab.t;  (** rmark/wmark code, interpreted per opcode *)
-  arrs : Slab.t;  (** interned array id per read/write slot *)
+  slots : Slab.t;
+      (** [2 * n_slots] words (2 when {!pack} or the binary reader
+          has no slot to hold): slot [i] is words [2i] and [2i+1], laid
+          out as below *)
   p_epochs : pepoch array;
   symtab : Hscd_util.Symtab.t;  (** array-name interning, layout base order *)
   rmark_table : Hscd_arch.Event.rmark array;  (** decode table by mark code *)
@@ -72,6 +70,47 @@ type packed = {
   p_max_tickets : int;  (** max tickets over all epochs *)
 }
 
+(** {2 Slot layout}
+
+    Word [2i] of a read or write holds the {!Hscd_arch.Event.Code} opcode
+    in bits 0–2, the mark code in bits 3–18, the interned array id in
+    bits 19–31 and the address as a signed field from bit 32 (decode with
+    [asr 32]). For compute, lock and unlock, word [2i] is the opcode
+    alone. Word [2i+1] is the golden value of a read or write, the cycle
+    count of a compute slot, and 0 for lock and unlock.
+
+    The fields bound what a packed trace can hold; compute counts and
+    values are unbounded. Generation ({!of_program_packed}, so
+    [Run.compile]) and {!pack} raise {!Hscd_util.Hscd_error.Error} of kind
+    [Usage] for a trace past a limit, the text loader [Parse] naming the
+    line, and the binary reader [Corrupt]. *)
+
+(** 65,532: the largest Time-Read distance (mark code
+    [Event.Code.rmark_base + d] below 2{^16}). *)
+val max_time_read : int
+
+(** 8,191: a trace names fewer than 8,192 arrays (ids below 2{^13}). *)
+val max_arrays : int
+
+(** 2{^30} - 1: a trace's memory has fewer than 2{^30} words, so every
+    address fits the signed field. *)
+val max_memory_words : int
+
+(** Word [2i] of a read or write slot from its fields, which must fit. *)
+val mem_word : op:int -> addr:int -> mark:int -> arr:int -> int
+
+(** {2 Logical fields of slot [i]}
+
+    The five fields of a slot as the engine and the file formats see
+    them: [addr] is the cycle count of a compute slot, and a field a slot
+    does not use reads 0. *)
+
+val op : packed -> int -> int
+val addr : packed -> int -> int
+val value : packed -> int -> int
+val mark : packed -> int -> int
+val arr : packed -> int -> int
+
 (** Symtab seeded with the layout's arrays in base order — the canonical
     id assignment shared by the packed and boxed replay paths. *)
 val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
@@ -80,15 +119,21 @@ val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
     boxed trace ever flows. Production code packs the traces that only
     exist boxed: text traces from {!Trace_io.load}, fuzz-generated traces
     and model-checker traces. Tests also use [pack (of_program p)] as the
-    independent reference the streaming {!Builder} is checked against. *)
+    independent reference the streaming {!Builder} is checked against.
+    Raises a [Usage] error for a trace past a slot-field limit, including
+    an address outside the signed field or a negative Time-Read
+    distance. *)
 val pack : t -> packed
 
 (** Streaming trace builder that {!Hscd_lang.Eval} hooks append into
-    directly. Slots go into fixed-size chunks of five Bigarray slabs (the
-    layout of {!packed}). The per-event path neither allocates nor hashes: array ids come from the
-    interpreter, marks convert from AST codes without an intermediate
-    variant, and compute work coalesces into a pending counter exactly as
-    {!of_program} does. *)
+    directly. Slots go into fixed-size Bigarray chunks of 16,384 slots,
+    two words each in the layout of {!packed}. The per-event path neither
+    allocates nor hashes: array ids come from the interpreter, marks
+    convert from AST codes without an intermediate variant, and compute
+    work coalesces into a pending counter exactly as {!of_program} does.
+    [on_init] raises a [Usage] error for a layout past {!max_arrays} or
+    {!max_memory_words}, and a read hook for a Time-Read distance past
+    {!max_time_read}. *)
 module Builder : sig
   type t
 
@@ -97,23 +142,20 @@ module Builder : sig
   (** Eval hooks that stream events straight into the chunks. *)
   val hooks : t -> Hscd_lang.Eval.hooks
 
-  (** Close the builder into a packed trace with exact-size slabs. The
+  (** Close the builder into a packed trace with an exact-size slab. The
       builder cannot be used after. *)
   val finish : t -> golden:int array -> packed
 end
 
 (** Generate the packed trace directly — instrumented interpreter with
     {!Builder} hooks, no boxed [t] ever materialized. Replay results are
-    bit-identical to [pack (of_program p)]. *)
+    bit-identical to [pack (of_program p)]. The layout limits are checked
+    before the interpreter allocates the program's memory. *)
 val of_program_packed :
   ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -> packed
 
 (** At least 1, for allocating scheme memory images. *)
 val packed_memory_words : packed -> int
-
-(** Approximate live heap words of the packed slabs (counts capacity,
-    including builder growth headroom), for footprint reporting. *)
-val packed_slab_words : packed -> int
 
 val packed_n_epochs : packed -> int
 val packed_n_parallel_epochs : packed -> int

@@ -24,6 +24,9 @@ let mark_of_str s =
       else None
     in
     match d with
+    | Some d when d > Trace.max_time_read ->
+      Err.fail Err.Parse "Trace_io: Time-Read distance %d past the limit of %d" d
+        Trace.max_time_read
     | Some d when d >= 0 -> Event.Time_read d
     | _ -> Err.fail Err.Parse "Trace_io: bad read mark %s" s)
 
@@ -43,7 +46,7 @@ let write_channel oc (p : Trace.packed) =
       pr "array %s %d %s\n" a.name a.base (String.concat " " (List.map string_of_int a.dims)))
     (Shape.arrays_in_order p.p_layout);
   Array.iteri (fun i v -> if v <> 0 then pr "golden %d %d\n" i v) p.p_golden;
-  let array i = Hscd_util.Symtab.name p.symtab (Slab.get p.arrs i) in
+  let array i = Hscd_util.Symtab.name p.symtab (Trace.arr p i) in
   Array.iter
     (fun (e : Trace.pepoch) ->
       (match e.p_kind with
@@ -53,10 +56,10 @@ let write_channel oc (p : Trace.packed) =
         (fun (task : Trace.ptask) ->
           pr "task %d\n" task.p_iter;
           for i = task.off to task.off + task.len - 1 do
-            let op = Slab.get p.ops i
-            and addr = Slab.get p.addrs i
-            and value = Slab.get p.values i
-            and mark = Slab.get p.marks i in
+            let op = Trace.op p i
+            and addr = Trace.addr p i
+            and value = Trace.value p i
+            and mark = Trace.mark p i in
             if op = Event.Code.compute then pr "C %d\n" addr
             else if op = Event.Code.read then
               pr "R %d %s %d %s\n" addr (mark_str (Event.Code.rmark_of mark)) value (array i)
@@ -80,6 +83,7 @@ let save path p =
 type builder = {
   mutable words : int;
   mutable arrays : Shape.t list;
+  mutable n_arrays : int;
   mutable golden : (int * int) list;
   mutable epochs : Trace.epoch list;  (* reversed *)
   mutable cur_kind : Trace.epoch_kind option;
@@ -131,10 +135,15 @@ let parse_line b line =
   | [ "hscd-trace"; "1" ] -> ()
   | [ "words"; n ] ->
     b.words <- int_field n;
-    if b.words < 0 then Err.fail Err.Parse "Trace_io: negative words"
+    if b.words < 0 then Err.fail Err.Parse "Trace_io: negative words";
+    if b.words > Trace.max_memory_words then
+      Err.fail Err.Parse "Trace_io: %d words past the limit of %d" b.words Trace.max_memory_words
   | "array" :: name :: base :: dims ->
     let bad what = Err.fail Err.Parse "Trace_io: bad %s" what in
-    b.arrays <- array_shape ~bad name (int_field base) (List.map int_field dims) :: b.arrays
+    if b.n_arrays = Trace.max_arrays then
+      Err.fail Err.Parse "Trace_io: more than %d arrays" Trace.max_arrays;
+    b.arrays <- array_shape ~bad name (int_field base) (List.map int_field dims) :: b.arrays;
+    b.n_arrays <- b.n_arrays + 1
   | [ "golden"; i; v ] -> b.golden <- (int_field i, int_field v) :: b.golden
   | [ "epoch"; "serial" ] ->
     flush_epoch b;
@@ -169,6 +178,7 @@ let load path : Trace.t =
     {
       words = 0;
       arrays = [];
+      n_arrays = 0;
       golden = [];
       epochs = [];
       cur_kind = None;
@@ -230,8 +240,9 @@ let equal (a : Trace.t) (b : Trace.t) =
   && a.layout.Shape.total_words = b.layout.Shape.total_words
 
 (* ------------------------------------------------------------------ *)
-(* Binary trace format: a direct dump of the packed slabs. All ints    *)
-(* are 8-byte little-endian two's complement.                          *)
+(* Binary trace format: the packed trace with its slots written as     *)
+(* five field-major slabs, one per logical field ({!Trace.op} etc.).   *)
+(* All ints are 8-byte little-endian two's complement.                 *)
 (*   magic "HSCDTRC3"                                                  *)
 (*   total_words, n_arrays, then per array: name, base, n_dims, dims   *)
 (*   golden_len, n_nonzero, then (index, value) pairs                  *)
@@ -263,6 +274,9 @@ let chunk_words = 65536
 let mix = Hscd_util.Checksum.mix
 
 let corrupt what = Err.fail Err.Corrupt "Trace_io: corrupt binary trace (%s)" what
+
+(* the largest code a slot's mark field holds *)
+let max_mark_code = Trace.max_time_read + Event.Code.rmark_base
 
 (* the chunk table's entry for chunk [c] of slab number [slab]: [mix]
    folded over [get i] for the slots [i] = [c*cw .. min n ((c+1)*cw) - 1],
@@ -355,12 +369,12 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
   let n = p.Trace.n_slots in
   let cw = chunk_words in
   put_int w cw;
-  let slabs = [| p.Trace.ops; p.Trace.addrs; p.Trace.values; p.Trace.marks; p.Trace.arrs |] in
+  let slabs = [| Trace.op p; Trace.addr p; Trace.value p; Trace.mark p; Trace.arr p |] in
   let nchunks = chunks_of ~n ~cw in
   Array.iteri
-    (fun j s ->
+    (fun j get ->
       for c = 0 to nchunks - 1 do
-        put_int w (chunk_sum ~slab:j ~n ~cw c (Slab.get s))
+        put_int w (chunk_sum ~slab:j ~n ~cw c get)
       done)
     slabs;
   (* header checksum, written raw (not folded into itself) *)
@@ -370,12 +384,12 @@ let write_packed_channel ?(chunk_words = chunk_words) oc (p : Trace.packed) =
   for _ = 1 to pad do
     output_char oc '\000'
   done;
-  (* slabs — live slots only (builder-grown capacity is not persisted);
-     raw words, covered by the chunk table rather than the header sum *)
+  (* slabs — live slots only; raw words, covered by the chunk table
+     rather than the header sum *)
   Array.iter
-    (fun s ->
+    (fun get ->
       for i = 0 to n - 1 do
-        put_raw w (Slab.get s i)
+        put_raw w (get i)
       done)
     slabs
 
@@ -444,6 +458,14 @@ let get_count r what =
   if v < 0 || v > r.rlimit then corrupt what;
   v
 
+(* a size or code bounded by the packed trace's slot fields rather than
+   by the file: a small file may describe a large sparse memory or a long
+   Time-Read distance *)
+let get_bounded r what ~max =
+  let v = get_int r in
+  if v < 0 || v > max then corrupt what;
+  v
+
 let get_str r =
   let n = get_count r "string length" in
   let b = Bytes.create n in
@@ -476,23 +498,7 @@ let read_magic r =
   r.rpos <- r.rpos + 8;
   if m <> binary_magic then corrupt "not a binary trace: bad magic"
 
-(* per-slot structural validation, once all five slabs are in: the
-   opcode says what the other fields mean *)
-let validate_slots (p : Trace.packed) ~n_syms ~max_code =
-  let total_words = p.p_layout.Shape.total_words in
-  for i = 0 to p.n_slots - 1 do
-    let op = Slab.get p.ops i and addr = Slab.get p.addrs i in
-    if op < Event.Code.compute || op > Event.Code.unlock then corrupt "opcode";
-    if op = Event.Code.compute && addr < 0 then corrupt "compute count";
-    if op = Event.Code.read || op = Event.Code.write then begin
-      if Slab.get p.arrs i < 0 || Slab.get p.arrs i >= n_syms then corrupt "array id";
-      if addr < 0 || addr >= total_words then corrupt "address"
-    end;
-    if op = Event.Code.read && (Slab.get p.marks i < 0 || Slab.get p.marks i > max_code) then
-      corrupt "mark code"
-  done
-
-(* one slab, verifying each chunk as it streams past *)
+(* one field slab, verifying each chunk as it streams past *)
 let read_slab r ~n ~cw ~sums ~slab =
   let s = Slab.create (max 1 n) in
   let nchunks = chunks_of ~n ~cw in
@@ -506,13 +512,43 @@ let read_slab r ~n ~cw ~sums ~slab =
   done;
   s
 
+(* Check each slot's five fields and pack them into the slot words. The
+   opcode says what the other fields mean; a field a slot does not use
+   must be 0, as [write_packed] writes it. *)
+let pack_slots ~n ~total_words ~n_syms ~max_code ops addrs values marks arrs =
+  let slots = Slab.create (2 * max 1 n) in
+  for i = 0 to n - 1 do
+    let op = Slab.get ops i and addr = Slab.get addrs i and value = Slab.get values i in
+    let mark = Slab.get marks i and arr = Slab.get arrs i in
+    if op < Event.Code.compute || op > Event.Code.unlock then corrupt "opcode";
+    if op = Event.Code.read || op = Event.Code.write then begin
+      if arr < 0 || arr >= n_syms then corrupt "array id";
+      if addr < 0 || addr >= total_words then corrupt "address";
+      if mark < 0 || mark > (if op = Event.Code.read then max_code else max_mark_code) then
+        corrupt "mark code";
+      Slab.set slots (2 * i) (Trace.mem_word ~op ~addr ~mark ~arr);
+      Slab.set slots ((2 * i) + 1) value
+    end
+    else begin
+      if value <> 0 || mark <> 0 || arr <> 0 then corrupt "field of a non-memory slot";
+      if op = Event.Code.compute then begin
+        if addr < 0 then corrupt "compute count";
+        Slab.set slots ((2 * i) + 1) addr
+      end
+      else if addr <> 0 then corrupt "address of a lock or unlock slot";
+      Slab.set slots (2 * i) op
+    end
+  done;
+  slots
+
 (* the whole file in order: the header, each slab with its chunks checked
-   as they stream past, then the per-slot checks *)
+   as they stream past, then the per-slot checks and packing *)
 let read_packed_channel ic : Trace.packed =
   let r = reader ic in
   read_magic r;
-  let total_words = get_count r "total_words" in
+  let total_words = get_bounded r "total_words" ~max:Trace.max_memory_words in
   let n_arrays = get_count r "array count" in
+  if n_arrays > Trace.max_arrays then corrupt "array count";
   let array_list =
     read_seq n_arrays (fun () ->
         let name = get_str r in
@@ -524,19 +560,22 @@ let read_packed_channel ic : Trace.packed =
   let arrays = Hashtbl.create 16 in
   List.iter (fun (a : Shape.t) -> Hashtbl.replace arrays a.name a) array_list;
   let layout = { Shape.arrays; total_words } in
-  let golden_len = get_count r "golden length" in
-  let golden = Array.make golden_len 0 in
+  (* the golden image is allocated only once the header checksum holds,
+     so a damaged length cannot ask for gigabytes *)
+  let golden_len = get_bounded r "golden length" ~max:(Trace.max_memory_words + 1) in
   let nz = get_count r "golden nonzeros" in
-  for _ = 1 to nz do
-    let i = get_int r in
-    let v = get_int r in
-    if i < 0 || i >= golden_len then corrupt "golden index";
-    golden.(i) <- v
-  done;
+  let golden_nz =
+    read_seq nz (fun () ->
+        let i = get_int r in
+        let v = get_int r in
+        if i < 0 || i >= golden_len then corrupt "golden index";
+        (i, v))
+  in
   let n_syms = get_count r "symbol count" in
+  if n_syms > Trace.max_arrays then corrupt "symbol count";
   let names = read_seq n_syms (fun () -> get_str r) in
   let symtab = Hscd_util.Symtab.of_names names in
-  let max_code = get_count r "rmark max code" in
+  let max_code = get_bounded r "rmark max code" ~max:max_mark_code in
   let rmark_table = Event.Code.rmark_table ~max_code in
   let p_total_events = get_count r "total events" in
   let n_slots = get_count r "slot count" in
@@ -586,36 +625,31 @@ let read_packed_channel ic : Trace.packed =
   done;
   let sum = r.rsum in
   if get_raw_int r <> sum then corrupt "header checksum mismatch";
+  let golden = Array.make golden_len 0 in
+  List.iter (fun (i, v) -> golden.(i) <- v) golden_nz;
   skip r ((8 - (tell r mod 8)) mod 8);
   (* nothing follows the slabs, so truncation (and trailing junk) is
      caught before any slab word is read *)
   if r.rlimit <> tell r + (5 * n_slots * 8) then corrupt "file length";
   let slab j = read_slab r ~n:n_slots ~cw ~sums ~slab:j in
-  (* in file order: record fields have no specified evaluation order *)
+  (* in file order: arguments have no specified evaluation order *)
   let ops = slab 0 in
   let addrs = slab 1 in
   let values = slab 2 in
   let marks = slab 3 in
   let arrs = slab 4 in
-  let p =
-    {
-      Trace.ops;
-      addrs;
-      values;
-      marks;
-      arrs;
-      p_epochs = Array.of_list epoch_list;
-      symtab;
-      rmark_table;
-      p_layout = layout;
-      p_golden = golden;
-      p_total_events;
-      n_slots;
-      p_max_tickets;
-    }
-  in
-  validate_slots p ~n_syms ~max_code;
-  p
+  let slots = pack_slots ~n:n_slots ~total_words ~n_syms ~max_code ops addrs values marks arrs in
+  {
+    Trace.slots;
+    p_epochs = Array.of_list epoch_list;
+    symtab;
+    rmark_table;
+    p_layout = layout;
+    p_golden = golden;
+    p_total_events;
+    n_slots;
+    p_max_tickets;
+  }
 
 let read_packed path =
   let ic =
@@ -656,10 +690,11 @@ let is_binary path =
 
 let equal_packed (a : Trace.packed) (b : Trace.packed) =
   let n = a.Trace.n_slots in
+  let words = 2 * n in
   let prefix_equal (x : Slab.t) (y : Slab.t) =
-    Slab.length x >= n && Slab.length y >= n
+    Slab.length x >= words && Slab.length y >= words
     &&
-    let rec go i = i >= n || (Slab.get x i = Slab.get y i && go (i + 1)) in
+    let rec go i = i >= words || (Slab.get x i = Slab.get y i && go (i + 1)) in
     go 0
   in
   n = b.Trace.n_slots
@@ -671,8 +706,4 @@ let equal_packed (a : Trace.packed) (b : Trace.packed) =
   && a.Trace.p_golden = b.Trace.p_golden
   && a.Trace.p_layout.Shape.total_words = b.Trace.p_layout.Shape.total_words
   && Shape.arrays_in_order a.Trace.p_layout = Shape.arrays_in_order b.Trace.p_layout
-  && prefix_equal a.Trace.ops b.Trace.ops
-  && prefix_equal a.Trace.addrs b.Trace.addrs
-  && prefix_equal a.Trace.values b.Trace.values
-  && prefix_equal a.Trace.marks b.Trace.marks
-  && prefix_equal a.Trace.arrs b.Trace.arrs
+  && prefix_equal a.Trace.slots b.Trace.slots

@@ -14,8 +14,9 @@
     W <addr> <mark> <value> <array>   (mark: N|B)
     L / U                             (lock / unlock)
     v}
-    - binary ({!binary_magic}): a checksummed dump of the packed slabs,
-      laid out in [trace_io.ml]. *)
+    - binary ({!binary_magic}): a checksummed dump of the packed trace,
+      its slots written as five field-major slabs, laid out in
+      [trace_io.ml]. *)
 
 (** {1 Text} *)
 
@@ -24,8 +25,9 @@
 val save : string -> Trace.packed -> unit
 
 (** Load a text trace. Raises {!Hscd_util.Hscd_error.Error}: [Parse],
-    naming the line, for a malformed line; [Parse] for a field the replay
-    would index out of range; [Io] for OS failures. *)
+    naming the line, for a malformed line or one past a slot-field limit
+    of {!Trace.packed}; [Parse] for a field the replay would index out of
+    range; [Io] for OS failures. *)
 val load : string -> Trace.t
 
 (** {!load} as a [result]: [Parse] for syntax errors, [Io] for OS
@@ -38,7 +40,8 @@ val equal : Trace.t -> Trace.t -> bool
 (** Read-mark spellings of the text format: [U], [N], [B], [T<d>]. *)
 val mark_str : Hscd_arch.Event.rmark -> string
 
-(** Raises a [Parse] error on anything [mark_str] does not write. *)
+(** Raises a [Parse] error on anything [mark_str] does not write, and on
+    a Time-Read distance past {!Trace.max_time_read}. *)
 val mark_of_str : string -> Hscd_arch.Event.rmark
 
 (** Write-mark spellings: [N], [B]. *)
@@ -57,7 +60,9 @@ val binary_magic : string
 val write_packed : ?chunk_words:int -> string -> Trace.packed -> unit
 
 (** Load a binary trace, checking the header checksum, every slab
-    chunk's checksum and every slot's fields before returning. Raises
+    chunk's checksum and every slot's fields before packing them into
+    slot words. A field past its slot field, or set in a slot that does
+    not use it, is [Corrupt]. Raises
     {!Hscd_util.Hscd_error.Error}: [Corrupt] for anything truncated,
     damaged or not in the format, [Io] for OS failures. *)
 val read_packed : string -> Trace.packed
@@ -69,8 +74,7 @@ val read_packed_result : string -> (Trace.packed, Hscd_util.Hscd_error.t) result
     cannot be opened or read. *)
 val is_binary : string -> bool
 
-(** Structural equality of packed traces over their logical content:
-    live slab prefixes (capacities may differ between [pack] and a grown
-    {!Trace.Builder}), descriptors, interner contents, marks table,
-    address map, and golden memory. *)
+(** Structural equality of packed traces over their logical content: the
+    live slot words (a trace without slots still holds one slot's), descriptors,
+    interner contents, marks table, address map, and golden memory. *)
 val equal_packed : Trace.packed -> Trace.packed -> bool

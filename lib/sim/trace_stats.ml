@@ -45,19 +45,19 @@ let of_trace (cfg : Config.t) (p : Trace.packed) =
           in
           let bit = 1 lsl min proc 61 in
           for i = task.off to task.off + task.len - 1 do
-            let op = Trace.Slab.get p.ops i in
+            let op = Trace.op p i in
             if op = Event.Code.read || op = Event.Code.write then begin
-              let addr = Trace.Slab.get p.addrs i in
+              let addr = Trace.addr p i in
               touched.(addr) <- touched.(addr) lor bit;
               if op = Event.Code.write then incr writes
               else begin
                 incr reads;
-                match p.rmark_table.(Trace.Slab.get p.marks i) with
+                match p.rmark_table.(Trace.mark p i) with
                 | Event.Time_read _ | Event.Bypass_read -> incr marked
                 | Event.Normal_read | Event.Unmarked -> ()
               end
             end
-            else if op = Event.Code.compute then compute := !compute + Trace.Slab.get p.addrs i
+            else if op = Event.Code.compute then compute := !compute + Trace.addr p i
             else if op = Event.Code.lock then incr locks
           done)
         epoch.p_tasks)

@@ -248,10 +248,9 @@ let test_accounting_identities () =
           let reads, writes = Trace.packed_access_counts t in
           let locks = ref 0 and compute = ref 0 in
           for i = 0 to t.Trace.n_slots - 1 do
-            let op = Trace.Slab.get t.Trace.ops i in
+            let op = Trace.op t i in
             if op = Hscd_arch.Event.Code.lock then incr locks
-            else if op = Hscd_arch.Event.Code.compute then
-              compute := !compute + Trace.Slab.get t.Trace.addrs i
+            else if op = Hscd_arch.Event.Code.compute then compute := !compute + Trace.addr t i
           done;
           List.iter
             (fun kind ->

@@ -19,8 +19,8 @@ module Trace = Hscd_sim.Trace
 
 (* --- packed-trace digests --- *)
 
-(* Everything a packed trace carries, in a fixed order: the live slots of
-   all five slabs, the epoch and task descriptors, the mark decode table,
+(* Everything a packed trace carries, in a fixed order: each logical
+   field of every live slot, field by field, the epoch and task descriptors, the mark decode table,
    the interned names, the address map and the golden memory. *)
 let digest (p : Trace.packed) =
   let b = Buffer.create 65536 in
@@ -32,11 +32,11 @@ let digest (p : Trace.packed) =
   int p.p_total_events;
   int p.p_max_tickets;
   List.iter
-    (fun s ->
+    (fun field ->
       for i = 0 to p.n_slots - 1 do
-        int (Trace.Slab.get s i)
+        int (field p i)
       done)
-    [ p.ops; p.addrs; p.values; p.marks; p.arrs ];
+    [ Trace.op; Trace.addr; Trace.value; Trace.mark; Trace.arr ];
   Array.iter
     (fun (e : Trace.pepoch) ->
       (match e.p_kind with

@@ -61,14 +61,9 @@ let test_pack_structure () =
   let boxed = Trace.of_program ~line_words:Config.default.Config.line_words c.Run.marked in
   Alcotest.(check int) "event count preserved" boxed.Trace.total_events p.Trace.p_total_events;
   Alcotest.(check bool) "slots cover events" true (p.Trace.n_slots >= p.Trace.p_total_events);
-  Alcotest.(check int) "parallel slabs same length" (Trace.Slab.length p.Trace.ops)
-    (Trace.Slab.length p.Trace.addrs);
-  Alcotest.(check int) "value slab same length" (Trace.Slab.length p.Trace.ops)
-    (Trace.Slab.length p.Trace.values);
-  Alcotest.(check int) "mark slab same length" (Trace.Slab.length p.Trace.ops)
-    (Trace.Slab.length p.Trace.marks);
-  Alcotest.(check int) "array-id slab same length" (Trace.Slab.length p.Trace.ops)
-    (Trace.Slab.length p.Trace.arrs);
+  Alcotest.(check int) "two words per slot" (2 * p.Trace.n_slots) (Trace.Slab.length p.Trace.slots);
+  Alcotest.(check int) "pack: two words per slot" (2 * p.Trace.n_slots)
+    (Trace.Slab.length (Trace.pack boxed).Trace.slots);
   Alcotest.(check int) "epoch count preserved"
     (Array.length boxed.Trace.epochs)
     (Array.length p.Trace.p_epochs);
@@ -315,6 +310,10 @@ let test_equiv_perfect_migration () =
       equiv_program ~cfg (e.name ^ "+migration") (e.build_small ()))
     Hscd_workloads.Perfect.all
 
+let first_read (p : Trace.packed) =
+  let rec go i = if Trace.op p i = Hscd_arch.Event.Code.read then i else go (i + 1) in
+  go 0
+
 let test_builder_requires_init () =
   let b = Trace.Builder.create () in
   (match Trace.Builder.finish b ~golden:[||] with
@@ -333,6 +332,43 @@ let test_builder_use_after_finish () =
   match h.on_lock () with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument from an emit after finish"
+
+(* generation is an entry path of the slot limits too: each one past its
+   field is a typed [Usage] error, raised before the interpreter sizes
+   memory or a slot is written *)
+let test_builder_slot_limits () =
+  let module B = Hscd_lang.Builder in
+  let module Err = Hscd_util.Hscd_error in
+  let expect_usage name f =
+    match f () with
+    | exception Err.Error { kind = Err.Usage; _ } -> ()
+    | exception e -> Alcotest.fail (name ^ ": expected a Usage error, got " ^ Printexc.to_string e)
+    | _ -> Alcotest.fail (name ^ ": accepted")
+  in
+  let arrays n = List.init n (fun k -> B.array (Printf.sprintf "a%d" k) [ 1 ]) in
+  let many = B.simple (arrays (Trace.max_arrays + 1)) [ B.s1 "a0" (B.int 0) (B.int 1) ] in
+  (match Run.compile_result ~cache:false many with
+  | Error e -> Alcotest.(check string) "compile: array count" "usage" (Err.kind_name e.kind)
+  | Ok _ -> Alcotest.fail "compile: accepted an array count past the field");
+  (* the largest legal count still compiles *)
+  let most = B.simple (arrays Trace.max_arrays) [ B.s1 "a0" (B.int 0) (B.int 1) ] in
+  ignore (Run.compile ~cache:false most);
+  let time_read d =
+    B.simple [ B.array "A" [ 4 ] ]
+      [ B.s1 "A" (B.int 0) (Hscd_lang.Ast.Aref ("A", [ B.int 1 ], Hscd_lang.Ast.Time_read d)) ]
+  in
+  let p = Trace.of_program_packed (time_read Trace.max_time_read) in
+  Alcotest.(check int) "longest time-read distance kept"
+    (Hscd_arch.Event.Code.rmark_base + Trace.max_time_read)
+    (Trace.mark p (first_read p));
+  expect_usage "time-read distance" (fun () ->
+      Trace.of_program_packed (time_read (Trace.max_time_read + 1)));
+  (* memory size, through the hooks: a program this large would have the
+     interpreter allocate its image first *)
+  let h = Trace.Builder.hooks (Trace.Builder.create ()) in
+  expect_usage "memory size" (fun () ->
+      h.Hscd_lang.Eval.on_init
+        { Hscd_lang.Shape.arrays = Hashtbl.create 1; total_words = Trace.max_memory_words + 1 })
 
 let suite =
   [
@@ -361,4 +397,5 @@ let suite =
       test_equiv_perfect_migration;
     Alcotest.test_case "builder: finish before init rejected" `Quick test_builder_requires_init;
     Alcotest.test_case "builder: use after finish rejected" `Quick test_builder_use_after_finish;
+    Alcotest.test_case "builder: slot limits are typed errors" `Quick test_builder_slot_limits;
   ]

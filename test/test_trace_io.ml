@@ -84,6 +84,24 @@ let test_bad_input_rejected () =
   expect_parse ~line:"3: array a 0 0" "zero array dimension" "hscd-trace 1\nwords 4\narray a 0 0\n";
   expect_parse ~line:"3: array a -5 4" "negative array base" "hscd-trace 1\nwords 4\narray a -5 4\n";
   expect_parse ~line:"2: words -4" "negative words" "hscd-trace 1\nwords -4\narray a 0 4\n";
+  (* the packed slot fields' limits, each named at its line: a tiny file
+     must not size the mark decode table, and the loader stops before it
+     sizes the golden image *)
+  expect_parse ~line:"6: R 1 T4000000 0 a" "time-read distance past the mark field"
+    (header ^ body ^ "R 1 T4000000 0 a\n");
+  expect_parse ~line:"6: R 1 T65533 0 a" "time-read distance one past the limit"
+    (header ^ body ^ "R 1 T65533 0 a\n");
+  expect_parse ~line:"2: words 1073741824" "words past the address field"
+    "hscd-trace 1\nwords 1073741824\nnonsense\n";
+  let many_arrays =
+    String.concat ""
+      (List.init (Trace.max_arrays + 1) (fun k -> Printf.sprintf "array a%d %d 1\n" k k))
+  in
+  let n = Trace.max_arrays in
+  expect_parse
+    ~line:(Printf.sprintf "%d: array a%d %d 1" (n + 3) n n)
+    "arrays past the array-id field"
+    (Printf.sprintf "hscd-trace 1\nwords %d\n" (Trace.max_arrays + 1) ^ many_arrays);
   Sys.remove path
 
 let test_mark_strings () =
@@ -240,6 +258,10 @@ let test_binary_replay_equivalence () =
         (Run.simulate_packed kind loaded = Run.simulate_packed kind c.Run.packed_trace))
     [ Run.Base; Run.TPI; Run.HW ]
 
+let first_slot (p : Trace.packed) op =
+  let rec go i = if Trace.op p i = op then i else go (i + 1) in
+  go 0
+
 (* the typed-error contract: [read_packed_result] must come back [Error]
    with kind [Corrupt] — never let an exception escape, never [Ok] *)
 let expect_corrupt name path =
@@ -321,20 +343,20 @@ let test_binary_rejects_corruption () =
   Sys.remove path;
   (* checksum-valid files whose slot fields the replay would index out of
      range *)
-  let first (p : Trace.packed) op =
-    let rec go i = if Trace.Slab.get p.ops i = op then i else go (i + 1) in
-    go 0
-  in
-  (* the address slab holds a read/write's address and a compute's count *)
+  let module Code = Hscd_arch.Event.Code in
+  (* the address field holds a read/write's address (in the slot's first
+     word) and a compute's count (its second word) *)
   let expect_bad_slot name p op v =
-    let i = first p op in
-    let old = Trace.Slab.get p.Trace.addrs i in
-    Trace.Slab.set p.Trace.addrs i v;
+    let i = first_slot p op in
+    let w = if op = Code.compute then (2 * i) + 1 else 2 * i in
+    let old = Trace.Slab.get p.Trace.slots w in
+    Trace.Slab.set p.Trace.slots w
+      (if op = Code.compute then v
+       else Trace.mem_word ~op ~addr:v ~mark:(Trace.mark p i) ~arr:(Trace.arr p i));
     Trace_io.write_packed path p;
-    Trace.Slab.set p.Trace.addrs i old;
+    Trace.Slab.set p.Trace.slots w old;
     expect_corrupt name path
   in
-  let module Code = Hscd_arch.Event.Code in
   let p = c.Run.packed_trace in
   expect_bad_slot "read address past total words" p Code.read 10_000_000;
   expect_bad_slot "negative read address" p Code.read (-1);
@@ -442,6 +464,171 @@ let test_binary_last_chunk_damage () =
   | Ok _ -> Alcotest.fail "damaged last chunk accepted");
   Sys.remove path
 
+(* --- the slot fields at their limits --- *)
+
+module Event = Hscd_arch.Event
+module Shape = Hscd_lang.Shape
+module Err = Hscd_util.Hscd_error
+
+(* [n] one-word arrays, the last at the top of a [words]-word memory so
+   it takes the largest array id and the largest address *)
+let wide_layout ~n ~words : Shape.layout =
+  let arrays = Hashtbl.create n in
+  for k = 0 to n - 1 do
+    let base = if k = n - 1 then words - 1 else k in
+    let name = Printf.sprintf "a%d" k in
+    Hashtbl.replace arrays name { Shape.name; dims = [ 1 ]; size = 1; base }
+  done;
+  { Shape.arrays; total_words = words }
+
+(* every field at its largest legal value: the last array id, the top
+   address, the longest Time-Read distance, both extreme golden values
+   and a compute count past 2^40 *)
+let limits_trace ~words : Trace.t =
+  let n = Trace.max_arrays in
+  let top = Printf.sprintf "a%d" (n - 1) and addr = words - 1 in
+  let events =
+    [|
+      Event.Read
+        { addr; mark = Event.Time_read Trace.max_time_read; value = min_int; array = top };
+      Event.Compute ((1 lsl 41) + 3);
+      Event.Write { addr; mark = Event.Bypass_write; value = max_int; array = top };
+      Event.Lock;
+      Event.Read { addr = 0; mark = Event.Bypass_read; value = -7; array = "a0" };
+      Event.Unlock;
+      Event.Compute max_int;
+    |]
+  in
+  {
+    Trace.epochs = [| { Trace.kind = Trace.Serial; tasks = [| { Trace.iter = 0; events } |] } |];
+    layout = wide_layout ~n ~words;
+    golden_memory = [| 0 |];
+    total_events = 5;
+  }
+
+(* the logical fields of [limits_trace], slot by slot: (op, addr, value,
+   mark, arr) *)
+let limits_fields ~words =
+  let module C = Event.Code in
+  let top_id = Trace.max_arrays - 1 in
+  [
+    (C.read, words - 1, min_int, C.rmark_base + Trace.max_time_read, top_id);
+    (C.compute, (1 lsl 41) + 3, 0, 0, 0);
+    (C.write, words - 1, max_int, C.of_wmark Event.Bypass_write, top_id);
+    (C.lock, 0, 0, 0, 0);
+    (C.read, 0, -7, C.of_rmark Event.Bypass_read, 0);
+    (C.unlock, 0, 0, 0, 0);
+    (C.compute, max_int, 0, 0, 0);
+  ]
+
+let check_limit_fields name ~words (p : Trace.packed) =
+  List.iteri
+    (fun i (op, addr, value, mark, arr) ->
+      let check what = Alcotest.(check int) (Printf.sprintf "%s: slot %d %s" name i what) in
+      check "op" op (Trace.op p i);
+      check "addr" addr (Trace.addr p i);
+      check "value" value (Trace.value p i);
+      check "mark" mark (Trace.mark p i);
+      check "arr" arr (Trace.arr p i))
+    (limits_fields ~words)
+
+let test_slot_limits_roundtrip () =
+  (* the top of the address field: pack and the binary format, which
+     stores the golden image sparsely; loading a text trace builds its
+     [words]-word golden image, 8 GiB at this size *)
+  let words = Trace.max_memory_words in
+  let p = Trace.pack (limits_trace ~words) in
+  check_limit_fields "pack" ~words p;
+  let path = tmp "hscd_limits.hscdtrc" in
+  Trace_io.write_packed path p;
+  let q = Trace_io.read_packed path in
+  Sys.remove path;
+  check_limit_fields "binary" ~words q;
+  Alcotest.(check bool) "binary round-trip equal" true (Trace_io.equal_packed p q);
+  (* every other field at its limit through the text format *)
+  let words = Trace.max_arrays + 1 in
+  let p = Trace.pack (limits_trace ~words) in
+  check_limit_fields "pack, small memory" ~words p;
+  let path = tmp "hscd_limits.txt" in
+  Trace_io.save path p;
+  let loaded = Trace_io.load path in
+  Sys.remove path;
+  let q = Trace.pack loaded in
+  check_limit_fields "text" ~words q;
+  (* the loader's golden image is dense, [words] long *)
+  Alcotest.(check bool) "text round-trip equal" true
+    (Trace_io.equal_packed p { q with Trace.p_golden = p.Trace.p_golden })
+
+let expect_kind name kind f =
+  match f () with
+  | exception Err.Error e ->
+    Alcotest.(check string) (name ^ ": kind") (Err.kind_name kind) (Err.kind_name e.kind)
+  | exception e -> Alcotest.fail (name ^ ": untyped " ^ Printexc.to_string e)
+  | _ -> Alcotest.fail (name ^ ": accepted")
+
+let test_slot_limits_rejected () =
+  let words = Trace.max_arrays + 1 in
+  let t = limits_trace ~words in
+  let with_event ev =
+    let task = { Trace.iter = 0; events = [| ev |] } in
+    { t with Trace.epochs = [| { Trace.kind = Trace.Serial; tasks = [| task |] } |] }
+  in
+  let read ?(array = "a0") mark = Event.Read { addr = 0; mark; value = 0; array } in
+  let write addr = Event.Write { addr; mark = Event.Normal_write; value = 0; array = "a0" } in
+  let pack name t = expect_kind ("pack: " ^ name) Err.Usage (fun () -> Trace.pack t) in
+  pack "time-read distance" (with_event (read (Event.Time_read (Trace.max_time_read + 1))));
+  pack "negative time-read distance" (with_event (read (Event.Time_read (-3))));
+  pack "address past the field" (with_event (write (Trace.max_memory_words + 1)));
+  pack "address below the field" (with_event (write (-(Trace.max_memory_words + 2))));
+  pack "array count" { t with Trace.layout = wide_layout ~n:(Trace.max_arrays + 1) ~words };
+  pack "array not in the layout, past the field" (with_event (read ~array:"zz" Event.Unmarked));
+  let too_big = Trace.max_memory_words + 1 in
+  pack "memory size" { t with Trace.layout = { t.Trace.layout with Shape.total_words = too_big } };
+  (* checksum-valid binary headers past a field *)
+  let p = Trace.pack t in
+  let path = tmp "hscd_limits_bad.hscdtrc" in
+  let binary name p =
+    Trace_io.write_packed path p;
+    expect_corrupt ("binary: " ^ name) path
+  in
+  let max_code = Event.Code.rmark_base + Trace.max_time_read + 1 in
+  binary "rmark max code" { p with Trace.rmark_table = Event.Code.rmark_table ~max_code };
+  let layout = wide_layout ~n:(Trace.max_arrays + 1) ~words in
+  binary "array count" { p with Trace.p_layout = layout; symtab = Trace.symtab_of_layout layout };
+  let names = List.init (Trace.max_arrays + 1) (Printf.sprintf "s%d") in
+  binary "symbol count" { p with Trace.symtab = Hscd_util.Symtab.of_names names };
+  binary "total words"
+    { p with Trace.p_layout = { p.Trace.p_layout with Shape.total_words = too_big } };
+  Sys.remove path
+
+(* checksum-valid slots whose first or second word sets a field the
+   opcode does not use; [write_packed] writes such a field as it reads *)
+let test_binary_rejects_unused_fields () =
+  let module Code = Event.Code in
+  let p = Trace.pack (limits_trace ~words:(Trace.max_arrays + 1)) in
+  let path = tmp "hscd_unused_field.hscdtrc" in
+  let expect name op ~word v =
+    let w = (2 * first_slot p op) + word in
+    let old = Trace.Slab.get p.Trace.slots w in
+    Trace.Slab.set p.Trace.slots w v;
+    Trace_io.write_packed path p;
+    Trace.Slab.set p.Trace.slots w old;
+    expect_corrupt name path
+  in
+  let first_word op ~addr ~mark ~arr = (op, Trace.mem_word ~op ~addr ~mark ~arr) in
+  List.iter
+    (fun (name, (op, w)) -> expect name op ~word:0 w)
+    [
+      ("address of a lock", first_word Code.lock ~addr:3 ~mark:0 ~arr:0);
+      ("address of an unlock", first_word Code.unlock ~addr:3 ~mark:0 ~arr:0);
+      ("mark of a compute", first_word Code.compute ~addr:0 ~mark:1 ~arr:0);
+      ("array of a compute", first_word Code.compute ~addr:0 ~mark:0 ~arr:1);
+      ("array of an unlock", first_word Code.unlock ~addr:0 ~mark:0 ~arr:2);
+    ];
+  expect "value of a lock" Code.lock ~word:1 5;
+  expect "value of an unlock" Code.unlock ~word:1 5;
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "round-trip stencil" `Quick test_roundtrip_stencil;
@@ -462,4 +649,8 @@ let suite =
       test_replay_rejects_ungranted_ticket;
     Alcotest.test_case "binary: header damage" `Quick test_binary_header_damage;
     Alcotest.test_case "binary: last-chunk damage" `Quick test_binary_last_chunk_damage;
+    Alcotest.test_case "slot fields round-trip at their limits" `Quick test_slot_limits_roundtrip;
+    Alcotest.test_case "slot limits are typed errors" `Quick test_slot_limits_rejected;
+    Alcotest.test_case "binary rejects fields a slot does not use" `Quick
+      test_binary_rejects_unused_fields;
   ]

@@ -26,14 +26,19 @@
     - [state_dir/jobs.jnl] ({!Hscd_util.Journal}, [HSCDJNL1]): one
       [accept|digest] record per admitted job (written {e before} the
       [Accepted] reply — durable once acknowledged), one [done|digest]
-      record per finished job (written before the [Done] reply).
+      record per finished job (written before the [Done] reply). The
+      daemon keeps only the offset of each [done] record: a repeat
+      submission is answered by reading that record back, checksum
+      checked, and a record that fails the check or does not unmarshal
+      is never served — the job runs again, bit-identically.
     - [state_dir/job-<digest>.jnl]: the running job's {!Hscd_sim.Run.run_cells}
       checkpoint, one record per completed cell (the marshalled engine
       result keyed by cell name, [bench/SCHEME]); removed once the job's
       [done] record is written.
     - On restart: accepted-but-not-done jobs re-enqueue in admission
       order (bypassing capacity — they were admitted once), and a resumed
-      job replays only its missing cells, bit-identically.
+      job replays only its missing cells, bit-identically. [done]
+      records are indexed by offset, not unmarshalled.
     - On SIGTERM/SIGINT ({!request_drain}): stop admitting ([Busy]
       replies), finish the in-flight cell, checkpoint, exit cleanly. A
       cell that would start after the request refuses to run; the
@@ -104,7 +109,7 @@ type t = {
   mutable conns : conn list;
   by_id : (int, conn) Hashtbl.t;
   accepted : (string, job) Hashtbl.t;  (* queued or running *)
-  done_tbl : (string, P.payload) Hashtbl.t;
+  done_at : (string, int) Hashtbl.t;  (* digest -> offset of its [done] record *)
   subs : (string, int list) Hashtbl.t;  (* digest -> subscriber conn ids *)
   mutable next_id : int;
 }
@@ -212,14 +217,24 @@ let queue_position st (job : job) =
   (* jobs ahead of it within its tenant: the freshly queued job sits last *)
   max 0 (Scheduler.tenant_pending st.sched job.tenant - 1)
 
-let handle_submit st c ~digest ~(spec : P.job_spec) =
-  (* the digest is the job's identity — recompute rather than trust *)
-  let digest' = P.job_digest spec in
-  if digest <> digest' then
-    send st c (P.Rejected_reply { digest; reason = "digest does not match spec" })
-  else if Hashtbl.mem st.done_tbl digest then
-    send st c (P.Done { digest; payload = Hashtbl.find st.done_tbl digest })
-  else if Hashtbl.mem st.accepted digest then begin
+(* The finished payload of [digest], read back from its [done] record. A
+   record that fails its checksum or does not unmarshal is dropped from
+   the index, so the job is admitted as new and runs again. *)
+let done_payload st digest =
+  Option.bind (Hashtbl.find_opt st.done_at digest) @@ fun offset ->
+  let payload =
+    match Journal.read st.journal offset with
+    | Ok (key, payload) when key = done_key digest -> (
+      match (Marshal.from_string payload 0 : P.payload) with p -> Some p | exception _ -> None)
+    | Ok _ | Error _ -> None
+  in
+  if Option.is_none payload then Hashtbl.remove st.done_at digest;
+  payload
+
+(* A submission that has no finished payload: attach to the queued or
+   running job, or admit it as new. *)
+let admit st c ~digest ~(spec : P.job_spec) =
+  if Hashtbl.mem st.accepted digest then begin
     (* duplicate (another client, or an idempotent resubmit after a
        reconnect): attach, don't re-execute *)
     subscribe st digest c;
@@ -243,11 +258,20 @@ let handle_submit st c ~digest ~(spec : P.job_spec) =
           | `Queued position ->
             (* durable before acknowledged: a crash between the reply and
                the journal write must not lose an accepted job *)
-            Journal.append st.journal ~key:(accept_key digest)
-              (Marshal.to_string (tenant, spec) []);
+            ignore (Journal.append st.journal ~key:(accept_key digest) (Marshal.to_string (tenant, spec) []));
             Hashtbl.replace st.accepted digest job;
             subscribe st digest c;
             send st c (P.Accepted { digest; position })))
+
+let handle_submit st c ~digest ~(spec : P.job_spec) =
+  (* the digest is the job's identity — recompute rather than trust *)
+  let digest' = P.job_digest spec in
+  if digest <> digest' then
+    send st c (P.Rejected_reply { digest; reason = "digest does not match spec" })
+  else
+    match done_payload st digest with
+    | Some payload -> send st c (P.Done { digest; payload })
+    | None -> admit st c ~digest ~spec
 
 let handle_request st c (req : P.request) =
   match req with
@@ -404,8 +428,8 @@ let fail_job st (job : job) err =
   Hashtbl.remove st.accepted job.digest
 
 let finish_job st (job : job) payload =
-  Journal.append st.journal ~key:(done_key job.digest) (Marshal.to_string (payload : P.payload) []);
-  Hashtbl.replace st.done_tbl job.digest payload;
+  let offset = Journal.append st.journal ~key:(done_key job.digest) (Marshal.to_string (payload : P.payload) []) in
+  Hashtbl.replace st.done_at job.digest offset;
   Hashtbl.remove st.accepted job.digest;
   broadcast st job.digest (P.Done { digest = job.digest; payload });
   clear_subs st job.digest;
@@ -423,32 +447,26 @@ let execute st (job : job) =
 
 (* ---- recovery ---- *)
 
-let recover st =
-  let accepts = ref [] in
+let recover st records =
   List.iter
-    (fun (key, payload) ->
+    (fun { Journal.key; offset; _ } ->
+      match record_kind key with "done", digest -> Hashtbl.replace st.done_at digest offset | _ -> ())
+    records;
+  (* re-enqueue unfinished jobs in admission order (a digest's first
+     decodable [accept] record), bypassing capacity: they were admitted
+     once and must survive the restart *)
+  List.iter
+    (fun { Journal.key; payload; _ } ->
       match record_kind key with
-      | "accept", digest -> (
+      | "accept", digest when not (Hashtbl.mem st.done_at digest || Hashtbl.mem st.accepted digest) -> (
         match (Marshal.from_string payload 0 : string * P.job_spec) with
         | tenant, spec ->
-          if not (List.mem_assoc digest !accepts) then
-            accepts := (digest, { digest; tenant; spec }) :: !accepts
-        | exception _ -> ())
-      | "done", digest -> (
-        match (Marshal.from_string payload 0 : P.payload) with
-        | payload -> Hashtbl.replace st.done_tbl digest payload
+          let job = { digest; tenant; spec } in
+          Hashtbl.replace st.accepted digest job;
+          Scheduler.force st.sched ~tenant job
         | exception _ -> ())
       | _ -> ())
-    (Journal.entries st.journal);
-  (* re-enqueue unfinished jobs in admission order, bypassing capacity:
-     they were admitted once and must survive the restart *)
-  List.iter
-    (fun (digest, job) ->
-      if not (Hashtbl.mem st.done_tbl digest) then begin
-        Hashtbl.replace st.accepted digest job;
-        Scheduler.force st.sched ~tenant:job.tenant job
-      end)
-    (List.rev !accepts)
+    records
 
 (* ---- lifecycle ---- *)
 
@@ -476,7 +494,7 @@ let serve ?(on_ready = fun () -> ()) settings =
   let attempt () =
     mkdir_p settings.state_dir;
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let journal = E.get_exn (Journal.open_append (Filename.concat settings.state_dir "jobs.jnl")) in
+    let journal, records = E.get_exn (Journal.open_append (Filename.concat settings.state_dir "jobs.jnl")) in
     let sched = Scheduler.create ~strict:settings.strict ~default:settings.default_tenant () in
     List.iter (fun (name, cfg) -> Scheduler.add_tenant sched ~name cfg) settings.tenants;
     if Sys.file_exists settings.socket then Sys.remove settings.socket;
@@ -497,12 +515,12 @@ let serve ?(on_ready = fun () -> ()) settings =
         conns = [];
         by_id = Hashtbl.create 16;
         accepted = Hashtbl.create 16;
-        done_tbl = Hashtbl.create 16;
+        done_at = Hashtbl.create 16;
         subs = Hashtbl.create 16;
         next_id = 0;
       }
     in
-    recover st;
+    recover st records;
     on_ready ();
     let rec loop () =
       if draining () then ()

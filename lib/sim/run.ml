@@ -254,11 +254,11 @@ let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ?(on_done = fun 
     | Some path -> (
       match Journal.open_append path with
       | Error e -> Error (Err.add_context "checkpoint" e)
-      | Ok j -> Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> k (Some j) (Journal.entries j)))
+      | Ok (j, records) -> Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> k (Some j) records))
   in
-  with_journal @@ fun journal entries ->
+  with_journal @@ fun journal records ->
   let prior = Hashtbl.create 64 in
-  List.iter (fun (k, payload) -> Hashtbl.replace prior k payload) entries;
+  List.iter (fun { Journal.key; payload; _ } -> Hashtbl.replace prior key payload) records;
   let cells = Array.of_list cells in
   let results = Array.map (fun c -> Option.bind (Hashtbl.find_opt prior (key c)) decode_result) cells in
   let todo = List.filter (fun i -> results.(i) = None) (List.init (Array.length cells) Fun.id) in
@@ -270,7 +270,7 @@ let run_cells ?jobs ?(policy = Pool.default_policy) ?checkpoint ?(on_done = fun 
         match oc with
         | Pool.Done r ->
           let cell = cells.(todo_arr.(t)) in
-          Option.iter (fun j -> Journal.append j ~key:(key cell) (encode_result r)) journal;
+          Option.iter (fun j -> ignore (Journal.append j ~key:(key cell) (encode_result r))) journal;
           incr finished;
           on_done ~finished:!finished cell
         | _ -> ())

@@ -19,24 +19,31 @@
 
 type t
 
+(** A record of the valid prefix: [offset] is the byte position of its
+    first length field, where {!read} finds it again. *)
+type record = { key : string; offset : int; payload : string }
+
 (** Records of the valid prefix, in append order. [Ok []] when the file
     does not exist. [Error _] when it exists but is not a journal
     (foreign magic) or cannot be read. *)
 val load : string -> ((string * string) list, Hscd_error.t) result
 
 (** Open for appending, creating the file (with magic) if absent and
-    truncating any torn/corrupt tail first. The returned handle carries
-    the recovered records ({!entries}). *)
-val open_append : string -> (t, Hscd_error.t) result
-
-(** The records recovered when the handle was opened. *)
-val entries : t -> (string * string) list
+    truncating any torn/corrupt tail first. Returns the handle and the
+    records recovered from the valid prefix; the handle keeps none of
+    them. *)
+val open_append : string -> (t * record list, Hscd_error.t) result
 
 (** Append one record and flush+fsync it (durable once [append]
-    returns). *)
-val append : t -> key:string -> string -> unit
+    returns). Returns the record's offset. *)
+val append : t -> key:string -> string -> int
 
+(** [read t offset] reads back the record at [offset] (from {!append} or
+    a recovered {!record}) as [(key, payload)], through one read-only
+    descriptor opened on first use. A record that fails its checksum, or
+    an offset that is not a record start, is [Error] of kind [Corrupt];
+    [read] never raises. *)
+val read : t -> int -> (string * string, Hscd_error.t) result
+
+(** Close the append channel and the read-back descriptor. *)
 val close : t -> unit
-
-(** [with_journal path f] opens, runs [f], and always closes. *)
-val with_journal : string -> (t -> ('a, Hscd_error.t) result) -> ('a, Hscd_error.t) result

@@ -8,6 +8,9 @@
      an invalid job gets Rejected;
    - SIGKILL mid-sweep, restart, and an idempotent resubmit that resumes
      from the cell journal and still matches the reference bit-for-bit;
+   - after that restart, a job finished before the kill answered at once
+     from its recovered [done] record, and a [done] record with a flipped
+     byte never served: the job runs again, bit-identically;
    - a hung client parking half a frame while others complete jobs;
    - a flipped bit on the wire dropping only the offending connection;
    - SIGTERM draining gracefully (exit 0, socket unlinked), both idle and
@@ -61,7 +64,7 @@ let fd_probe dir =
     (match Hscd_util.Journal.load garbage with Ok _ -> exit 9 | Error _ -> ());
     (match Hscd_util.Journal.open_append garbage with Ok _ -> exit 9 | Error _ -> ());
     (match Hscd_util.Journal.open_append truncated with
-    | Ok j -> Hscd_util.Journal.close j
+    | Ok (j, _) -> Hscd_util.Journal.close j
     | Error _ -> ());
     (match E.guard (fun () -> Hscd_sim.Trace_io.load garbage) with
     | Ok _ -> exit 9
@@ -95,7 +98,7 @@ let schemes = [ "TPI"; "HW" ]
 let cfg_spec = { P.processors = 16; line_words = 4; timetag_bits = 8 }
 
 (* the chaos-kill sweep: a distinct grid (different timetags, one scheme)
-   so it shares nothing with the first sweep's done-table entry *)
+   so it shares nothing with the first sweep's done record *)
 let chaos_schemes = [ "TPI" ]
 let chaos_cfg_spec = { cfg_spec with P.timetag_bits = 4 }
 
@@ -395,6 +398,41 @@ let () =
     (Printf.sprintf "resumed run replayed only missing cells (%d fresh of %d)" !resumed
        (List.length chaos_ref))
     (!resumed < List.length chaos_ref);
+
+  (* --- a job finished before the kill: answered from its done record --- *)
+  let count key = List.length (List.filter (( = ) key) (jobs_journal_keys ())) in
+  let tr = get "connect repeat" (Client.connect ~socket ~tenant:"bob" ()) in
+  (match Client.submit tr sweep_spec with
+  | Ok (d, Client.Finished payload) ->
+    check "restarted daemon answers a pre-kill job at once with its original payload" (d = da && payload = pa)
+  | Ok (_, Client.Queued _) -> check "restarted daemon answers a pre-kill job at once with its original payload" false
+  | Error e -> failwith ("repeat submit: " ^ E.to_string e));
+  Client.close tr;
+  check "the pre-kill job was neither admitted nor run again"
+    (count ("accept|" ^ da) = 1 && count ("done|" ^ da) = 1);
+
+  (* --- a done record that fails its checksum is never served --- *)
+  let jobs_jnl = Filename.concat state "jobs.jnl" in
+  let keys = jobs_journal_keys () in
+  check "the chaos job's done record ends jobs.jnl" (List.nth keys (List.length keys - 1) = "done|" ^ dk);
+  (* a byte inside its payload: the last 8 bytes are the checksum *)
+  let flipped = (Unix.stat jobs_jnl).Unix.st_size - 10 in
+  Hscd_check.Fault.Chaos.corrupt_file jobs_jnl ~byte:flipped;
+  let rerun = ref 0 in
+  let payload =
+    get "resubmit over a corrupt done record"
+      (Client.run_job ~on_progress:(fun ~cell:_ ~finished:_ ~total:_ -> incr rerun) ~socket ~tenant:"alice" chaos_spec)
+  in
+  check "a corrupt done record reruns the job bit-identically"
+    (cells_match payload chaos_ref && !rerun = List.length chaos_ref);
+  (* unflip, so later restarts recover every record after it *)
+  Hscd_check.Fault.Chaos.corrupt_file jobs_jnl ~byte:flipped;
+  let tr = get "connect repeat" (Client.connect ~socket ~tenant:"alice" ()) in
+  (match Client.submit tr chaos_spec with
+  | Ok (_, Client.Finished payload) -> check "the rerun's done record serves the next repeat" (cells_match payload chaos_ref)
+  | Ok (_, Client.Queued _) -> check "the rerun's done record serves the next repeat" false
+  | Error e -> failwith ("repeat submit: " ^ E.to_string e));
+  Client.close tr;
 
   (* --- graceful drain: SIGTERM exits 0 and unlinks the socket --- *)
   Unix.kill pid Sys.sigterm;

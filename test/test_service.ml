@@ -345,7 +345,7 @@ let failing_opens dir iterations =
     (* torn tail: open succeeds by healing — must still not leak the
        fds used for the read/rewrite cycle *)
     (match Hscd_util.Journal.open_append truncated with
-    | Ok j -> Hscd_util.Journal.close j
+    | Ok (j, _) -> Hscd_util.Journal.close j
     | Error _ -> ());
     (match E.guard (fun () -> Hscd_sim.Trace_io.load garbage) with
     | Ok _ -> failwith "garbage loaded as text trace"

@@ -54,10 +54,10 @@ let test_journal_roundtrip () =
   Alcotest.(check bool) "missing file loads empty" true (Journal.load path = Ok []);
   (match Journal.open_append path with
   | Error e -> Alcotest.fail (Err.to_string e)
-  | Ok j ->
-    Journal.append j ~key:"a" "alpha";
-    Journal.append j ~key:"b" (String.make 1000 '\xab');
-    Journal.append j ~key:"a" "alpha2";
+  | Ok (j, _) ->
+    ignore (Journal.append j ~key:"a" "alpha");
+    ignore (Journal.append j ~key:"b" (String.make 1000 '\xab'));
+    ignore (Journal.append j ~key:"a" "alpha2");
     Journal.close j);
   (match Journal.load path with
   | Ok [ ("a", "alpha"); ("b", big); ("a", "alpha2") ] ->
@@ -71,9 +71,9 @@ let test_journal_torn_tail_recovery () =
   if Sys.file_exists path then Sys.remove path;
   (match Journal.open_append path with
   | Error e -> Alcotest.fail (Err.to_string e)
-  | Ok j ->
-    Journal.append j ~key:"k1" "v1";
-    Journal.append j ~key:"k2" "v2";
+  | Ok (j, _) ->
+    ignore (Journal.append j ~key:"k1" "v1");
+    ignore (Journal.append j ~key:"k2" "v2");
     Journal.close j);
   (* a kill mid-append: half a record dangling after the valid prefix *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -81,10 +81,10 @@ let test_journal_torn_tail_recovery () =
   close_out oc;
   (match Journal.open_append path with
   | Error e -> Alcotest.fail (Err.to_string e)
-  | Ok j ->
-    Alcotest.(check int) "torn tail dropped, prefix kept" 2 (List.length (Journal.entries j));
+  | Ok (j, records) ->
+    Alcotest.(check int) "torn tail dropped, prefix kept" 2 (List.length records);
     (* the handle must be appendable after recovery *)
-    Journal.append j ~key:"k3" "v3";
+    ignore (Journal.append j ~key:"k3" "v3");
     Journal.close j);
   (match Journal.load path with
   | Ok [ ("k1", "v1"); ("k2", "v2"); ("k3", "v3") ] -> ()
@@ -97,9 +97,9 @@ let test_journal_bit_flip_drops_suffix () =
   if Sys.file_exists path then Sys.remove path;
   (match Journal.open_append path with
   | Error e -> Alcotest.fail (Err.to_string e)
-  | Ok j ->
-    Journal.append j ~key:"k1" "v1";
-    Journal.append j ~key:"k2" "v2";
+  | Ok (j, _) ->
+    ignore (Journal.append j ~key:"k1" "v1");
+    ignore (Journal.append j ~key:"k2" "v2");
     Journal.close j);
   (* flip a bit inside the second record's payload: its checksum dies,
      the first record survives *)
@@ -119,6 +119,87 @@ let test_journal_foreign_magic () =
   (match Journal.load path with
   | Error e -> Alcotest.(check bool) "corrupt kind" true (e.kind = Err.Corrupt)
   | Ok _ -> Alcotest.fail "foreign file accepted as journal");
+  Sys.remove path
+
+let open_journal path =
+  match Journal.open_append path with Ok r -> r | Error e -> Alcotest.fail (Err.to_string e)
+
+let offsets records = List.map (fun { Journal.key; offset; _ } -> (key, offset)) records
+
+let check_read j (key, offset) payload =
+  match Journal.read j offset with
+  | Ok r -> Alcotest.(check (pair string string)) (Printf.sprintf "read back %S" key) (key, payload) r
+  | Error e -> Alcotest.fail (Err.to_string e)
+
+let test_journal_offsets () =
+  let path = tmp "hscd_jnl_offsets.jnl" in
+  if Sys.file_exists path then Sys.remove path;
+  let records = [ ("a", "alpha"); ("b", String.make 1000 '\xab'); ("", ""); ("d", "delta") ] in
+  let j, _ = open_journal path in
+  let appended = List.map (fun (k, v) -> (k, Journal.append j ~key:k v)) (List.filteri (fun i _ -> i < 2) records) in
+  Journal.close j;
+  let j, recovered = open_journal path in
+  Alcotest.(check (list (pair string int))) "reopen recovers the appended offsets" appended (offsets recovered);
+  (* a reopened handle appends at the end of the file, not at 0 *)
+  let appended = appended @ List.map (fun (k, v) -> (k, Journal.append j ~key:k v)) (List.filteri (fun i _ -> i >= 2) records) in
+  List.iter2 (fun at (_, v) -> check_read j at v) appended records;
+  Journal.close j;
+  (* a kill mid-append: half a record dangling after the valid prefix *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "\x05\x00\x00\x00\x00\x00\x00\x00tor";
+  close_out oc;
+  let j, recovered = open_journal path in
+  Alcotest.(check (list (pair string int))) "offsets survive the torn-tail rewrite" appended (offsets recovered);
+  let e = Journal.append j ~key:"e" "epsilon" in
+  List.iter2 (fun at (_, v) -> check_read j at v) appended records;
+  check_read j ("e", e) "epsilon";
+  Journal.close j;
+  let _, recovered = open_journal path in
+  Alcotest.(check (list (pair string int))) "append after the rewrite reports the recovered offset"
+    (appended @ [ ("e", e) ]) (offsets recovered);
+  Sys.remove path
+
+let test_journal_read_flipped_byte () =
+  let path = tmp "hscd_jnl_read_flip.jnl" in
+  if Sys.file_exists path then Sys.remove path;
+  let j, _ = open_journal path in
+  let a = Journal.append j ~key:"a" "alpha" in
+  let b = Journal.append j ~key:"b" "bravo" in
+  (* every byte of b's record, flipped on disk after the append *)
+  for byte = b to b + 24 + 1 + 5 - 1 do
+    Hscd_check.Fault.Chaos.corrupt_file path ~byte;
+    (match Journal.read j b with
+    | Error e -> Alcotest.(check bool) (Printf.sprintf "flip at %d is Corrupt" byte) true (e.kind = Err.Corrupt)
+    | Ok _ -> Alcotest.fail (Printf.sprintf "flip at byte %d served" byte));
+    check_read j ("a", a) "alpha";
+    Hscd_check.Fault.Chaos.corrupt_file path ~byte
+  done;
+  check_read j ("b", b) "bravo";
+  Journal.close j;
+  Sys.remove path
+
+let test_journal_read_bad_offset () =
+  let fds () = try Some (Array.length (Sys.readdir "/proc/self/fd")) with Sys_error _ -> None in
+  let path = tmp "hscd_jnl_read_off.jnl" in
+  if Sys.file_exists path then Sys.remove path;
+  let before = fds () in
+  let j, _ = open_journal path in
+  let a = Journal.append j ~key:"alpha" (String.make 100 'a') in
+  let b = Journal.append j ~key:"b" "bravo" in
+  List.iter
+    (fun offset ->
+      match Journal.read j offset with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "offset %d is not a record start" offset))
+    [ min_int; -1; 0; 3; a + 1; a + 8; a + 13; b - 1; b + 1; b + 29; b + 30; max_int ];
+  check_read j ("b", b) "bravo";
+  (* one read descriptor beside the append channel, released by close *)
+  Option.iter
+    (fun n -> Alcotest.(check (option int)) "one read descriptor" (Some (n + 2)) (fds ()))
+    before;
+  Journal.close j;
+  Alcotest.(check (option int)) "close releases both descriptors" before (fds ());
+  (match Journal.read j b with Error _ -> () | Ok _ -> Alcotest.fail "read on a closed handle");
   Sys.remove path
 
 (* --- supervised pool --- *)
@@ -312,6 +393,9 @@ let suite =
     Alcotest.test_case "journal torn-tail recovery" `Quick test_journal_torn_tail_recovery;
     Alcotest.test_case "journal bit flip drops suffix" `Quick test_journal_bit_flip_drops_suffix;
     Alcotest.test_case "journal rejects foreign magic" `Quick test_journal_foreign_magic;
+    Alcotest.test_case "journal offsets survive reopen and torn-tail rewrite" `Quick test_journal_offsets;
+    Alcotest.test_case "journal read-back rejects a flipped byte" `Quick test_journal_read_flipped_byte;
+    Alcotest.test_case "journal read-back at a non-record offset" `Quick test_journal_read_bad_offset;
     Alcotest.test_case "supervise: all ok" `Quick test_supervise_all_ok;
     Alcotest.test_case "supervise: retry converges" `Quick test_supervise_retry_converges;
     Alcotest.test_case "supervise: retries exhausted" `Quick test_supervise_retries_exhausted;

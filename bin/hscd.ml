@@ -202,50 +202,33 @@ let experiment_cmd =
     Term.(const run $ id_arg $ small_arg $ jobs_arg $ resume_arg $ retries_arg $ timeout_arg)
 
 let trace_cmd =
-  let run name out binary =
+  let run name out =
     let prog = read_program name in
     let c = Hscd_sim.Run.compile prog in
-    if binary then Hscd_sim.Trace_io.write_packed out c.Hscd_sim.Run.packed_trace
-    else Hscd_sim.Trace_io.save out c.Hscd_sim.Run.packed_trace;
-    Printf.printf "wrote %s (%s): %d epochs, %d events\n" out
-      (if binary then "binary" else "text")
+    Hscd_sim.Trace_io.save out c.Hscd_sim.Run.packed_trace;
+    Printf.printf "wrote %s: %d epochs, %d events\n" out
       (Hscd_sim.Trace.packed_n_epochs c.packed_trace)
       c.packed_trace.Hscd_sim.Trace.p_total_events
   in
   let out_arg =
     Arg.(value & opt string "trace.txt" & info [ "o"; "output" ] ~doc:"Output file")
   in
-  let binary_arg =
-    Arg.(
-      value & flag
-      & info [ "binary" ]
-          ~doc:"Write the binary packed format (direct slab dump, checksummed) instead of text")
-  in
-  Cmd.v (Cmd.info "trace" ~doc:"Compile a program and dump its event trace to a file")
-    Term.(const run $ program_arg $ out_arg $ binary_arg)
+  Cmd.v (Cmd.info "trace" ~doc:"Compile a program and dump its event trace to a text file")
+    Term.(const run $ program_arg $ out_arg)
 
 let replay_cmd =
   let run path scheme procs line tag =
     let cfg = cfg_of procs line tag in
-    (* binary traces are told apart by their magic *)
-    let r =
-      if Hscd_sim.Trace_io.is_binary path then
-        Hscd_sim.Run.simulate_packed ~cfg scheme (Hscd_sim.Trace_io.read_packed path)
-      else Hscd_sim.Run.simulate ~cfg scheme (Hscd_sim.Trace_io.load path)
-    in
-    print_metrics scheme r
+    print_metrics scheme (Hscd_sim.Run.simulate ~cfg scheme (Hscd_sim.Trace_io.load path))
   in
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE") in
   Cmd.v
     (Cmd.info "replay"
-       ~doc:"Simulate a previously dumped trace file (text or binary)"
+       ~doc:"Simulate a previously dumped text trace file"
        ~man:
          [
            `S Manpage.s_description;
-           `P "Replays a trace written by $(b,hscd trace) through the timing engine. \
-               A file that starts with the binary magic is read as a binary packed \
-               trace, every slab chunk checked against its checksum before replay \
-               starts; any other file is parsed as a text trace.";
+           `P "Replays a text trace written by $(b,hscd trace) through the timing engine.";
          ])
     Term.(const run $ path_arg $ scheme_arg $ procs_arg $ line_arg $ tag_arg)
 

@@ -369,11 +369,11 @@ let pump st timeout =
 
 (* A compare or sweep job is the cells [bench/SCHEME] of
    {!Run.run_cells}, journaled in [job-<digest>.jnl] under those names.
-   Cells compile through {!Run.compile}'s shared cache (in-memory +
-   optional on-disk), so overlapping jobs from different tenants
-   regenerate each reference stream exactly once per daemon; each
-   benchmark compiles on its first cell, so the sockets are served
-   between compiles too. The first failed cell stops the job. *)
+   Cells compile through {!Run.compile}'s shared in-memory cache, so
+   overlapping jobs from different tenants regenerate each reference
+   stream exactly once per daemon; each benchmark compiles on its first
+   cell, so the sockets are served between compiles too. The first
+   failed cell stops the job. *)
 let run_grid st (job : job) ~cfg ~small benches schemes =
   let kinds = match parse_schemes schemes with Ok ks -> ks | Error m -> E.fail E.Rejected "%s" m in
   let cfg = P.config_of_spec cfg in

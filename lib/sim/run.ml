@@ -66,35 +66,33 @@ type compiled = {
 (* Compile cache: parameter sweeps hit [compile] once per point, but    *)
 (* most points share the reference stream — only the trace-relevant     *)
 (* knobs (line size, scheduling staticness, marking flags) change it.   *)
-(* The in-memory table shares [compiled] across a process; the optional *)
-(* on-disk store (binary traces) shares them across processes.          *)
+(* The in-memory table shares [compiled] across a process.              *)
 (* ------------------------------------------------------------------ *)
 
-type cache_stats = { trace_generations : int; memory_hits : int; disk_hits : int }
+type cache_stats = { trace_generations : int; memory_hits : int }
 
 let cache_table : (string, compiled) Hashtbl.t = Hashtbl.create 16
 
 (* Guards the table and the counters: [compile] may be called from pool
-   worker domains. Trace generation and disk I/O stay outside the lock —
-   concurrent same-key compiles may both generate, but never corrupt. *)
+   worker domains. Trace generation stays outside the lock — concurrent
+   same-key compiles may both generate, but never corrupt. *)
 let cache_mu = Mutex.create ()
 let n_generations = ref 0
 let n_memory_hits = ref 0
-let n_disk_hits = ref 0
-let cache_dir = ref (Sys.getenv_opt "HSCD_COMPILE_CACHE")
 
-let set_compile_cache_dir d = cache_dir := d
+let set_compile_cache_dir = function
+  | None -> ()
+  | Some _ -> Err.fail Err.Usage "the on-disk compile cache was removed"
 
 let compile_cache_stats () =
   Mutex.protect cache_mu (fun () ->
-      { trace_generations = !n_generations; memory_hits = !n_memory_hits; disk_hits = !n_disk_hits })
+      { trace_generations = !n_generations; memory_hits = !n_memory_hits })
 
 let reset_compile_cache () =
   Mutex.protect cache_mu (fun () ->
       Hashtbl.reset cache_table;
       n_generations := 0;
-      n_memory_hits := 0;
-      n_disk_hits := 0)
+      n_memory_hits := 0)
 
 (* Key: digest of the printed (sema-checked, pre-marking) program plus the
    knobs that reach the reference stream. Timing-side parameters
@@ -111,33 +109,6 @@ let cache_key ~cfg ~intertask ~check_races program =
             string_of_bool intertask;
             string_of_bool check_races;
           ]))
-
-let disk_path dir key = Filename.concat dir (key ^ ".hscdtrc")
-
-let disk_read key =
-  match !cache_dir with
-  | None -> None
-  | Some dir ->
-    let path = disk_path dir key in
-    (* a corrupt, truncated or unreadable entry is silently regenerated *)
-    if Sys.file_exists path then (try Some (Trace_io.read_packed path) with Err.Error _ -> None)
-    else None
-
-(* best-effort: a full disk or read-only dir must never fail a compile.
-   The tmp name is writer-unique (temp_file) so concurrent writers of the
-   same key never interleave into one file; the atomic rename means the
-   last complete write wins and readers only ever see whole entries. *)
-let disk_write key packed =
-  match !cache_dir with
-  | None -> ()
-  | Some dir -> (
-    try
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = disk_path dir key in
-      let tmp = Filename.temp_file ~temp_dir:dir (key ^ ".") ".tmp" in
-      Trace_io.write_packed tmp packed;
-      Sys.rename tmp path
-    with _ -> ())
 
 (** Front half: check, mark, trace (streamed straight into the packed
     form). The marking is told whether the engine's scheduling policy is
@@ -160,18 +131,9 @@ let compile ?(cfg = Config.default) ?(intertask = true) ?(check_races = true) ?(
   | Some c -> c
   | None ->
     let m = Marking.mark_program ~static_sched:(Schedule.is_static cfg) ~intertask program in
+    Mutex.protect cache_mu (fun () -> incr n_generations);
     let packed_trace =
-      match (match key with Some k -> disk_read k | None -> None) with
-      | Some p ->
-        Mutex.protect cache_mu (fun () -> incr n_disk_hits);
-        p
-      | None ->
-        Mutex.protect cache_mu (fun () -> incr n_generations);
-        let p =
-          Trace.of_program_packed ~check_races ~line_words:cfg.line_words m.Marking.program
-        in
-        (match key with Some k -> disk_write k p | None -> ());
-        p
+      Trace.of_program_packed ~check_races ~line_words:cfg.line_words m.Marking.program
     in
     let c = { marked = m.Marking.program; census = m.Marking.census; packed_trace } in
     (match key with Some k -> Mutex.protect cache_mu (fun () -> Hashtbl.replace cache_table k c) | None -> ());

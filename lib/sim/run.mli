@@ -27,17 +27,18 @@ type compiled = {
 }
 
 (** Compile-cache counters: traces actually generated by the interpreter
-    vs. served from the in-memory table or the on-disk store. *)
-type cache_stats = { trace_generations : int; memory_hits : int; disk_hits : int }
+    vs. served from the in-memory table. *)
+type cache_stats = { trace_generations : int; memory_hits : int }
 
 val compile_cache_stats : unit -> cache_stats
 
-(** Clear the in-memory table and zero the counters (the disk store and
-    its configured directory are untouched). *)
+(** Clear the in-memory table and zero the counters. *)
 val reset_compile_cache : unit -> unit
 
-(** Enable ([Some dir]) or disable ([None]) the on-disk store of binary
-    traces. Defaults to the [HSCD_COMPILE_CACHE] environment variable. *)
+(** Kept only for the benchmark ledger, which calls it with [None]; it
+    goes once that call does. [None] does nothing; [Some _] raises a
+    [Usage] error, since the on-disk compile cache was removed and
+    regenerating a trace from source is faster than reading it back. *)
 val set_compile_cache_dir : string option -> unit
 
 (** Front half: check, mark (soundly w.r.t. the config's scheduling

@@ -100,29 +100,12 @@ let of_program ?(check_races = true) ?(line_words = 4) (program : Ast.program) =
     [int array] so slab data lives outside the OCaml heap: the major GC
     never scans it, and a trace's slots cost no heap words (the
     generation gates in [test/alloc_smoke.ml] count on that). Elements
-    are OCaml ints (63-bit), written to disk as 8-byte little-endian
-    words by the binary trace format. *)
+    are OCaml ints (63-bit). *)
 module Slab = struct
   type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  let create n : t =
-    let s = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    Bigarray.Array1.fill s 0;
-    s
-
   let length : t -> int = Bigarray.Array1.dim
   let get : t -> int -> int = Bigarray.Array1.get
-  let set : t -> int -> int -> unit = Bigarray.Array1.set
-
-  (** Copy the first [len] elements of [a] into a fresh slab. *)
-  let of_int_array_sub (a : int array) len =
-    let s = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-    for i = 0 to len - 1 do
-      Bigarray.Array1.unsafe_set s i (Array.unsafe_get a i)
-    done;
-    s
-
-  let of_int_array a = of_int_array_sub a (Array.length a)
 end
 
 type ptask = {
@@ -265,7 +248,7 @@ let pack (t : t) =
       t.epochs
   in
   {
-    slots = Slab.of_int_array words;
+    slots = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout words;
     p_epochs;
     symtab;
     rmark_table = Event.Code.rmark_table ~max_code:!max_rcode;

@@ -32,17 +32,8 @@ val of_program : ?check_races:bool -> ?line_words:int -> Hscd_lang.Ast.program -
 module Slab : sig
   type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  (** Fresh zero-filled slab. *)
-  val create : int -> t
-
   val length : t -> int
   val get : t -> int -> int
-  val set : t -> int -> int -> unit
-
-  (** Copy the first [len] elements of an [int array] into a fresh slab. *)
-  val of_int_array_sub : int array -> int -> t
-
-  val of_int_array : int array -> t
 end
 
 type ptask = {
@@ -57,9 +48,8 @@ type pepoch = { p_kind : epoch_kind; p_tasks : ptask array; p_n_tickets : int }
 
 type packed = {
   slots : Slab.t;
-      (** [2 * n_slots] words (2 when {!pack} or the binary reader
-          has no slot to hold): slot [i] is words [2i] and [2i+1], laid
-          out as below *)
+      (** [2 * n_slots] words (2 when {!pack} has no slot to hold):
+          slot [i] is words [2i] and [2i+1], laid out as below *)
   p_epochs : pepoch array;
   symtab : Hscd_util.Symtab.t;  (** array-name interning, layout base order *)
   rmark_table : Hscd_arch.Event.rmark array;  (** decode table by mark code *)
@@ -82,8 +72,8 @@ type packed = {
     The fields bound what a packed trace can hold; compute counts and
     values are unbounded. Generation ({!of_program_packed}, so
     [Run.compile]) and {!pack} raise {!Hscd_util.Hscd_error.Error} of kind
-    [Usage] for a trace past a limit, the text loader [Parse] naming the
-    line, and the binary reader [Corrupt]. *)
+    [Usage] for a trace past a limit, and the text loader [Parse] naming
+    the line. *)
 
 (** 65,532: the largest Time-Read distance (mark code
     [Event.Code.rmark_base + d] below 2{^16}). *)
@@ -96,12 +86,9 @@ val max_arrays : int
     address fits the signed field. *)
 val max_memory_words : int
 
-(** Word [2i] of a read or write slot from its fields, which must fit. *)
-val mem_word : op:int -> addr:int -> mark:int -> arr:int -> int
-
 (** {2 Logical fields of slot [i]}
 
-    The five fields of a slot as the engine and the file formats see
+    The five fields of a slot as the engine and the text format see
     them: [addr] is the cycle count of a compute slot, and a field a slot
     does not use reads 0. *)
 

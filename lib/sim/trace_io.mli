@@ -1,7 +1,7 @@
 (** Trace files, so a marked program's event stream can be generated once
-    and replayed later (or inspected by hand). Two formats:
-
-    - text, line-oriented:
+    and replayed later (or inspected by hand). Regenerating a trace from
+    its source is faster than loading it, so a file is for interchange;
+    the one format is line-oriented text:
     {v
     hscd-trace 1
     words <total_words>
@@ -14,20 +14,18 @@
     W <addr> <mark> <value> <array>   (mark: N|B)
     L / U                             (lock / unlock)
     v}
-    - binary ({!binary_magic}): a checksummed dump of the packed trace,
-      its slots written as five field-major slabs, laid out in
-      [trace_io.ml]. *)
-
-(** {1 Text} *)
+    The header is line 1 and only line 1. *)
 
 (** Write [p] in the text format. A boxed trace is saved as
     [save path (Trace.pack t)]. *)
 val save : string -> Trace.packed -> unit
 
 (** Load a text trace. Raises {!Hscd_util.Hscd_error.Error}: [Parse],
-    naming the line, for a malformed line or one past a slot-field limit
-    of {!Trace.packed}; [Parse] for a field the replay would index out of
-    range; [Io] for OS failures. *)
+    naming the line, for a malformed line, a missing or repeated header
+    (an old binary dump is named as such at line 1, its bytes not
+    echoed) or a line past a slot-field limit of {!Trace.packed}; [Parse]
+    for a field the replay would index out of range; [Io] for OS
+    failures. *)
 val load : string -> Trace.t
 
 (** {!load} as a [result]: [Parse] for syntax errors, [Io] for OS
@@ -48,31 +46,6 @@ val mark_of_str : string -> Hscd_arch.Event.rmark
 val wmark_str : Hscd_arch.Event.wmark -> string
 
 val wmark_of_str : string -> Hscd_arch.Event.wmark
-
-(** {1 Binary} *)
-
-(** The binary format's first eight bytes. *)
-val binary_magic : string
-
-(** Write [p] in the binary format. [chunk_words] (default 65536) is the
-    number of slab words each entry of the checksum table covers; tests
-    shrink it to cover many chunks with a small trace. *)
-val write_packed : ?chunk_words:int -> string -> Trace.packed -> unit
-
-(** Load a binary trace, checking the header checksum, every slab
-    chunk's checksum and every slot's fields before packing them into
-    slot words. A field past its slot field, or set in a slot that does
-    not use it, is [Corrupt]. Raises
-    {!Hscd_util.Hscd_error.Error}: [Corrupt] for anything truncated,
-    damaged or not in the format, [Io] for OS failures. *)
-val read_packed : string -> Trace.packed
-
-(** {!read_packed} as a [result]; never lets an exception escape. *)
-val read_packed_result : string -> (Trace.packed, Hscd_util.Hscd_error.t) result
-
-(** Does [path] start with {!binary_magic}? [false] for a file that
-    cannot be opened or read. *)
-val is_binary : string -> bool
 
 (** Structural equality of packed traces over their logical content: the
     live slot words (a trace without slots still holds one slot's), descriptors,

@@ -4,8 +4,7 @@
     detected and dropped on the next open; every record that was fully
     appended before the crash survives.
 
-    On-disk framing (ints are 8-byte little-endian, as in the binary
-    trace format):
+    On-disk framing (ints are 8-byte little-endian):
 
     {v
     magic "HSCDJNL1"

@@ -5,8 +5,6 @@
     - worker crashes (two cells crash on their first attempts),
     - a hang that must blow the per-task deadline and be retried on a
       fresh worker,
-    - a corrupted and a truncated compile-cache entry (must be silently
-      regenerated),
     - a checkpoint journal truncated mid-record (kill-mid-write; the torn
       tail must be dropped, the valid prefix resumed from).
 
@@ -50,15 +48,11 @@ let get what = function
   | Error e -> failwith (Printf.sprintf "%s: %s" what (Err.to_string e))
 
 let () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "hscd_chaos_cache" in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   let journal_path = Filename.concat (Filename.get_temp_dir_name ()) "hscd_chaos.jnl" in
   if Sys.file_exists journal_path then Sys.remove journal_path;
-  Run.set_compile_cache_dir (Some dir);
   Run.reset_compile_cache ();
 
-  (* --- 1. fault-free reference, jobs=1 (also populates the disk cache) --- *)
+  (* --- 1. fault-free reference, jobs=1 --- *)
   Printf.printf "chaos-smoke: P=%d, schemes TPI+HW, small benches\n%!" cfg.Config.processors;
   let reference = get "reference run" (Common.run_all_result ~cfg ~schemes ~small:true ~jobs:1 ()) in
   check "reference sweep completed" (List.length reference = 6);
@@ -73,17 +67,7 @@ let () =
   let seeded = get "torn journal load" (Journal.load journal_path) in
   check "torn tail dropped a record but kept the prefix" (List.length seeded = 5);
 
-  (* --- 3. corrupt the compile cache: one bit flip, one truncation --- *)
-  let entries = Sys.readdir dir |> Array.to_list |> List.sort compare in
-  check "disk cache populated" (List.length entries = 6);
-  (match entries with
-  | e1 :: e2 :: _ ->
-    Chaos.corrupt_file (Filename.concat dir e1) ~byte:200;
-    Chaos.truncate_file (Filename.concat dir e2) ~drop:64
-  | _ -> ());
-  Run.reset_compile_cache ();
-
-  (* --- 4. the chaos run: crashes + a hang, resumed from the torn journal --- *)
+  (* --- 3. the chaos run: crashes + a hang, resumed from the torn journal --- *)
   let plan =
     Chaos.plan
       ~crash_first:[ ("TRFD/HW", 2); ("QCD2/HW", 1) ]
@@ -108,13 +92,7 @@ let () =
     (Chaos.attempts plan "OCEAN/HW" >= 2);
   check "chaos run bit-identical to fault-free jobs=1" (bench_results_equal reference chaotic);
 
-  (* the corrupted + truncated cache entries were regenerated, the intact
-     four served from disk *)
-  let s = Run.compile_cache_stats () in
-  check "corrupt cache entries regenerated"
-    (s.Run.trace_generations = 2 && s.Run.disk_hits = 4);
-
-  (* --- 5. resume: everything must now come from the journal alone --- *)
+  (* --- 4. resume: everything must now come from the journal alone --- *)
   let keys = List.map fst (get "final journal load" (Journal.load journal_path)) in
   let distinct = List.sort_uniq compare keys in
   check "journal holds every cell of the grid" (List.length distinct = 12);
@@ -127,7 +105,7 @@ let () =
   check "resume re-simulated nothing" (Chaos.attempts plan "TRFD/HW" = chaos_injects);
   check "resume bit-identical to fault-free jobs=1" (bench_results_equal reference resumed);
 
-  (* --- 6. a corrupt journal record is re-simulated, not trusted --- *)
+  (* --- 5. a corrupt journal record is re-simulated, not trusted --- *)
   Chaos.corrupt_file journal_path ~byte:(-20);
   let healed =
     get "run after journal corruption"

@@ -1,26 +1,36 @@
 #!/bin/sh
-# usage: cli_roundtrip.sh HSCD
-# For each program and scheme, `hscd replay` on the text and on the
-# binary dump from `hscd trace` must print exactly what `hscd sim` prints.
-# reduction has lock sections; TRFD is a Perfect Club model with compute
-# slots. VC is the one scheme that reads a slot's array id, so with it
-# every field of a slot passes through both loaders and the replay.
+# usage: cli_roundtrip.sh HSCD TRACE_TEXT_SHA256
+# `hscd trace` must write, for every program `hscd list` names, the text
+# whose sha256 the second argument lists: text is the one trace
+# interchange format, and these digests pin it.
+# Then, for each program and scheme, `hscd replay` on the text dump must
+# print exactly what `hscd sim` prints. reduction has lock sections;
+# TRFD is a Perfect Club model with compute slots. VC is the one scheme
+# that reads a slot's array id, so with it every field of a slot passes
+# through the loader and the replay.
 set -eu
 hscd=$1
+expected=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
-for prog in reduction TRFD; do
+progs=$("$hscd" list | awk '/^Experiments:/ { exit } /^  / { print $1 }')
+for prog in $progs; do
   "$hscd" trace "$prog" -o "$dir/$prog.txt" > /dev/null
-  "$hscd" trace "$prog" --binary -o "$dir/$prog.hscdtrc" > /dev/null
+done
+(cd "$dir" && for prog in $progs; do sha256sum "$prog.txt"; done) > "$dir/actual.sha256"
+if ! cmp -s "$expected" "$dir/actual.sha256"; then
+  echo "hscd trace output differs from $(basename "$expected"):"
+  diff "$expected" "$dir/actual.sha256" || true
+  exit 1
+fi
+for prog in reduction TRFD; do
   for scheme in TPI HW VC; do
     "$hscd" sim "$prog" -s "$scheme" > "$dir/sim.out"
-    for trace in "$dir/$prog.txt" "$dir/$prog.hscdtrc"; do
-      "$hscd" replay "$trace" -s "$scheme" > "$dir/replay.out"
-      if ! cmp -s "$dir/sim.out" "$dir/replay.out"; then
-        echo "replay $(basename "$trace") -s $scheme differs from sim $prog -s $scheme:"
-        diff "$dir/sim.out" "$dir/replay.out" || true
-        exit 1
-      fi
-    done
+    "$hscd" replay "$dir/$prog.txt" -s "$scheme" > "$dir/replay.out"
+    if ! cmp -s "$dir/sim.out" "$dir/replay.out"; then
+      echo "replay $prog.txt -s $scheme differs from sim $prog -s $scheme:"
+      diff "$dir/sim.out" "$dir/replay.out" || true
+      exit 1
+    fi
   done
 done

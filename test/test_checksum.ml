@@ -1,8 +1,7 @@
-(** Pins the checksum fold every journal, binary trace and wire frame is
-    written with. A change to {!Hscd_util.Checksum} would make every
-    existing journal and binary trace unreadable, yet no round-trip test
-    would notice (writer and reader would change together), so the values
-    here are fixed constants. *)
+(** Pins the checksum fold every journal and wire frame is written with.
+    A change to {!Hscd_util.Checksum} would make every existing journal
+    unreadable, yet no round-trip test would notice (writer and reader
+    would change together), so the values here are fixed constants. *)
 
 module Checksum = Hscd_util.Checksum
 module Journal = Hscd_util.Journal
@@ -28,14 +27,6 @@ let test_sum_string () =
       Alcotest.(check int) (Printf.sprintf "sum_string %d %S" h s) want (Checksum.sum_string h s))
     [ (0, "", 0); (0, "hscd", -2984172819548808692); (7, "checksum fold", -2041010239539671669) ]
 
-let test_binary_trace_bytes () =
-  let c = Hscd_sim.Run.compile ~cache:false (Hscd_workloads.Kernels.jacobi1d ~n:32 ~iters:2 ()) in
-  let path = tmp "hscd_checksum_pin.hscdtrc" in
-  Hscd_sim.Trace_io.write_packed path c.Hscd_sim.Run.packed_trace;
-  let d = file_digest path in
-  Sys.remove path;
-  Alcotest.(check string) "write_packed digest" "6882908642e52ebbdfda21cbd9e9a632" d
-
 let test_journal_bytes () =
   let path = tmp "hscd_checksum_pin.jnl" in
   if Sys.file_exists path then Sys.remove path;
@@ -54,7 +45,6 @@ let suite =
   [
     Alcotest.test_case "mix on fixed inputs" `Quick test_mix;
     Alcotest.test_case "string fold on fixed inputs" `Quick test_sum_string;
-    Alcotest.test_case "binary trace bytes" `Quick test_binary_trace_bytes;
     Alcotest.test_case "journal record bytes" `Quick test_journal_bytes;
     Alcotest.test_case "wire frame bytes" `Quick test_frame_bytes;
   ]

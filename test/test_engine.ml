@@ -264,7 +264,16 @@ let test_accounting_identities () =
               check "read misses" (Metrics.reads m - Metrics.read_hits m) m.Metrics.read_miss_count;
               check "barriers" (Trace.packed_n_epochs t) m.Metrics.barriers;
               check "lock acquires" !locks m.Metrics.lock_acquires;
-              check "compute cycles" !compute m.Metrics.compute_cycles)
+              check "compute cycles" !compute m.Metrics.compute_cycles;
+              (* one processor shares nothing; the compiler schemes'
+                 self-invalidations at P=1 count as Conservative *)
+              if cfg.Config.processors = 1 then
+                List.iter
+                  (fun cls ->
+                    check
+                      (Hscd_coherence.Scheme.class_name cls ^ " misses")
+                      0 (Metrics.class_count m cls))
+                  Hscd_coherence.Scheme.[ True_sharing; False_sharing; Reset_inv ])
             Run.extended_schemes)
         configs)
     Hscd_workloads.Programs.names

@@ -219,7 +219,8 @@ let trace_cmd =
 let replay_cmd =
   let run path scheme procs line tag =
     let cfg = cfg_of procs line tag in
-    print_metrics scheme (Hscd_sim.Run.simulate ~cfg scheme (Hscd_sim.Trace_io.load path))
+    let trace = Err.get_exn (Hscd_sim.Trace_io.load_result path) in
+    print_metrics scheme (Hscd_sim.Run.simulate_packed ~cfg scheme trace)
   in
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE") in
   Cmd.v

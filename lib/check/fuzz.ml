@@ -44,7 +44,7 @@ let fuzz ?(schemes = Run.all_schemes) ?fault ?(shrink = true) ?(max_failures = 5
     let cfg = Gen.cfg_of params in
     let trace = Gen.generate prng params in
     total := !total + Shrink.event_count trace;
-    let outcome = Oracle.run ~schemes ?fault ?jobs cfg trace in
+    let outcome = Oracle.run ~schemes ?fault ?jobs cfg (Trace.pack trace) in
     if not (Oracle.ok outcome) then begin
       let orig_fail = Oracle.failing_schemes outcome in
       let orig_mem_disagree = not outcome.Oracle.memories_agree in
@@ -55,7 +55,7 @@ let fuzz ?(schemes = Run.all_schemes) ?fault ?(shrink = true) ?(max_failures = 5
         Golden.lint t = []
         && Golden.mark_sound cfg t = []
         &&
-        let o = Oracle.run ~schemes ?fault ?jobs cfg t in
+        let o = Oracle.run ~schemes ?fault ?jobs cfg (Trace.pack t) in
         (not (Oracle.ok o))
         && (List.exists (fun k -> List.mem k orig_fail) (Oracle.failing_schemes o)
            || (orig_mem_disagree && not o.Oracle.memories_agree)
@@ -132,7 +132,5 @@ let write_corpus ~dir =
 (** Replay trace files under {!corpus_cfg}; returns per-file verdicts. *)
 let replay_corpus ?(schemes = Run.all_schemes) ?jobs files =
   List.map
-    (fun path ->
-      let trace = Trace_io.load path in
-      (path, Oracle.run ~schemes ?jobs corpus_cfg trace))
+    (fun path -> (path, Oracle.run ~schemes ?jobs corpus_cfg (Trace_io.load path)))
     files

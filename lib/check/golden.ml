@@ -42,7 +42,10 @@ let resolve (t : Trace.t) : Trace.t =
                       incr total;
                       mem.(addr) <- value;
                       ev
-                    | Event.Compute _ | Event.Lock | Event.Unlock -> ev)
+                    | Event.Lock | Event.Unlock ->
+                      incr total;
+                      ev
+                    | Event.Compute _ -> ev)
                   task.events
               in
               { task with events })

@@ -4,8 +4,8 @@
 
 (** Replay the trace in rank-major order, stamping every read with the
     value the golden interpreter observes and rebuilding the golden final
-    memory. Idempotent; correct for race-free traces (which [lint]
-    checks). *)
+    memory and the count of memory and sync events. Idempotent; correct
+    for race-free traces (which [lint] checks). *)
 val resolve : Hscd_sim.Trace.t -> Hscd_sim.Trace.t
 
 (** Structural well-formedness problems, empty when the trace is clean:

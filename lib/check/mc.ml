@@ -579,7 +579,7 @@ let trace_of_actions scope actions : Trace.t =
 let replay ?fault ?jobs scope (cx : counterexample) =
   let trace = trace_of_actions scope cx.actions in
   let fault = Option.map (fun f -> (cx.cx_kind, f)) fault in
-  (trace, Oracle.run ~schemes:[ cx.cx_kind ] ?fault ?jobs (cfg_of scope) trace)
+  (trace, Oracle.run ~schemes:[ cx.cx_kind ] ?fault ?jobs (cfg_of scope) (Trace.pack trace))
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

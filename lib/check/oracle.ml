@@ -44,12 +44,10 @@ let ok t = t.memories_agree && List.for_all report_ok t.reports
 let failing_schemes t =
   List.filter_map (fun r -> if report_ok r then None else Some r.kind) t.reports
 
-let run ?(schemes = Run.all_schemes) ?fault ?jobs (cfg : Config.t) (trace : Trace.t) =
+let run ?(schemes = Run.all_schemes) ?fault ?jobs (cfg : Config.t) (trace : Trace.packed) =
   let cfg = Config.validate cfg in
-  let words = Trace.memory_words trace in
-  let n_epochs = Trace.n_epochs trace in
-  (* pack once; the slabs are immutable and shared read-only by the domains *)
-  let ptrace = Trace.pack trace in
+  let words = Trace.packed_memory_words trace in
+  let n_epochs = Trace.packed_n_epochs trace in
   let outcomes, _ =
     (* one domain per scheme: every run builds its own network, traffic,
        scheme state and monitor, so the fan-out is bit-deterministic *)
@@ -65,7 +63,8 @@ let run ?(schemes = Run.all_schemes) ?fault ?jobs (cfg : Config.t) (trace : Trac
           | _ -> inner
         in
         let m = Monitor.create ~processors:cfg.processors ~words in
-        let result = Engine.run cfg (Monitor.wrap m subject) ~net:network ~traffic ptrace in
+        (* the slabs are immutable and shared read-only by the domains *)
+        let result = Engine.run cfg (Monitor.wrap m subject) ~net:network ~traffic trace in
         let final =
           match subject with Scheme.Packed ((module S), s) -> Array.copy (S.memory_image s)
         in

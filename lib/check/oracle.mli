@@ -27,7 +27,7 @@ val run :
   ?fault:Hscd_sim.Run.scheme_kind * Fault.t ->
   ?jobs:int ->
   Hscd_arch.Config.t ->
-  Hscd_sim.Trace.t ->
+  Hscd_sim.Trace.packed ->
   t
 
 val describe : t -> string

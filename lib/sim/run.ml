@@ -98,7 +98,7 @@ let reset_compile_cache () =
    knobs that reach the reference stream. Timing-side parameters
    (processors, timetag bits, cache geometry beyond the line size) are
    deliberately absent, so every point of a sweep shares one entry. *)
-let cache_key ~cfg ~intertask ~check_races program =
+let cache_key ~cfg ~intertask program =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
@@ -107,17 +107,15 @@ let cache_key ~cfg ~intertask ~check_races program =
             string_of_int cfg.Config.line_words;
             string_of_bool (Schedule.is_static cfg);
             string_of_bool intertask;
-            string_of_bool check_races;
           ]))
 
 (** Front half: check, mark, trace (streamed straight into the packed
     form). The marking is told whether the engine's scheduling policy is
     static, so owner-alignment stays sound. [cache] (default on) consults
     the compile cache keyed on the program text and trace-relevant knobs. *)
-let compile ?(cfg = Config.default) ?(intertask = true) ?(check_races = true) ?(cache = true)
-    (program : Ast.program) =
+let compile ?(cfg = Config.default) ?(intertask = true) ?(cache = true) (program : Ast.program) =
   let program = Sema.check_exn program in
-  let key = if cache then Some (cache_key ~cfg ~intertask ~check_races program) else None in
+  let key = if cache then Some (cache_key ~cfg ~intertask program) else None in
   let hit =
     match key with
     | None -> None
@@ -133,7 +131,7 @@ let compile ?(cfg = Config.default) ?(intertask = true) ?(check_races = true) ?(
     let m = Marking.mark_program ~static_sched:(Schedule.is_static cfg) ~intertask program in
     Mutex.protect cache_mu (fun () -> incr n_generations);
     let packed_trace =
-      Trace.of_program_packed ~check_races ~line_words:cfg.line_words m.Marking.program
+      Trace.of_program_packed ~line_words:cfg.line_words m.Marking.program
     in
     let c = { marked = m.Marking.program; census = m.Marking.census; packed_trace } in
     (match key with Some k -> Mutex.protect cache_mu (fun () -> Hashtbl.replace cache_table k c) | None -> ());
@@ -158,15 +156,10 @@ let simulate_boxed ?(cfg = Config.default) kind (trace : Trace.t) =
   let packed = pack kind cfg ~memory_words:(Trace.memory_words trace) ~network ~traffic in
   Engine.run_boxed cfg packed ~net:network ~traffic trace
 
-(** One scheme over a boxed trace: packs, then replays natively. *)
-let simulate ?(cfg = Config.default) kind (trace : Trace.t) =
-  simulate_packed ~cfg kind (Trace.pack trace)
-
 (** {!compile} as a [result]: sema/parse failures come back typed (kind
     [Parse]) instead of as exceptions. *)
-let compile_result ?cfg ?intertask ?check_races ?cache program =
-  Err.guard ~default:Err.Parse ~context:"compile" (fun () ->
-      compile ?cfg ?intertask ?check_races ?cache program)
+let compile_result ?cfg ?intertask ?cache program =
+  Err.guard ~default:Err.Parse ~context:"compile" (fun () -> compile ?cfg ?intertask ?cache program)
 
 (* ------------------------------------------------------------------ *)
 (* Job-granular entry points: the units the service daemon schedules.  *)

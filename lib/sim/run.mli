@@ -49,7 +49,6 @@ val set_compile_cache_dir : string option -> unit
 val compile :
   ?cfg:Hscd_arch.Config.t ->
   ?intertask:bool ->
-  ?check_races:bool ->
   ?cache:bool ->
   Hscd_lang.Ast.program ->
   compiled
@@ -63,15 +62,11 @@ val simulate_packed :
     packed form. Only tests call it, as the differential reference. *)
 val simulate_boxed : ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace.t -> Engine.result
 
-(** One scheme over a boxed trace: packs, then replays natively. *)
-val simulate : ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace.t -> Engine.result
-
 (** {!compile} as a [result]: sema/parse failures come back as a typed
     {!Hscd_util.Hscd_error.t} (kind [Parse]) instead of an exception. *)
 val compile_result :
   ?cfg:Hscd_arch.Config.t ->
   ?intertask:bool ->
-  ?check_races:bool ->
   ?cache:bool ->
   Hscd_lang.Ast.program ->
   (compiled, Hscd_util.Hscd_error.t) result

@@ -267,12 +267,12 @@ module Builder = struct
   (* Slots stream into fixed-size Bigarray chunks, two words per slot in
      the layout of [packed]; [finish] copies the live words into one
      exact-size slab. Task and epoch descriptors are built as the records
-     [packed] holds, each epoch's tasks in an array sized from its
-     iteration count. Nothing on the per-event path allocates or hashes:
+     [packed] holds. Nothing on the per-event path allocates or hashes:
      the interpreter passes array ids, marks convert from AST codes
      without an intermediate variant, and compute work coalesces into a
-     pending counter exactly as {!of_program} does. [pack] above stays as
-     the independent reference implementation the test suite checks this
+     pending counter exactly as {!of_program} does. The text loader calls
+     the same functions, one slot per line. [pack] above stays as the
+     independent reference implementation the test suite checks this
      builder against, slot for slot. *)
 
   (* 16,384 slots, a 256 KB chunk. OCaml 5.1 charges a Bigarray smaller
@@ -358,10 +358,15 @@ module Builder = struct
 
   let emit_work b n = b.pending_work <- b.pending_work + n
 
+  (* one slot per call: explicit compute is never coalesced *)
+  let compute b n =
+    flush_work b;
+    put b Event.Code.compute n
+
   (* the layout bounds every address and array id the interpreter
      passes, so only the mark code needs a check, and only when it sets a
      new maximum *)
-  let emit_read b ~array ~addr ~value ~rcode =
+  let read b ~array ~addr ~value ~rcode =
     flush_work b;
     if rcode > b.max_rcode then begin
       if rcode > mark_mask then
@@ -371,27 +376,30 @@ module Builder = struct
     put b (mem_word ~op:Event.Code.read ~addr ~mark:rcode ~arr:array) value;
     b.total <- b.total + 1
 
-  let emit_write b ~array ~addr ~value ~wcode =
+  let write b ~array ~addr ~value ~wcode =
     flush_work b;
     put b (mem_word ~op:Event.Code.write ~addr ~mark:wcode ~arr:array) value;
     b.total <- b.total + 1
 
-  let emit_lock b =
+  let lock b =
     flush_work b;
     put b Event.Code.lock 0;
     b.ticket <- b.ticket + 1;
     b.total <- b.total + 1
 
-  let emit_unlock b =
+  let unlock b =
     flush_work b;
     put b Event.Code.unlock 0;
     b.total <- b.total + 1
 
-  (* [Eval] runs one task per iteration of a parallel epoch and one per
-     serial epoch; the array still grows for hooks that run more *)
-  let epoch_begin b kind =
+  let init b layout =
+    check_layout layout;
+    b.layout <- Some layout
+
+  (* [tasks] sizes the epoch's task array, which grows for more *)
+  let epoch_begin b kind ~tasks =
     b.cur_kind <- kind;
-    b.tasks <- Array.make (match kind with Serial -> 1 | Parallel { lo; hi } -> max 0 (hi - lo + 1)) no_task;
+    b.tasks <- Array.make tasks no_task;
     b.n_tasks <- 0;
     b.ticket <- 0
 
@@ -461,28 +469,25 @@ module Builder = struct
       path constructs no variant cells. *)
   let hooks b : Eval.hooks =
     {
-      Eval.on_init =
-        (fun layout ->
-          check_layout layout;
-          b.layout <- Some layout);
+      Eval.on_init = (fun layout -> init b layout);
+      (* [Eval] runs one task per iteration of a parallel epoch and one
+         per serial epoch *)
       on_epoch_begin =
-        (fun kind ->
-          epoch_begin b
-            (match kind with
-            | Eval.Serial -> Serial
-            | Eval.Parallel { lo; hi } -> Parallel { lo; hi }));
+        (function
+        | Eval.Serial -> epoch_begin b Serial ~tasks:1
+        | Eval.Parallel { lo; hi } -> epoch_begin b (Parallel { lo; hi }) ~tasks:(max 0 (hi - lo + 1)));
       on_epoch_end = (fun () -> epoch_end b);
       on_task_begin = (fun ~iter -> task_begin b ~iter);
       on_task_end = (fun () -> task_end b);
       on_read =
         (fun ~array ~addr ~value ~mark ->
-          emit_read b ~array ~addr ~value ~rcode:(Event.Code.of_ast_rmark mark));
+          read b ~array ~addr ~value ~rcode:(Event.Code.of_ast_rmark mark));
       on_write =
         (fun ~array ~addr ~value ~mark ->
-          emit_write b ~array ~addr ~value ~wcode:(Event.Code.of_ast_wmark mark));
+          write b ~array ~addr ~value ~wcode:(Event.Code.of_ast_wmark mark));
       on_work = (fun n -> emit_work b n);
-      on_lock = (fun () -> emit_lock b);
-      on_unlock = (fun () -> emit_unlock b);
+      on_lock = (fun () -> lock b);
+      on_unlock = (fun () -> unlock b);
     }
 end
 
@@ -516,7 +521,5 @@ let packed_access_counts (p : packed) =
     else if op = Event.Code.write then incr writes
   done;
   (!reads, !writes)
-
-let n_epochs t = Array.length t.epochs
 
 let memory_words t = max 1 t.layout.Shape.total_words

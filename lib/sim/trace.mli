@@ -104,22 +104,29 @@ val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
 
 (** Compile a boxed trace into the packed form, the only direction a
     boxed trace ever flows. Production code packs the traces that only
-    exist boxed: text traces from {!Trace_io.load}, fuzz-generated traces
-    and model-checker traces. Tests also use [pack (of_program p)] as the
+    exist boxed: fuzz-generated traces and model-checker traces. Tests
+    also use [pack (of_program p)] as the
     independent reference the streaming {!Builder} is checked against.
     Raises a [Usage] error for a trace past a slot-field limit, including
     an address outside the signed field or a negative Time-Read
     distance. *)
 val pack : t -> packed
 
-(** Streaming trace builder that {!Hscd_lang.Eval} hooks append into
-    directly. Slots go into fixed-size Bigarray chunks of 16,384 slots,
-    two words each in the layout of {!packed}. The per-event path neither
-    allocates nor hashes: array ids come from the interpreter, marks
-    convert from AST codes without an intermediate variant, and compute
-    work coalesces into a pending counter exactly as {!of_program} does.
-    [on_init] raises a [Usage] error for a layout past {!max_arrays} or
-    {!max_memory_words}, and a read hook for a Time-Read distance past
+(** Streaming trace builder, the one slot encoder: {!Hscd_lang.Eval}
+    hooks append into it during generation, and {!Trace_io.load} calls
+    its functions line by line. Slots go into fixed-size Bigarray chunks
+    of 16,384 slots, two words each in the layout of {!packed}. The
+    per-event path neither allocates nor hashes: array ids come from the
+    interpreter, marks convert from AST codes without an intermediate
+    variant, and the hooks' compute work coalesces into a pending counter
+    exactly as {!of_program} does, where {!compute} is one slot. Call
+    {!init} once, then per epoch {!epoch_begin} ([tasks] sizes its task
+    array, which grows), per task {!task_begin}, its slots and
+    {!task_end}, then {!epoch_end}. Like the interpreter, a caller keeps
+    addresses inside the layout and passes array ids as
+    {!symtab_of_layout} assigns them and {!Hscd_arch.Event.Code} mark
+    codes. {!init} raises a [Usage] error for a layout past {!max_arrays}
+    or {!max_memory_words}, and {!read} for a code past
     {!max_time_read}. *)
 module Builder : sig
   type t
@@ -128,6 +135,17 @@ module Builder : sig
 
   (** Eval hooks that stream events straight into the chunks. *)
   val hooks : t -> Hscd_lang.Eval.hooks
+
+  val init : t -> Hscd_lang.Shape.layout -> unit
+  val epoch_begin : t -> epoch_kind -> tasks:int -> unit
+  val epoch_end : t -> unit
+  val task_begin : t -> iter:int -> unit
+  val task_end : t -> unit
+  val compute : t -> int -> unit
+  val read : t -> array:int -> addr:int -> value:int -> rcode:int -> unit
+  val write : t -> array:int -> addr:int -> value:int -> wcode:int -> unit
+  val lock : t -> unit
+  val unlock : t -> unit
 
   (** Close the builder into a packed trace with an exact-size slab. The
       builder cannot be used after. *)
@@ -149,8 +167,6 @@ val packed_n_parallel_epochs : packed -> int
 
 (** (reads, writes) over the live slots. *)
 val packed_access_counts : packed -> int * int
-
-val n_epochs : t -> int
 
 (** At least 1, for allocating scheme memory images. *)
 val memory_words : t -> int

@@ -79,47 +79,28 @@ let save path p =
 
 (* --- loading --- *)
 
-type builder = {
+(* The header lines ([words], [array], [golden]) come before the first
+   [epoch] line, which fixes the layout; from there each line streams
+   into [Trace.Builder] as it is read, checked at that line. *)
+type loader = {
+  b : Trace.Builder.t;
+  arrays : (string, Shape.t) Hashtbl.t;
   mutable words : int;
-  mutable arrays : Shape.t list;
-  mutable n_arrays : int;
-  mutable golden : (int * int) list;
-  mutable epochs : Trace.epoch list;  (* reversed *)
-  mutable cur_kind : Trace.epoch_kind option;
-  mutable cur_tasks : Trace.task list;  (* reversed *)
-  mutable cur_iter : int;
-  mutable cur_events : Event.t list;  (* reversed *)
-  mutable in_task : bool;
-  mutable total : int;  (* memory + sync events, as in [Trace.t.total_events] *)
+  mutable golden : int array;  (* [||] until the words line *)
+  mutable ids : Hscd_util.Symtab.t;  (* array ids, once the layout is fixed *)
+  mutable at : [ `Header | `Epoch | `Task ];  (* the innermost section open *)
 }
-
-let flush_task b =
-  if b.in_task then begin
-    b.cur_tasks <-
-      { Trace.iter = b.cur_iter; events = Array.of_list (List.rev b.cur_events) } :: b.cur_tasks;
-    b.cur_events <- [];
-    b.in_task <- false
-  end
-
-let flush_epoch b =
-  flush_task b;
-  match b.cur_kind with
-  | None -> ()
-  | Some kind ->
-    b.epochs <- { Trace.kind; tasks = Array.of_list (List.rev b.cur_tasks) } :: b.epochs;
-    b.cur_tasks <- [];
-    b.cur_kind <- None
-
-(* an event line belongs to the task line above it, and a task line to
-   the epoch line above it *)
-let add_event b e =
-  if not b.in_task then Err.fail Err.Parse "Trace_io: event outside a task";
-  b.cur_events <- e :: b.cur_events
 
 let int_field s =
   match int_of_string_opt s with
   | Some n -> n
   | None -> Err.fail Err.Parse "Trace_io: bad integer %s" s
+
+(* fields the replay indexes by: a trace is input from outside *)
+let word_field l what s =
+  let i = int_field s in
+  if i < 0 || i >= l.words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i l.words;
+  i
 
 let header = "hscd-trace 1"
 
@@ -134,67 +115,101 @@ let check_header line =
   else if String.trim line <> header then
     Err.fail ~context:[ "line 1: " ^ line ] Err.Parse "Trace_io: missing %s header" header
 
-let parse_line b line =
+let header_line l what =
+  if l.at <> `Header then Err.fail Err.Parse "Trace_io: %s line after the first epoch" what
+
+(* end what is open; at the first epoch line (or the end of a file
+   without one), fix the layout *)
+let close l =
+  match l.at with
+  | `Header ->
+    let layout = { Shape.arrays = l.arrays; total_words = l.words } in
+    Trace.Builder.init l.b layout;
+    if Array.length l.golden = 0 then l.golden <- [| 0 |];
+    l.ids <- Trace.symtab_of_layout layout
+  | `Epoch -> Trace.Builder.epoch_end l.b
+  | `Task ->
+    Trace.Builder.task_end l.b;
+    Trace.Builder.epoch_end l.b
+
+let begin_epoch l kind =
+  close l;
+  (* an epoch's [lo .. hi] is not trusted to size anything *)
+  Trace.Builder.epoch_begin l.b kind ~tasks:0;
+  l.at <- `Epoch
+
+(* an event line belongs to the task line above it, and a task line to
+   the epoch line above it *)
+let event l =
+  if l.at <> `Task then Err.fail Err.Parse "Trace_io: event outside a task";
+  l.b
+
+let array_id l name =
+  match Hscd_util.Symtab.find_opt l.ids name with
+  | Some id -> id
+  | None -> Err.fail Err.Parse "Trace_io: unknown array %s" name
+
+let parse_line l line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "" ] -> ()
   | [ "hscd-trace"; _ ] -> Err.fail Err.Parse "Trace_io: %s header past line 1" header
   | [ "words"; n ] ->
-    b.words <- int_field n;
-    if b.words < 0 then Err.fail Err.Parse "Trace_io: negative words";
-    if b.words > Trace.max_memory_words then
-      Err.fail Err.Parse "Trace_io: %d words past the limit of %d" b.words Trace.max_memory_words
+    header_line l "words";
+    if Array.length l.golden > 0 then Err.fail Err.Parse "Trace_io: words given twice";
+    let n = int_field n in
+    if n < 0 then Err.fail Err.Parse "Trace_io: negative words";
+    if n > Trace.max_memory_words then
+      Err.fail Err.Parse "Trace_io: %d words past the limit of %d" n Trace.max_memory_words;
+    l.words <- n;
+    l.golden <- Array.make (max 1 n) 0
   | "array" :: name :: base :: dims ->
-    if b.n_arrays = Trace.max_arrays then
+    header_line l "array";
+    if Hashtbl.length l.arrays = Trace.max_arrays then
       Err.fail Err.Parse "Trace_io: more than %d arrays" Trace.max_arrays;
+    if Hashtbl.mem l.arrays name then Err.fail Err.Parse "Trace_io: array %s declared twice" name;
     let base = int_field base and dims = List.map int_field dims in
     if base < 0 then Err.fail Err.Parse "Trace_io: bad array base";
     if dims = [] || List.exists (fun d -> d <= 0) dims then
       Err.fail Err.Parse "Trace_io: bad array dimension";
-    b.arrays <- { Shape.name; dims; size = Shape.size_of_dims dims; base } :: b.arrays;
-    b.n_arrays <- b.n_arrays + 1
-  | [ "golden"; i; v ] -> b.golden <- (int_field i, int_field v) :: b.golden
-  | [ "epoch"; "serial" ] ->
-    flush_epoch b;
-    b.cur_kind <- Some Trace.Serial
+    Hashtbl.replace l.arrays name { Shape.name; dims; size = Shape.size_of_dims dims; base }
+  | [ "golden"; i; v ] ->
+    header_line l "golden";
+    if Array.length l.golden = 0 then Err.fail Err.Parse "Trace_io: golden before words";
+    l.golden.(word_field l "golden index" i) <- int_field v
+  | [ "epoch"; "serial" ] -> begin_epoch l Trace.Serial
   | [ "epoch"; "parallel"; lo; hi ] ->
-    flush_epoch b;
-    b.cur_kind <- Some (Trace.Parallel { lo = int_field lo; hi = int_field hi })
+    begin_epoch l (Trace.Parallel { lo = int_field lo; hi = int_field hi })
   | [ "task"; iter ] ->
-    if b.cur_kind = None then Err.fail Err.Parse "Trace_io: task outside an epoch";
-    flush_task b;
-    b.cur_iter <- int_field iter;
-    b.in_task <- true
-  | [ "C"; n ] -> add_event b (Event.Compute (int_field n))
+    let iter = int_field iter in
+    if l.at = `Header then Err.fail Err.Parse "Trace_io: task outside an epoch";
+    if l.at = `Task then Trace.Builder.task_end l.b;
+    Trace.Builder.task_begin l.b ~iter;
+    l.at <- `Task
+  | [ "C"; n ] ->
+    let b = event l and n = int_field n in
+    if n < 0 then Err.fail Err.Parse "Trace_io: negative compute count %d" n;
+    Trace.Builder.compute b n
   | [ "R"; addr; mark; value; array ] ->
-    b.total <- b.total + 1;
-    add_event b
-      (Event.Read { addr = int_field addr; mark = mark_of_str mark; value = int_field value; array })
+    let b = event l in
+    Trace.Builder.read b ~array:(array_id l array) ~addr:(word_field l "address" addr)
+      ~value:(int_field value) ~rcode:(Event.Code.of_rmark (mark_of_str mark))
   | [ "W"; addr; mark; value; array ] ->
-    b.total <- b.total + 1;
-    add_event b
-      (Event.Write { addr = int_field addr; mark = wmark_of_str mark; value = int_field value; array })
-  | [ "L" ] ->
-    b.total <- b.total + 1;
-    add_event b Event.Lock
-  | [ "U" ] ->
-    b.total <- b.total + 1;
-    add_event b Event.Unlock
+    let b = event l in
+    Trace.Builder.write b ~array:(array_id l array) ~addr:(word_field l "address" addr)
+      ~value:(int_field value) ~wcode:(Event.Code.of_wmark (wmark_of_str mark))
+  | [ "L" ] -> Trace.Builder.lock (event l)
+  | [ "U" ] -> Trace.Builder.unlock (event l)
   | _ -> Err.fail Err.Parse "Trace_io: bad line"
 
-let load path : Trace.t =
-  let b =
+let load path =
+  let l =
     {
+      b = Trace.Builder.create ();
+      arrays = Hashtbl.create 16;
       words = 0;
-      arrays = [];
-      n_arrays = 0;
-      golden = [];
-      epochs = [];
-      cur_kind = None;
-      cur_tasks = [];
-      cur_iter = 0;
-      cur_events = [];
-      in_task = false;
-      total = 0;
+      golden = [||];
+      ids = Hscd_util.Symtab.create ();
+      at = `Header;
     }
   in
   let ic = try open_in path with Sys_error m -> Err.fail Err.Io "Trace_io: %s" m in
@@ -204,7 +219,7 @@ let load path : Trace.t =
      while true do
        let line = input_line ic in
        incr lineno;
-       try parse_line b line
+       try parse_line l line
        with Err.Error e ->
          raise (Err.Error (Err.add_context (Printf.sprintf "line %d: %s" !lineno line) e))
      done
@@ -213,40 +228,8 @@ let load path : Trace.t =
   | exn ->
     close_in_noerr ic;
     raise exn);
-  flush_epoch b;
-  let arrays = Hashtbl.create 16 in
-  List.iter (fun (a : Shape.t) -> Hashtbl.replace arrays a.name a) b.arrays;
-  (* fields the replay indexes by: a trace is input from outside *)
-  let check_word what i =
-    if i < 0 || i >= b.words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i b.words
-  in
-  let check_event = function
-    | Event.Read { addr; array; _ } | Event.Write { addr; array; _ } ->
-      check_word "address" addr;
-      if not (Hashtbl.mem arrays array) then Err.fail Err.Parse "Trace_io: unknown array %s" array
-    | Event.Compute n when n < 0 -> Err.fail Err.Parse "Trace_io: negative compute count %d" n
-    | _ -> ()
-  in
-  let epochs = Array.of_list (List.rev b.epochs) in
-  Array.iter
-    (fun (e : Trace.epoch) -> Array.iter (fun (t : Trace.task) -> Array.iter check_event t.events) e.tasks)
-    epochs;
-  let golden = Array.make (max 1 b.words) 0 in
-  List.iter
-    (fun (i, v) ->
-      check_word "golden index" i;
-      golden.(i) <- v)
-    b.golden;
-  {
-    Trace.epochs;
-    layout = { Shape.arrays; total_words = b.words };
-    golden_memory = golden;
-    total_events = b.total;
-  }
-
-let equal (a : Trace.t) (b : Trace.t) =
-  a.epochs = b.epochs && a.golden_memory = b.golden_memory
-  && a.layout.Shape.total_words = b.layout.Shape.total_words
+  close l;
+  Trace.Builder.finish l.b ~golden:l.golden
 
 let load_result path =
   Err.guard ~default:Err.Parse ~context:path (fun () -> load path)

@@ -14,26 +14,28 @@
     W <addr> <mark> <value> <array>   (mark: N|B)
     L / U                             (lock / unlock)
     v}
-    The header is line 1 and only line 1. *)
+    The header is line 1 and only line 1. The [words], [array] and
+    [golden] lines come before the first [epoch] line, which fixes the
+    address map, and [words] comes once, before any [golden] line. *)
 
 (** Write [p] in the text format. A boxed trace is saved as
     [save path (Trace.pack t)]. *)
 val save : string -> Trace.packed -> unit
 
-(** Load a text trace. Raises {!Hscd_util.Hscd_error.Error}: [Parse],
-    naming the line, for a malformed line, a missing or repeated header
-    (an old binary dump is named as such at line 1, its bytes not
-    echoed) or a line past a slot-field limit of {!Trace.packed}; [Parse]
-    for a field the replay would index out of range; [Io] for OS
-    failures. *)
-val load : string -> Trace.t
+(** Load a text trace straight into the packed form: each line goes
+    into {!Trace.Builder} as it is read, one slot per event line, so the
+    result equals [Trace.pack] of the same events. Raises
+    {!Hscd_util.Hscd_error.Error}: [Parse], naming the line, for a
+    malformed line, a missing or repeated header (an old binary dump is
+    named as such at line 1, its bytes not echoed), a header line after
+    the first epoch, an event outside a task, a field the replay would
+    index out of range (an address or golden index outside [words], an
+    undeclared array), a negative compute count or a line past a
+    slot-field limit of {!Trace.packed}; [Io] for OS failures. *)
+val load : string -> Trace.packed
 
-(** {!load} as a [result]: [Parse] for syntax errors, [Io] for OS
-    failures. *)
-val load_result : string -> (Trace.t, Hscd_util.Hscd_error.t) result
-
-(** Structural equality of traces (for round-trip tests). *)
-val equal : Trace.t -> Trace.t -> bool
+(** {!load} as a [result], with the path as the error's outer context. *)
+val load_result : string -> (Trace.packed, Hscd_util.Hscd_error.t) result
 
 (** Read-mark spellings of the text format: [U], [N], [B], [T<d>]. *)
 val mark_str : Hscd_arch.Event.rmark -> string

@@ -8,6 +8,9 @@
 # TRFD is a Perfect Club model with compute slots. VC is the one scheme
 # that reads a slot's array id, so with it every field of a slot passes
 # through the loader and the replay.
+# Last, two malformed-input checks: a load error names the file, and an
+# epoch's declared iteration range sizes nothing (the replay runs in a
+# subshell under a 1.2 GB address-space limit).
 set -eu
 hscd=$1
 expected=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
@@ -34,3 +37,20 @@ for prog in reduction TRFD; do
     fi
   done
 done
+printf 'words 4\narray A 0 4\n' > "$dir/headerless.txt"
+if "$hscd" replay "$dir/headerless.txt" -s TPI > /dev/null 2> "$dir/err.out"; then
+  echo "replay of a header-less trace exited 0"
+  exit 1
+fi
+if ! grep -qF "$dir/headerless.txt" "$dir/err.out"; then
+  echo "replay error does not name the file:"
+  cat "$dir/err.out"
+  exit 1
+fi
+printf 'hscd-trace 1\nwords 4\narray A 0 4\nepoch parallel 0 1073741823\ntask 0\nW 0 N 5 A\ntask 1\nW 1 N 7 A\n' \
+  > "$dir/wide.txt"
+if ! (ulimit -v 1200000; exec "$hscd" replay "$dir/wide.txt" -s TPI) > /dev/null 2> "$dir/err.out"; then
+  echo "replay of a two-task epoch declared over 2^30 iterations failed:"
+  cat "$dir/err.out"
+  exit 1
+fi

@@ -59,7 +59,7 @@ let test_unsafe_mark_is_caught () =
   in
   let p = Sema.check_exn p in
   let trace = Trace.of_program p in
-  let r = Run.simulate ~cfg:cfg4 Run.TPI trace in
+  let r = Run.simulate_packed ~cfg:cfg4 Run.TPI (Trace.pack trace) in
   Alcotest.(check bool) "violations detected" true (r.metrics.violations > 0)
 
 let test_safe_manual_marks_pass () =
@@ -80,7 +80,7 @@ let test_safe_manual_marks_pass () =
       ]
   in
   let p = Sema.check_exn p in
-  let r = Run.simulate ~cfg:cfg4 Run.TPI (Trace.of_program p) in
+  let r = Run.simulate_packed ~cfg:cfg4 Run.TPI (Trace.pack (Trace.of_program p)) in
   Alcotest.(check int) "no violations" 0 r.metrics.violations
 
 let test_scheduling_policies_coherent () =
@@ -176,7 +176,7 @@ let test_ticket_block_unblock () =
         [| Event.Lock; Event.Unlock; Event.Compute 5 |];
       ]
   in
-  let r = Run.simulate ~cfg:cfg4 Run.TPI trace in
+  let r = Run.simulate_packed ~cfg:cfg4 Run.TPI (Trace.pack trace) in
   Alcotest.(check int) "both locks granted" 2 r.metrics.lock_acquires;
   Alcotest.(check bool) "proc 1 waited" true (r.metrics.lock_wait_cycles >= 100);
   Alcotest.(check int) "no violations" 0 r.metrics.violations;
@@ -200,7 +200,7 @@ let test_empty_task_skip () =
   in
   List.iter
     (fun kind ->
-      let r = Run.simulate ~cfg:cfg4 kind trace in
+      let r = Run.simulate_packed ~cfg:cfg4 kind (Trace.pack trace) in
       Alcotest.(check bool) (Run.scheme_name kind ^ " memory") true r.memory_ok;
       Alcotest.(check int) (Run.scheme_name kind ^ " violations") 0 r.metrics.violations;
       Alcotest.(check int) (Run.scheme_name kind ^ " writes") 2 (Metrics.writes r.metrics))
@@ -212,7 +212,7 @@ let test_empty_tasks_dynamic () =
         [| Event.Write { addr = 0; mark = Event.Normal_write; value = 3; array = "a" } |] ]
   in
   let cfg = { cfg4 with scheduling = Config.Dynamic } in
-  let r = Run.simulate ~cfg Run.HW trace in
+  let r = Run.simulate_packed ~cfg Run.HW (Trace.pack trace) in
   Alcotest.(check bool) "memory ok" true r.memory_ok;
   Alcotest.(check int) "one write" 1 (Metrics.writes r.metrics)
 

@@ -14,6 +14,8 @@ module Fault = Hscd_check.Fault
 module Fuzz = Hscd_check.Fuzz
 module Shrink = Hscd_check.Shrink
 
+let same_trace a b = Trace_io.equal_packed (Hscd_sim.Trace.pack a) (Hscd_sim.Trace.pack b)
+
 let gen_at seed =
   let prng = Prng.of_int seed in
   let params = Gen.random_params prng in
@@ -24,7 +26,7 @@ let test_determinism () =
     (fun seed ->
       let _, a = gen_at seed in
       let _, b = gen_at seed in
-      Alcotest.(check bool) "same seed, same trace" true (Trace_io.equal a b))
+      Alcotest.(check bool) "same seed, same trace" true (same_trace a b))
     [ 1; 2; 3; 99 ]
 
 let test_generated_sound () =
@@ -35,7 +37,7 @@ let test_generated_sound () =
     Alcotest.(check (list string)) "marks sound" [] (Golden.mark_sound cfg trace);
     (* generate already resolves; a second resolve must be a fixpoint *)
     Alcotest.(check bool) "resolve idempotent" true
-      (Trace_io.equal trace (Golden.resolve trace))
+      (same_trace trace (Golden.resolve trace))
   done
 
 let test_presets_sound () =
@@ -88,7 +90,7 @@ let test_shrinks_to_tiny_repro () =
     (* the minimized trace must still be a well-formed, soundly marked
        input that reproduces the failure *)
     Alcotest.(check (list string)) "shrunk lints clean" [] (Golden.lint small);
-    let o = Oracle.run ~fault:(fst fault, snd fault) Fuzz.corpus_cfg small in
+    let o = Oracle.run ~fault:(fst fault, snd fault) Fuzz.corpus_cfg (Hscd_sim.Trace.pack small) in
     ignore o
 
 let test_corpus_roundtrip () =
@@ -109,7 +111,7 @@ let test_corpus_roundtrip () =
         Gen.generate (Prng.of_int (Fuzz.corpus_seed + Hashtbl.hash name)) params
       in
       Alcotest.(check bool) (name ^ " round-trips") true
-        (Trace_io.equal (Trace_io.load path) regenerated))
+        (Trace_io.equal_packed (Trace_io.load path) (Hscd_sim.Trace.pack regenerated)))
     paths Fuzz.corpus_presets;
   List.iter Sys.remove paths;
   Unix.rmdir dir

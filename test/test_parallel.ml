@@ -137,7 +137,7 @@ let test_oracle_deterministic_across_jobs () =
   List.iter
     (fun (name, params) ->
       let prng = Prng.of_int (Fuzz.corpus_seed + Hashtbl.hash name) in
-      let trace = Gen.generate prng params in
+      let trace = Hscd_sim.Trace.pack (Gen.generate prng params) in
       let o1 = Oracle.run ~jobs:1 Fuzz.corpus_cfg trace in
       let o4 = Oracle.run ~jobs:4 Fuzz.corpus_cfg trace in
       Alcotest.(check bool) (name ^ ": verdict") (Oracle.ok o1) (Oracle.ok o4);

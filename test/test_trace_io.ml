@@ -8,18 +8,17 @@ module Metrics = Hscd_sim.Metrics
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
-(* write the text form straight from a compiled packed trace, load it
-   back, and pack: the result must equal the original structurally *)
+(* write the text form straight from a compiled packed trace and load it
+   back: the result must equal the original structurally *)
 let text_roundtrip name prog =
   let p = (Run.compile prog).Run.packed_trace in
   let path = tmp ("hscd_trace_" ^ name ^ ".txt") in
   Trace_io.save path p;
   let loaded = Trace_io.load path in
   Sys.remove path;
-  Alcotest.(check bool) (name ^ " round-trip equal") true
-    (Trace_io.equal_packed (Trace.pack loaded) p);
+  Alcotest.(check bool) (name ^ " round-trip equal") true (Trace_io.equal_packed loaded p);
   Alcotest.(check int) (name ^ " events preserved") p.Trace.p_total_events
-    loaded.Trace.total_events;
+    loaded.Trace.p_total_events;
   (p, loaded)
 
 let test_roundtrip_stencil () =
@@ -29,10 +28,19 @@ let test_roundtrip_critical () =
   (* locks and bypass marks must survive serialization *)
   ignore (text_roundtrip "crit" (Hscd_workloads.Kernels.reduction ~n:16 ()))
 
+(* every built-in program at the scale [hscd trace] dumps it *)
+let test_roundtrip_programs () =
+  List.iter
+    (fun name ->
+      match Hscd_workloads.Programs.find name with
+      | Some build -> ignore (text_roundtrip name (build ()))
+      | None -> Alcotest.fail (name ^ ": not found"))
+    Hscd_workloads.Programs.names
+
 let test_replay_equivalence () =
   let p, loaded = text_roundtrip "mm" (Hscd_workloads.Kernels.matmul ~n:10 ()) in
   let a = Run.simulate_packed Run.TPI p in
-  let b = Run.simulate Run.TPI loaded in
+  let b = Run.simulate_packed Run.TPI loaded in
   Alcotest.(check int) "same cycles" a.cycles b.cycles;
   Alcotest.(check (float 1e-12)) "same miss rate"
     (Metrics.miss_rate a.metrics) (Metrics.miss_rate b.metrics);
@@ -73,14 +81,23 @@ let test_bad_input_rejected () =
   (* well-formed lines whose fields the replay would index out of range *)
   let header = "hscd-trace 1\nwords 4\narray a 0 4\n" in
   let body = "epoch serial\ntask 0\n" in
-  expect_parse "read address past words" (header ^ body ^ "R 999 N 0 a\n");
-  expect_parse "negative write address" (header ^ body ^ "W -1 N 0 a\n");
-  expect_parse "golden index past words" (header ^ "golden 9 5\n" ^ body ^ "R 1 N 0 a\n");
-  expect_parse "negative compute count" (header ^ body ^ "C -100000\nW 1 N 5 a\nR 1 N 5 a\n");
-  expect_parse "undeclared array name" (header ^ body ^ "R 1 N 0 zz\n");
+  expect_parse ~line:"6: R 999 N 0 a" "read address past words" (header ^ body ^ "R 999 N 0 a\n");
+  expect_parse ~line:"6: W -1 N 0 a" "negative write address" (header ^ body ^ "W -1 N 0 a\n");
+  expect_parse ~line:"4: golden 9 5" "golden index past words" (header ^ "golden 9 5\n" ^ body ^ "R 1 N 0 a\n");
+  expect_parse ~line:"6: C -100000" "negative compute count"
+    (header ^ body ^ "C -100000\nW 1 N 5 a\nR 1 N 5 a\n");
+  expect_parse ~line:"6: R 1 N 0 zz" "undeclared array name" (header ^ body ^ "R 1 N 0 zz\n");
   (* events that belong to no task *)
-  expect_parse "task before any epoch" (header ^ "task 0\nW 0 N 5 a\nepoch serial\n");
-  expect_parse "event before any task" (header ^ "epoch serial\nW 0 N 5 a\n");
+  expect_parse ~line:"4: task 0" "task before any epoch" (header ^ "task 0\nW 0 N 5 a\nepoch serial\n");
+  expect_parse ~line:"5: W 0 N 5 a" "event before any task" (header ^ "epoch serial\nW 0 N 5 a\n");
+  (* the first epoch line fixes the layout: header lines after it are
+     rejected at their line *)
+  expect_parse ~line:"6: words 8" "words after the first epoch" (header ^ body ^ "words 8\n");
+  expect_parse ~line:"6: array b 4 4" "array after the first epoch" (header ^ body ^ "array b 4 4\n");
+  expect_parse ~line:"6: golden 1 5" "golden after the first epoch" (header ^ body ^ "golden 1 5\n");
+  expect_parse ~line:"3: golden 1 5" "golden before words" "hscd-trace 1\narray a 0 4\ngolden 1 5\n";
+  expect_parse ~line:"4: words 8" "words twice" (header ^ "words 8\n");
+  expect_parse ~line:"4: array a 4 4" "array declared twice" (header ^ "array a 4 4\n");
   (* malformed fields: a bad integer, a bad or negative Time-Read mark,
      a bad array entry and a negative size *)
   expect_parse ~line:"2: words abc" "words not a number" "hscd-trace 1\nwords abc\n";
@@ -154,13 +171,14 @@ let test_roundtrip_generated () =
     let params = Hscd_check.Gen.random_params prng in
     let trace = Hscd_check.Gen.generate prng params in
     let path = tmp (Printf.sprintf "hscd_trace_gen%d.txt" seed) in
-    Trace_io.save path (Trace.pack trace);
+    let p = Trace.pack trace in
+    Trace_io.save path p;
     let loaded = Trace_io.load path in
     Sys.remove path;
     Alcotest.(check bool)
       (Printf.sprintf "generated trace %d round-trips" seed)
       true
-      (Trace_io.equal trace loaded)
+      (Trace_io.equal_packed loaded p)
   done
 
 let degenerate_layout words : Hscd_lang.Shape.layout =
@@ -206,10 +224,11 @@ let test_roundtrip_degenerate () =
   List.iter
     (fun (name, trace) ->
       let path = tmp ("hscd_trace_" ^ name ^ ".txt") in
-      Trace_io.save path (Trace.pack trace);
+      let p = Trace.pack trace in
+      Trace_io.save path p;
       let loaded = Trace_io.load path in
       Sys.remove path;
-      Alcotest.(check bool) (name ^ " round-trips") true (Trace_io.equal trace loaded))
+      Alcotest.(check bool) (name ^ " round-trips") true (Trace_io.equal_packed loaded p))
     [ ("empty", empty); ("single", single) ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -218,7 +237,7 @@ let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else Filename.conc
 
 let test_corpus_resave_bytes () =
   (* the writer is pinned byte for byte: re-saving each checked-in corpus
-     trace through [pack] reproduces the file exactly *)
+     trace reproduces the file exactly *)
   let dir = corpus_dir () in
   let files =
     List.filter (fun f -> Filename.check_suffix f ".trace") (Array.to_list (Sys.readdir dir))
@@ -228,7 +247,7 @@ let test_corpus_resave_bytes () =
     (fun f ->
       let src = Filename.concat dir f in
       let path = tmp ("hscd_resave_" ^ f) in
-      Trace_io.save path (Trace.pack (Trace_io.load src));
+      Trace_io.save path (Trace_io.load src);
       let bytes = read_file path in
       Sys.remove path;
       Alcotest.(check bool) (f ^ " re-saved byte-identical") true (bytes = read_file src))
@@ -254,7 +273,7 @@ let test_replay_rejects_ungranted_ticket () =
   close_out oc;
   let loaded = Trace_io.load path in
   Sys.remove path;
-  expect_corrupt_replay "task without unlock" (fun () -> Run.simulate Run.TPI loaded);
+  expect_corrupt_replay "task without unlock" (fun () -> Run.simulate_packed Run.TPI loaded);
   let locked =
     (Run.compile ~cache:false (Hscd_workloads.Kernels.reduction ~n:16 ())).Run.packed_trace
   in
@@ -353,9 +372,8 @@ let test_slot_limits_roundtrip () =
   check_limit_fields "pack, small memory" ~words p;
   let path = tmp "hscd_limits.txt" in
   Trace_io.save path p;
-  let loaded = Trace_io.load path in
+  let q = Trace_io.load path in
   Sys.remove path;
-  let q = Trace.pack loaded in
   check_limit_fields "text" ~words q;
   (* the loader's golden image is dense, [words] long *)
   Alcotest.(check bool) "text round-trip equal" true
@@ -393,6 +411,7 @@ let suite =
     Alcotest.test_case "round-trip generated fuzz traces" `Quick test_roundtrip_generated;
     Alcotest.test_case "round-trip empty and single-event" `Quick test_roundtrip_degenerate;
     Alcotest.test_case "round-trip critical" `Quick test_roundtrip_critical;
+    Alcotest.test_case "round-trip every built-in program" `Quick test_roundtrip_programs;
     Alcotest.test_case "corpus re-saves byte-identical" `Quick test_corpus_resave_bytes;
     Alcotest.test_case "replay equivalence" `Quick test_replay_equivalence;
     Alcotest.test_case "bad input rejected" `Quick test_bad_input_rejected;

@@ -5,23 +5,8 @@
     builds race-free epoch programs (per parallel epoch, every address
     written outside a critical section is private to one task; critical
     sections touch a dedicated lock region with bypass marks only) and it
-    stamps each read with a mark that is *sound* for every scheme under
-    the target machine configuration:
-
-    - [Normal_read]/[Unmarked] only when the reading processor's cached
-      copy is provably current — it requires a static schedule (so the
-      task→processor map is known) and that no foreign write happened
-      since the processor last obtained a current copy;
-    - [Time_read d] with [d <= current_epoch - last_write_epoch], the
-      compiler's stale-reference window, which is sound because any TPI
-      copy timetagged at or after the last write holds the current value
-      in a race-free trace (companion line fills are tagged one epoch
-      back, the paper's "R counter − 1" rule); under mid-task migration
-      the window shrinks by one epoch, because the writing task may have
-      filled the word on its pre-migration processor first, stranding a
-      stale copy tagged with the write epoch itself;
-    - [Bypass_read] anywhere (always fetches memory, which write-through
-      keeps current).
+    stamps each read with a mark drawn from what {!Rules} says is sound
+    for every scheme under the target machine configuration.
 
     Adversarial modes target the corner cases the paper calls out:
     timetag recycling near the 2^(bits-1)-epoch two-phase reset, task
@@ -34,7 +19,6 @@ module Event = Hscd_arch.Event
 module Prng = Hscd_util.Prng
 module Trace = Hscd_sim.Trace
 module Shape = Hscd_lang.Shape
-module Schedule = Hscd_sim.Schedule
 
 type adversary = Plain | Timetag_wrap | Migration | False_sharing_layout
 
@@ -129,8 +113,6 @@ let random_params prng =
 
 let generate prng p =
   let cfg = cfg_of p in
-  let static = Schedule.is_static cfg in
-  let migration = cfg.Config.scheduling = Config.Dynamic && cfg.Config.migration_rate > 0.0 in
   let data_words = p.data_lines * p.line_words in
   let lock_words = p.line_words in
   let words = data_words + lock_words in
@@ -142,55 +124,22 @@ let generate prng p =
     { Shape.arrays; total_words = words }
   in
   let array_of addr = if addr < data_words then "A" else "L" in
-  (* generator-side staleness model: last write epoch per word, and per
-     processor whether its cached copy (if any) is guaranteed current *)
-  let lwe = Array.make words (-1) in
-  let current = Array.init p.procs (fun _ -> Bytes.make words '\000') in
+  let rules = Rules.create cfg ~words in
   let next_val = ref 0 in
   let fresh () = incr next_val; !next_val in
-  let note_write ~epoch ~proc addr =
-    lwe.(addr) <- epoch;
-    for q = 0 to p.procs - 1 do
-      Bytes.set current.(q) addr '\000'
-    done;
-    match proc with Some pr -> Bytes.set current.(pr) addr '\001' | None -> ()
-  in
-  let read_mark ~epoch ~proc addr =
-    if lwe.(addr) < 0 then
-      if Prng.float prng < 0.25 then Event.Unmarked else Event.Normal_read
-    else begin
-      (* With mid-task migration a task may fill a word on one processor
-         (timetag = write epoch, pre-write value) and write it after moving
-         to another, stranding a stale copy whose tag equals the last write
-         epoch — so the sound window shrinks by one. Same-epoch
-         read-after-own-write stays sound: a task migrates at most once and
-         never back, so the post-write processor's copy is current. *)
-      let dmax = epoch - lwe.(addr) in
-      let dmax = if migration && dmax > 0 then dmax - 1 else dmax in
-      let can_normal =
-        match proc with Some pr -> Bytes.get current.(pr) addr = '\001' | None -> false
-      in
+  let read_mark ~proc addr =
+    match Rules.window rules addr with
+    | None -> if Prng.float prng < 0.25 then Event.Unmarked else Event.Normal_read
+    | Some dmax ->
       let roll = Prng.float prng in
-      if can_normal && roll < 0.5 then Event.Normal_read
+      if Rules.current rules ~proc addr && roll < 0.5 then Event.Normal_read
       else if roll >= 0.85 then Event.Bypass_read
-      else begin
-        let d = if Prng.float prng < 0.8 || dmax = 0 then dmax else Prng.int prng dmax in
-        (* both the hit path (tag >= epoch - d >= last write) and the miss
-           path (line refetch) leave the reader with a current copy *)
-        (match proc with Some pr -> Bytes.set current.(pr) addr '\001' | None -> ());
-        Event.Time_read d
-      end
-    end
+      else Event.Time_read (if Prng.float prng < 0.8 || dmax = 0 then dmax else Prng.int prng dmax)
   in
   let epochs = ref [] in
-  for e = 0 to p.epochs - 1 do
+  for _ = 1 to p.epochs do
     let serial = Prng.float prng < p.serial_prob in
     let ntasks = if serial then 1 else 1 + Prng.int prng p.max_tasks in
-    let proc_of_rank rank =
-      if serial then Some 0
-      else if static then Some (Schedule.static_proc cfg ~ntasks rank)
-      else None
-    in
     (* per-epoch exclusive ownership of written data words *)
     let owner = Array.make words (-1) in
     let own = Array.make ntasks [] in
@@ -240,17 +189,18 @@ let generate prng p =
     in
     let tasks =
       Array.init ntasks (fun rank ->
-          let proc = proc_of_rank rank in
+          let proc = Rules.known_proc rules ~serial ~ntasks rank in
           let owned = Array.of_list own.(rank) in
           let events = ref [] in
           let emit ev = events := ev :: !events in
           let emit_read addr =
-            let mark = read_mark ~epoch:e ~proc addr in
+            let mark = read_mark ~proc addr in
+            Rules.read rules ~task:rank ~proc ~in_cs:false addr mark;
             emit (Event.Read { addr; mark; value = 0; array = array_of addr })
           in
           let emit_write addr =
             emit (Event.Write { addr; mark = Event.Normal_write; value = fresh (); array = array_of addr });
-            note_write ~epoch:e ~proc addr
+            Rules.write rules ~task:rank ~proc ~in_cs:false addr
           in
           let n_ev = 1 + Prng.int prng p.max_events in
           for _ = 1 to n_ev do
@@ -267,7 +217,7 @@ let generate prng p =
                   emit
                     (Event.Write
                        { addr; mark = Event.Bypass_write; value = fresh (); array = "L" });
-                  note_write ~epoch:e ~proc addr
+                  Rules.write rules ~task:rank ~proc ~in_cs:true addr
                 end
               done;
               emit Event.Unlock
@@ -291,7 +241,8 @@ let generate prng p =
     let kind =
       if serial then Trace.Serial else Trace.Parallel { lo = 0; hi = ntasks - 1 }
     in
-    epochs := { Trace.kind; tasks } :: !epochs
+    epochs := { Trace.kind; tasks } :: !epochs;
+    Rules.advance rules
   done;
   Golden.resolve
     {

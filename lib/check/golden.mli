@@ -10,16 +10,13 @@ val resolve : Hscd_sim.Trace.t -> Hscd_sim.Trace.t
 
 (** Structural well-formedness problems, empty when the trace is clean:
     balanced non-nested critical sections, bypass-only accesses inside
-    them, in-bounds addresses, and per-epoch exclusive ownership of every
-    address written outside a critical section. *)
+    them, in-bounds addresses, and race freedom of every parallel epoch
+    as {!Rules.race} states it. *)
 val lint : Hscd_sim.Trace.t -> string list
 
 (** Mark-soundness problems under a machine configuration, empty when
-    every read mark is conservative enough to be correct on all schemes:
-    [Time_read d] within the distance to the last write (one epoch less
-    under mid-task migration), [Normal_read]/[Unmarked] of written data
-    only from a statically known processor holding a current copy.
-    Together with {!lint} this accepts exactly the traces the generator
-    promises; the shrinker uses it to reject candidates whose failure is
-    an artifact of event deletion rather than a scheme bug. *)
+    every read mark is sound by {!Rules.check_read}. Together with {!lint}
+    this accepts every trace {!Gen.generate} emits; the shrinker uses it
+    to reject candidates whose failure is an artifact of event deletion
+    rather than a scheme bug. *)
 val mark_sound : Hscd_arch.Config.t -> Hscd_sim.Trace.t -> string list

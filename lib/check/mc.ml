@@ -11,14 +11,14 @@
 
     {b States} are the scheme's abstract coherence state
     ({!Scheme.S.snapshot}: memory image, cached words, epoch/version
-    counters, directory entries) joined with the checker's own guard
-    state (golden memory, last-write epochs, per-epoch ownership, write
-    history). {b Actions} are reads, writes, epoch advances and (in
-    migration mode) task migrations, guarded by exactly the
-    compiler-soundness rules the generator ({!Gen}) and the shrinker's
-    {!Golden.mark_sound} encode — so every explored path is a race-free
-    trace with sound marks, on which every scheme must return the
-    current golden value for every read.
+    counters, directory entries) joined with the checker's guard state
+    ({!Rules}), the monitor's write history and the task schedule.
+    {b Actions} are reads, writes, epoch advances and (in migration mode)
+    task migrations, guarded by {!Rules} — the rules the generator
+    ({!Gen}) draws its marks from and the shrinker's {!Golden.mark_sound}
+    checks — so every explored path is a race-free trace with sound
+    marks, on which every scheme must return the current golden value
+    for every read.
 
     Each explored path is checked with the same per-step {!Monitor}
     invariants the fuzz oracle uses, plus cross-scheme value agreement
@@ -134,17 +134,10 @@ type sim = {
   fault : Fault.t option;
   subject : Scheme.packed;
   reference : Scheme.packed;  (** lockstep BASE instance *)
-  monitor : Monitor.t;
-  golden : int array;  (** current golden memory *)
-  history : (int * int) list array;  (** per word: (epoch, value), newest first *)
-  nwrites : int array;  (** per word write counter (drives {!write_value}) *)
-  lwe : int array;  (** last write epoch per word, -1 = never *)
-  current : Bytes.t array;  (** per proc, per word: copy provably current *)
-  owner : int array;  (** this-epoch writer task per word, -1 = none *)
-  accessed_by : int array;  (** this-epoch accessor: -1 none, task, -2 mixed readers *)
+  monitor : Monitor.t;  (** also the golden write history ({!Monitor.history}) *)
+  rules : Rules.t;
   proc_of : int array;  (** task -> processor; identity at each epoch start *)
   migrated : Bytes.t;  (** per task: already migrated this epoch *)
-  mutable epoch : int;
   mutable reads : int;  (** total reads issued (fault-hidden-state mirror) *)
   mutable mviol : int;  (** monitor violations already converted to [violation] *)
   mutable violation : string option;
@@ -170,16 +163,9 @@ let fresh ?fault scope kind =
     subject;
     reference = make Run.Base;
     monitor = Monitor.create ~processors:cfg.Config.processors ~words:scope.words;
-    golden = Array.make scope.words 0;
-    history = Array.make scope.words [];
-    nwrites = Array.make scope.words 0;
-    lwe = Array.make scope.words (-1);
-    current = Array.init cfg.Config.processors (fun _ -> Bytes.make scope.words '\000');
-    owner = Array.make scope.words (-1);
-    accessed_by = Array.make scope.words (-1);
+    rules = Rules.create cfg ~words:scope.words;
     proc_of = Array.init scope.procs (fun i -> i);
     migrated = Bytes.make scope.procs '\000';
-    epoch = 0;
     reads = 0;
     mviol = 0;
     violation = None;
@@ -211,11 +197,11 @@ let check_monitor sim =
     fail sim "monitor: %s" (Monitor.violation_to_string (List.nth report (n - 1)))
   end
 
-(** In migration mode the task→processor map is not statically known to
-    the "compiler", so the guards may not rely on it (no owner-aligned
-    Normal marks, no current-copy tracking) even though the checker
-    drives each scheme with a concrete processor. *)
-let proc_known sim = not sim.scope.migration
+(* none in migration mode, though each scheme still runs on [proc_of] *)
+let known_proc sim task = Rules.known_proc sim.rules ~serial:false ~ntasks:sim.scope.procs task
+
+let golden sim word =
+  match Monitor.history sim.monitor word with [] -> 0 | (_, v) :: _ -> v
 
 let apply sim action =
   if sim.violation <> None then ()
@@ -223,17 +209,9 @@ let apply sim action =
     match action with
     | Write { task; word } ->
       let proc = sim.proc_of.(task) in
-      sim.nwrites.(word) <- sim.nwrites.(word) + 1;
-      let value = write_value ~word ~n:sim.nwrites.(word) in
+      let value = write_value ~word ~n:(List.length (Monitor.history sim.monitor word) + 1) in
       Monitor.on_write sim.monitor ~addr:word value;
-      sim.golden.(word) <- value;
-      sim.history.(word) <- (sim.epoch, value) :: sim.history.(word);
-      sim.lwe.(word) <- sim.epoch;
-      Array.iter (fun c -> Bytes.set c word '\000') sim.current;
-      if proc_known sim then Bytes.set sim.current.(proc) word '\001';
-      sim.owner.(word) <- task;
-      sim.accessed_by.(word) <-
-        (if sim.accessed_by.(word) = -1 || sim.accessed_by.(word) = task then task else -2);
+      Rules.write sim.rules ~task ~proc:(known_proc sim task) ~in_cs:false word;
       p_write sim.subject ~proc ~addr:word ~value;
       p_write sim.reference ~proc ~addr:word ~value;
       check_monitor sim
@@ -243,22 +221,17 @@ let apply sim action =
       let v = p_read sim.subject ~proc ~addr:word ~mark in
       Monitor.on_read sim.monitor ~proc ~addr:word ~mark v;
       let vref = p_read sim.reference ~proc ~addr:word ~mark in
-      sim.accessed_by.(word) <-
-        (if sim.accessed_by.(word) = -1 || sim.accessed_by.(word) = task then task else -2);
-      (match mark with
-      | Event.Time_read _ when proc_known sim ->
-        (* both the hit and the refetch path leave a current copy *)
-        Bytes.set sim.current.(proc) word '\001'
-      | _ -> ());
+      Rules.read sim.rules ~task ~proc:(known_proc sim task) ~in_cs:false word mark;
       check_monitor sim;
-      if sim.violation = None && v <> sim.golden.(word) then
-        fail sim "epoch %d: %s returned %d, current golden value of word %d is %d"
-          sim.epoch (action_to_string action) v word sim.golden.(word);
-      if sim.violation = None && vref <> sim.golden.(word) then
-        fail sim "epoch %d: BASE reference returned %d for word %d, golden is %d" sim.epoch
-          vref word sim.golden.(word);
+      let g = golden sim word and epoch = Rules.epoch sim.rules in
+      if sim.violation = None && v <> g then
+        fail sim "epoch %d: %s returned %d, current golden value of word %d is %d" epoch
+          (action_to_string action) v word g;
+      if sim.violation = None && vref <> g then
+        fail sim "epoch %d: BASE reference returned %d for word %d, golden is %d" epoch vref
+          word g;
       if sim.violation = None && v <> vref then
-        fail sim "epoch %d: scheme/BASE disagree on word %d: %d vs %d" sim.epoch word v vref
+        fail sim "epoch %d: scheme/BASE disagree on word %d: %d vs %d" epoch word v vref
     | Migrate { task } ->
       Bytes.set sim.migrated task '\001';
       sim.proc_of.(task) <- (sim.proc_of.(task) + 1) mod sim.cfg.Config.processors
@@ -267,9 +240,7 @@ let apply sim action =
       p_boundary sim.subject ~stalls;
       Monitor.on_boundary sim.monitor stalls;
       p_boundary sim.reference ~stalls;
-      sim.epoch <- sim.epoch + 1;
-      Array.fill sim.owner 0 (Array.length sim.owner) (-1);
-      Array.fill sim.accessed_by 0 (Array.length sim.accessed_by) (-1);
+      Rules.advance sim.rules;
       Array.iteri (fun i _ -> sim.proc_of.(i) <- i) sim.proc_of;
       Bytes.fill sim.migrated 0 (Bytes.length sim.migrated) '\000';
       check_monitor sim;
@@ -277,57 +248,46 @@ let apply sim action =
         (* every scheme keeps its memory image eagerly current, so it
            must equal golden whenever the write buffers have drained *)
         let img = p_memory sim.subject in
-        Array.iteri
-          (fun w g ->
-            if sim.violation = None && img.(w) <> g then
-              fail sim "after boundary of epoch %d: memory word %d holds %d, golden is %d"
-                (sim.epoch - 1) w img.(w) g)
-          sim.golden
+        for w = 0 to sim.scope.words - 1 do
+          if sim.violation = None && img.(w) <> golden sim w then
+            fail sim "after boundary of epoch %d: memory word %d holds %d, golden is %d"
+              (Rules.epoch sim.rules - 1) w img.(w) (golden sim w)
+        done
       end
 
-(** Actions enabled by the compiler-soundness guards ({!Gen} /
-    {!Golden.mark_sound}): race-freedom makes a word written this epoch
-    private to the writing task; [Time_read d] needs
-    [d <= epoch - last_write_epoch] (one less under migration); Normal
-    reads of written words need a provably current copy on a statically
-    known processor; bypass reads are always sound. Only the two
-    boundary distances ([dmax] and 0) are enumerated — intermediate
+(** Actions the {!Rules} guards allow. Only the two boundary distances
+    of the Time-Read window ([dmax] and 0) are enumerated — intermediate
     distances are strictly safer and add no new scheme behavior. Writes
     are capped at one per word per epoch to keep the space finite
     without losing any coherence interaction. *)
 let enabled sim =
   let acts = ref [ Advance ] in
   let add a = acts := a :: !acts in
+  let race_free ~task ~write word = Rules.race sim.rules ~task ~write ~in_cs:false word = None in
   for task = sim.scope.procs - 1 downto 0 do
     if sim.scope.migration && Bytes.get sim.migrated task = '\000' then add (Migrate { task });
     for word = sim.scope.words - 1 downto 0 do
-      if sim.owner.(word) < 0 || sim.owner.(word) = task then begin
-        if
-          sim.owner.(word) < 0
-          && (sim.accessed_by.(word) = -1 || sim.accessed_by.(word) = task)
-        then add (Write { task; word });
-        let proc = sim.proc_of.(task) in
-        if sim.lwe.(word) < 0 then begin
+      if race_free ~task ~write:false word then begin
+        if (not (Rules.written sim.rules word)) && race_free ~task ~write:true word then
+          add (Write { task; word });
+        match Rules.window sim.rules word with
+        | None ->
           add (Read { task; word; mark = Event.Normal_read });
           add (Read { task; word; mark = Event.Unmarked });
           add (Read { task; word; mark = Event.Bypass_read })
-        end
-        else begin
-          let dist = sim.epoch - sim.lwe.(word) in
-          let dmax = if sim.scope.migration && dist > 0 then dist - 1 else dist in
+        | Some dmax ->
           add (Read { task; word; mark = Event.Bypass_read });
           add (Read { task; word; mark = Event.Time_read dmax });
           if dmax > 0 then add (Read { task; word; mark = Event.Time_read 0 });
-          if proc_known sim && Bytes.get sim.current.(proc) word = '\001' then
+          if Rules.current sim.rules ~proc:(known_proc sim task) word then
             add (Read { task; word; mark = Event.Normal_read })
-        end
       end
     done
   done;
   List.rev !acts
 
-(** Hash-dedup key: subject snapshot, reference snapshot, and the full
-    guard state (the monitor's shadow history included — two prefixes
+(** Hash-dedup key: subject snapshot, reference snapshot, the {!Rules}
+    state, the schedule and the monitor's write history (two prefixes
     with equal scheme state but different write histories could still
     diverge on a future stale-time-read verdict). Faults with hidden
     state outside the snapshot (the corrupt-read counter) fold the read
@@ -339,29 +299,18 @@ let state_key sim =
   Buffer.add_char b '#';
   Buffer.add_string b (p_snapshot sim.reference);
   Buffer.add_char b '#';
-  Scheme.Snap.int b sim.epoch;
-  Scheme.Snap.ints b sim.golden;
-  Scheme.Snap.ints b sim.nwrites;
-  Scheme.Snap.ints b sim.lwe;
-  Scheme.Snap.ints b sim.owner;
-  Scheme.Snap.ints b sim.accessed_by;
+  Rules.snap b sim.rules;
   Scheme.Snap.ints b sim.proc_of;
-  Array.iter
-    (fun c ->
-      Buffer.add_bytes b c;
-      Scheme.Snap.sep b)
-    sim.current;
   Buffer.add_bytes b sim.migrated;
   Scheme.Snap.sep b;
-  Array.iter
-    (fun h ->
-      List.iter
-        (fun (e, v) ->
-          Scheme.Snap.int b e;
-          Scheme.Snap.int b v)
-        h;
-      Scheme.Snap.sep b)
-    sim.history;
+  for w = 0 to sim.scope.words - 1 do
+    List.iter
+      (fun (e, v) ->
+        Scheme.Snap.int b e;
+        Scheme.Snap.int b v)
+      (Monitor.history sim.monitor w);
+    Scheme.Snap.sep b
+  done;
   (match sim.fault with
   | Some (Fault.Corrupt_read_value _) -> Scheme.Snap.int b sim.reads
   | _ -> ());

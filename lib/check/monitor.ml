@@ -49,6 +49,7 @@ let create ~processors ~words =
   }
 
 let report m = List.rev m.violations
+let history m addr = m.history.(addr)
 let boundaries m = m.boundaries
 
 let viol m ~proc ~addr kind fmt =

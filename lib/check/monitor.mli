@@ -31,6 +31,11 @@ val on_read :
   t -> proc:int -> addr:int -> mark:Hscd_arch.Event.rmark -> int -> unit
 
 val on_write : t -> addr:int -> int -> unit
+
+(** The writes [on_write] has recorded to a word, as (epoch, value)
+    pairs, newest first. *)
+val history : t -> int -> (int * int) list
+
 val on_boundary : t -> int array -> unit
 
 (** Decorate a packed scheme instance so every access and boundary is

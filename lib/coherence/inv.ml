@@ -6,7 +6,13 @@
     marks are needed (coherence is enforced on a program-region basis);
     only critical-section bypasses are honoured. All cross-epoch locality
     is lost — the historical baseline that motivated reference-level
-    schemes like TPI. *)
+    schemes like TPI.
+
+    Keeping copies within an epoch assumes a task stays on one processor.
+    Under mid-task migration ([migration_rate > 0]) a task that moves
+    would find, on its new processor, a line filled before its own write
+    (say, as the companion of a neighbour's write-allocate), so there a
+    [Time_read] is served from memory, as SC serves it. *)
 
 module Cache = Hscd_cache.Cache
 module Kruskal_snir = Hscd_network.Kruskal_snir
@@ -33,7 +39,10 @@ let read t ~proc ~addr ~array:(_ : int) ~mark =
   | Event.Normal_read | Event.Unmarked | Event.Time_read _ ->
     let c = w.caches.(proc) in
     let f = Cache.find c addr in
-    if f >= 0 && c.bits.(f) land (1 lsl off) <> 0 then begin
+    let migrated_stale =
+      w.cfg.migration_rate > 0.0 && match mark with Event.Time_read _ -> true | _ -> false
+    in
+    if f >= 0 && c.bits.(f) land (1 lsl off) <> 0 && not migrated_stale then begin
       c.bits.(f) <- c.bits.(f) lor (1 lsl (Cache.touched_shift + off));
       Scheme.set_result w.res ~latency:w.cfg.hit_cycles
         ~value:c.value.((f * w.cfg.line_words) + off) ~cls:Scheme.Hit

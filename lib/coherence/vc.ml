@@ -14,7 +14,13 @@
     per section and epoch distance: writing any part of an array makes
     every older cached word of that array unusable for flagged reads.
     Comparing the two quantifies the value of TPI's epoch distances — a
-    reproduction of the Lilja [26] comparison cited by the paper. *)
+    reproduction of the Lilja [26] comparison cited by the paper.
+
+    Versions assume a task's accesses in one epoch stay on one processor:
+    under mid-task migration ([migration_rate > 0]) two writes of one
+    epoch, before and after a move, carry the same version, so a copy
+    left on the destination processor would pass for current. There a
+    flagged read is served from memory, as SC serves it. *)
 
 module Cache = Hscd_cache.Cache
 module Kruskal_snir = Hscd_network.Kruskal_snir
@@ -64,7 +70,8 @@ let read t ~proc ~addr ~array ~mark =
     &&
     match mark with
     | Event.Normal_read | Event.Unmarked -> true
-    | Event.Time_read _ -> c.meta.((f * w.cfg.line_words) + off) >= cvn t array
+    | Event.Time_read _ ->
+      w.cfg.migration_rate = 0.0 && c.meta.((f * w.cfg.line_words) + off) >= cvn t array
     | Event.Bypass_read -> false
   in
   if version_ok then begin

@@ -4,8 +4,9 @@
    demand zero counterexamples; then assert the checker's teeth by
    injecting a timetag off-by-one into TPI and requiring a
    counterexample that replays to the same violation through the timing
-   engine. Every scheme's state and transition counts at both scopes are
-   pinned. Runs under `dune runtest` and the @mc-smoke alias; exits
+   engine. Every scheme's state and transition counts are pinned at
+   three scopes: depth 8 with 1-word lines, and depth 5 with 2-word
+   lines without and with mid-task migration. Runs under `dune runtest` and the @mc-smoke alias; exits
    non-zero on any failure. *)
 
 module Mc = Hscd_check.Mc
@@ -39,6 +40,20 @@ let pinned_lines2_depth5 =
     ("LimitLESS", (1631, 7926));
   ]
 
+(* mid-task migration over the 2-word-line scope: VC and INV served
+   stale values here until their time-reads went to memory under
+   migration *)
+let pinned_migration_lines2_depth5 =
+  [
+    ("BASE", (1017, 6044));
+    ("SC", (3117, 14478));
+    ("INV", (5473, 23127));
+    ("VC", (8494, 29514));
+    ("TPI", (8584, 31761));
+    ("HW", (2927, 14216));
+    ("LimitLESS", (2927, 14216));
+  ]
+
 let check_pinned pinned (r : Mc.report) =
   let name = Run.scheme_name r.Mc.kind in
   let want = List.assoc name pinned in
@@ -57,25 +72,23 @@ let () =
      epochs and tags recycle every 4; depth 8 holds a write, a full wrap
      cycle of boundaries and the boundary-distance reads after it *)
   let scope = { Mc.default_scope with Mc.depth = 8 } in
-  Printf.printf "mc-smoke: %s\n%!" (Mc.describe_scope scope);
-  List.iter
-    (fun kind ->
-      let r = Mc.explore ~jobs scope kind in
-      print_endline (Mc.describe r);
-      if not (Mc.ok r && check_pinned pinned_depth8 r) then bad := true)
-    Run.extended_schemes;
   (* multi-word lines at a shallower depth: companion fills tagged one
      epoch back, false sharing between the two words of one line *)
   let scope2 =
     { Mc.default_scope with Mc.words = 2; Mc.line_words = 2; Mc.depth = 5 }
   in
-  Printf.printf "mc-smoke: %s\n%!" (Mc.describe_scope scope2);
-  List.iter
-    (fun kind ->
-      let r = Mc.explore ~jobs scope2 kind in
-      print_endline (Mc.describe r);
-      if not (Mc.ok r && check_pinned pinned_lines2_depth5 r) then bad := true)
-    Run.extended_schemes;
+  let check_scope scope pinned =
+    Printf.printf "mc-smoke: %s\n%!" (Mc.describe_scope scope);
+    List.iter
+      (fun kind ->
+        let r = Mc.explore ~jobs scope kind in
+        print_endline (Mc.describe r);
+        if not (Mc.ok r && check_pinned pinned r) then bad := true)
+      Run.extended_schemes
+  in
+  check_scope scope pinned_depth8;
+  check_scope scope2 pinned_lines2_depth5;
+  check_scope { scope2 with Mc.migration = true } pinned_migration_lines2_depth5;
   (* the checker must have teeth: a seeded timetag off-by-one produces a
      counterexample, and the engine replay reproduces it *)
   let fault = Fault.Stale_time_read 1 in

@@ -82,10 +82,22 @@ let () =
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+(* removed on every exit of this process, failures and uncaught
+   exceptions included, but not by the daemons it forks *)
 let tmpdir =
   let f = Filename.temp_file "hscd-service" "" in
   Sys.remove f;
   Unix.mkdir f 0o755;
+  let owner = Unix.getpid () in
+  at_exit (fun () -> if Unix.getpid () = owner then remove_tree f);
   f
 
 let socket = Filename.concat tmpdir "daemon.sock"

@@ -160,7 +160,9 @@ let test_migration_zero_rate () =
 let test_migration_all_schemes () =
   List.iter
     (fun (e : Hscd_workloads.Perfect.entry) ->
-      let _, results = Run.compare ~cfg:(mig_cfg 0.3) (e.build_small ()) in
+      let _, results =
+        Run.compare ~cfg:(mig_cfg 0.3) ~schemes:Run.extended_schemes (e.build_small ())
+      in
       List.iter
         (fun (r : Run.comparison) ->
           Alcotest.(check int)

@@ -93,10 +93,18 @@ let test_shrinks_to_tiny_repro () =
     let o = Oracle.run ~fault:(fst fault, snd fault) Fuzz.corpus_cfg (Hscd_sim.Trace.pack small) in
     ignore o
 
-let test_corpus_roundtrip () =
+let with_temp_dir f =
   let dir = Filename.temp_file "hscd_corpus" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let test_corpus_roundtrip () =
+  with_temp_dir @@ fun dir ->
   let paths = Fuzz.write_corpus ~dir in
   Alcotest.(check int) "one file per preset" (List.length Fuzz.corpus_presets)
     (List.length paths);
@@ -112,9 +120,44 @@ let test_corpus_roundtrip () =
       in
       Alcotest.(check bool) (name ^ " round-trips") true
         (Trace_io.equal_packed (Trace_io.load path) (Hscd_sim.Trace.pack regenerated)))
-    paths Fuzz.corpus_presets;
-  List.iter Sys.remove paths;
-  Unix.rmdir dir
+    paths Fuzz.corpus_presets
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_corpus_checked_in () =
+  (* the checked-in generated corpus is what write_corpus writes today *)
+  let checked_in = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun path ->
+      let name = Filename.basename path in
+      Alcotest.(check bool) (name ^ " byte-identical") true
+        (read_file path = read_file (Filename.concat checked_in name)))
+    (Fuzz.write_corpus ~dir)
+
+(* Seeds whose migration traces made VC or INV return stale values when
+   both assumed a task stays on one processor for a whole epoch. *)
+let test_migration_seeds () =
+  List.iter
+    (fun seed ->
+      let prng = Prng.of_int seed in
+      let params =
+        {
+          (Gen.random_params prng) with
+          adversary = Gen.Migration;
+          scheduling = Config.Dynamic;
+          migration_rate = 0.5;
+        }
+      in
+      let trace = Gen.generate prng params in
+      let o =
+        Oracle.run ~schemes:Run.extended_schemes (Gen.cfg_of params) (Hscd_sim.Trace.pack trace)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "migration seed %d" seed)
+        []
+        (List.map Run.scheme_name (Oracle.failing_schemes o)))
+    [ 29; 92; 99; 178; 179; 221; 246; 281; 375 ]
 
 let suite =
   [
@@ -128,4 +171,7 @@ let suite =
     Alcotest.test_case "catches corrupted read values" `Quick test_catches_corrupt_values;
     Alcotest.test_case "shrinks injected bug to <= 10 events" `Quick test_shrinks_to_tiny_repro;
     Alcotest.test_case "corpus round-trip and replay" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "write_corpus reproduces the checked-in corpus" `Quick
+      test_corpus_checked_in;
+    Alcotest.test_case "migration seeds clean on all seven schemes" `Quick test_migration_seeds;
   ]

@@ -22,6 +22,7 @@ let () =
       ("trace-io", Test_trace_io.suite);
       ("packed", Test_packed.suite);
       ("fuzz", Test_fuzz.suite);
+      ("rules", Test_rules.suite);
       ("monitor", Test_monitor.suite);
       ("mc", Test_mc.suite);
       ("edge-cases", Test_edge_cases.suite);

@@ -374,7 +374,7 @@ let chunk_list n xs =
     results are bit-deterministic); the visited table is updated only in
     the supervising domain. Stops at the first counterexample — BFS
     order makes it a shortest one. *)
-let explore ?fault ?jobs ?(progress = fun (_ : int) (_ : int) -> ()) scope kind =
+let explore ?fault ?jobs scope kind =
   let t0 = Unix.gettimeofday () in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
   Hashtbl.replace visited (state_key (fresh ?fault scope kind)) ();
@@ -424,7 +424,6 @@ let explore ?fault ?jobs ?(progress = fun (_ : int) (_ : int) -> ()) scope kind 
           Err.fail Err.Timeout "mc frontier expansion chunk gave up after %.1fs" s)
       outcomes;
     incr depth;
-    progress !depth (Hashtbl.length visited);
     frontier := List.rev !next
   done;
   {

@@ -72,13 +72,11 @@ type report = {
 
 (** Exhaustive bounded BFS of one scheme (frontier expansion fans out
     over the supervised pool; results are bit-deterministic for any
-    [jobs]). [fault] grafts a {!Fault} onto the subject scheme.
-    [progress] is called after each level with (depth, states). Stops at
+    [jobs]). [fault] grafts a {!Fault} onto the subject scheme. Stops at
     the first (shortest) counterexample. *)
 val explore :
   ?fault:Fault.t ->
   ?jobs:int ->
-  ?progress:(int -> int -> unit) ->
   scope ->
   Hscd_sim.Run.scheme_kind ->
   report

@@ -76,17 +76,21 @@ let connect_once ~socket ~tenant =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     E.error E.Io "connect %s: %s" socket (Unix.error_message e)
 
+(* retry budget and delay before retry [i]: 8 attempts, exponential
+   from 50 ms, capped at 2 s *)
+let attempts = 8
+let backoff i = Unix.sleepf (Float.min 2.0 (0.05 *. (2.0 ** float_of_int i)))
+
 (** [connect ~socket ~tenant ()] dials the daemon, retrying transient
-    failures (daemon not up yet, daemon restarting) up to [attempts]
-    times with exponential backoff starting at [backoff] seconds and
-    capped at 2 s. [Rejected] (version mismatch) is immediate — retrying
-    cannot help. *)
-let connect ?(attempts = 8) ?(backoff = 0.05) ~socket ~tenant () =
+    failures (daemon not up yet, daemon restarting) with the bounded
+    exponential backoff above. [Rejected] (version mismatch) is
+    immediate — retrying cannot help. *)
+let connect ~socket ~tenant () =
   let rec go i =
     match connect_once ~socket ~tenant with
     | Ok _ as ok -> ok
     | Error e when i + 1 < attempts && E.transient e ->
-      Unix.sleepf (Float.min 2.0 (backoff *. (2.0 ** float_of_int i)));
+      backoff i;
       go (i + 1)
     | Error _ as err -> err
   in
@@ -130,19 +134,19 @@ let await ?(on_progress = fun ~cell:_ ~finished:_ ~total:_ -> ()) t ~digest =
   go ()
 
 (** Submit and wait, reconnecting and idempotently resubmitting by digest
-    across daemon restarts ([attempts] reconnect cycles, exponential
-    backoff as in {!connect}) and retrying [Busy] backpressure with the
-    same bounded backoff. [Rejected] is returned immediately. *)
-let run_job ?(attempts = 8) ?(backoff = 0.05) ?on_progress ~socket ~tenant spec =
+    across daemon restarts and retrying [Busy] backpressure, with the
+    budget and backoff of {!connect}. [Rejected] is returned
+    immediately. *)
+let run_job ?on_progress ~socket ~tenant spec =
   let rec cycle i =
     let retry e =
       if i + 1 < attempts then begin
-        Unix.sleepf (Float.min 2.0 (backoff *. (2.0 ** float_of_int i)));
+        backoff i;
         cycle (i + 1)
       end
       else Error e
     in
-    match connect ~attempts ~backoff ~socket ~tenant () with
+    match connect ~socket ~tenant () with
     | Error e when E.transient e -> retry e
     | Error _ as err -> err
     | Ok t ->

@@ -83,7 +83,6 @@ type payload =
 type request =
   | Hello of { version : int; tenant : string }
   | Submit of { digest : string; spec : job_spec }
-  | Ping
 
 type response =
   | Hello_ok of { version : int }
@@ -97,7 +96,6 @@ type response =
   | Progress of { digest : string; cell : string; finished : int; total : int }
   | Done of { digest : string; payload : payload }
   | Failed of { digest : string; error : E.t }
-  | Pong
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)

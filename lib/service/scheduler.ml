@@ -18,17 +18,14 @@ type 'a tenant = {
 
 type 'a t = {
   strict : bool;
-  default : config;
   table : (string, 'a tenant) Hashtbl.t;
   mutable order : 'a tenant list;  (* registration order: deterministic ties *)
   mutable vtime : int;  (* pass of the most recently served tenant *)
   mutable queued : int;
 }
 
-let create ?(strict = false) ?(default = default_config) () =
-  if default.weight < 1 || default.capacity < 1 then
-    invalid_arg "Scheduler.create: default weight/capacity must be >= 1";
-  { strict; default; table = Hashtbl.create 16; order = []; vtime = 0; queued = 0 }
+let create ?(strict = false) () =
+  { strict; table = Hashtbl.create 16; order = []; vtime = 0; queued = 0 }
 
 let register t name (cfg : config) =
   if cfg.weight < 1 || cfg.capacity < 1 then
@@ -72,7 +69,7 @@ let submit t ~tenant job : admission =
   match Hashtbl.find_opt t.table tenant with
   | None when t.strict -> `Rejected (Printf.sprintf "unknown tenant %S" tenant)
   | (None | Some _) as existing ->
-    let tn = match existing with Some tn -> tn | None -> register t tenant t.default in
+    let tn = match existing with Some tn -> tn | None -> register t tenant default_config in
     let depth = Queue.length tn.queue in
     if depth >= tn.capacity then
       `Busy
@@ -86,7 +83,7 @@ let force t ~tenant job =
   let tn =
     match Hashtbl.find_opt t.table tenant with
     | Some tn -> tn
-    | None -> register t tenant t.default
+    | None -> register t tenant default_config
   in
   enqueue t tn job
 

@@ -30,9 +30,8 @@ type 'a t
 
 (** [create ~strict ()] — under [strict] (default false), only tenants
     declared via {!add_tenant} may submit; otherwise an unknown tenant is
-    auto-registered with [default] (default {!default_config}) on first
-    submit. *)
-val create : ?strict:bool -> ?default:config -> unit -> 'a t
+    auto-registered with {!default_config} on first submit. *)
+val create : ?strict:bool -> unit -> 'a t
 
 (** Declare (or re-weight) a tenant. Raises [Invalid_argument] on a
     weight or capacity < 1. *)

@@ -59,10 +59,11 @@ type settings = {
   state_dir : string;  (** journals live here *)
   tenants : (string * Scheduler.config) list;  (** declared tenants *)
   strict : bool;  (** refuse undeclared tenants *)
-  default_tenant : Scheduler.config;  (** auto-registration config *)
   max_pending : int;  (** global queued-job cap (admission [Busy]) *)
-  out_cap : int;  (** per-connection output-buffer cap in bytes *)
 }
+
+(* per-connection output-buffer cap in bytes *)
+let out_cap = 16 * 1024 * 1024
 
 let default_settings ~socket ~state_dir =
   {
@@ -70,9 +71,7 @@ let default_settings ~socket ~state_dir =
     state_dir;
     tenants = [];
     strict = false;
-    default_tenant = Scheduler.default_config;
     max_pending = 256;
-    out_cap = 16 * 1024 * 1024;
   }
 
 (* ---- drain control (signal-safe: a single atomic flag) ---- *)
@@ -169,10 +168,10 @@ let validate_spec (spec : P.job_spec) =
 
 (* ---- connection I/O ---- *)
 
-let send st c (resp : P.response) =
+let send c (resp : P.response) =
   if c.alive then begin
     Buffer.add_string c.out (P.encode_response resp);
-    if Buffer.length c.out - c.out_off > st.settings.out_cap then
+    if Buffer.length c.out - c.out_off > out_cap then
       (* slow consumer: dropping it beats unbounded buffering; the client
          reconnects and resubmits by digest *)
       c.alive <- false
@@ -204,7 +203,7 @@ let broadcast st digest resp =
       (fun id ->
         match Hashtbl.find_opt st.by_id id with
         | Some c when c.alive ->
-          send st c resp;
+          send c resp;
           flush_conn c
         | _ -> ())
       ids
@@ -238,55 +237,54 @@ let admit st c ~digest ~(spec : P.job_spec) =
     (* duplicate (another client, or an idempotent resubmit after a
        reconnect): attach, don't re-execute *)
     subscribe st digest c;
-    send st c (P.Accepted { digest; position = queue_position st (Hashtbl.find st.accepted digest) })
+    send c (P.Accepted { digest; position = queue_position st (Hashtbl.find st.accepted digest) })
   end
-  else if draining () then send st c (P.Busy_reply { digest; reason = "draining" })
+  else if draining () then send c (P.Busy_reply { digest; reason = "draining" })
   else
     match c.tenant with
     | None -> c.alive <- false (* Submit before Hello: protocol violation *)
     | Some tenant -> (
       match validate_spec spec with
-      | Error reason -> send st c (P.Rejected_reply { digest; reason })
+      | Error reason -> send c (P.Rejected_reply { digest; reason })
       | Ok () ->
         if Scheduler.pending st.sched >= st.settings.max_pending then
-          send st c (P.Busy_reply { digest; reason = "service queue full" })
+          send c (P.Busy_reply { digest; reason = "service queue full" })
         else
           let job = { digest; tenant; spec } in
           (match Scheduler.submit st.sched ~tenant job with
-          | `Rejected reason -> send st c (P.Rejected_reply { digest; reason })
-          | `Busy reason -> send st c (P.Busy_reply { digest; reason })
+          | `Rejected reason -> send c (P.Rejected_reply { digest; reason })
+          | `Busy reason -> send c (P.Busy_reply { digest; reason })
           | `Queued position ->
             (* durable before acknowledged: a crash between the reply and
                the journal write must not lose an accepted job *)
             ignore (Journal.append st.journal ~key:(accept_key digest) (Marshal.to_string (tenant, spec) []));
             Hashtbl.replace st.accepted digest job;
             subscribe st digest c;
-            send st c (P.Accepted { digest; position })))
+            send c (P.Accepted { digest; position })))
 
 let handle_submit st c ~digest ~(spec : P.job_spec) =
   (* the digest is the job's identity — recompute rather than trust *)
   let digest' = P.job_digest spec in
   if digest <> digest' then
-    send st c (P.Rejected_reply { digest; reason = "digest does not match spec" })
+    send c (P.Rejected_reply { digest; reason = "digest does not match spec" })
   else
     match done_payload st digest with
-    | Some payload -> send st c (P.Done { digest; payload })
+    | Some payload -> send c (P.Done { digest; payload })
     | None -> admit st c ~digest ~spec
 
 let handle_request st c (req : P.request) =
   match req with
   | P.Hello { version; tenant } ->
     if version <> P.version then begin
-      send st c (P.Hello_reject { server_version = P.version });
+      send c (P.Hello_reject { server_version = P.version });
       flush_conn c;
       c.alive <- false
     end
     else begin
       c.tenant <- Some tenant;
-      send st c (P.Hello_ok { version = P.version })
+      send c (P.Hello_ok { version = P.version })
     end
   | P.Submit { digest; spec } -> handle_submit st c ~digest ~spec
-  | P.Ping -> send st c P.Pong
 
 let handle_read st c =
   let buf = Bytes.create 65536 in
@@ -495,7 +493,7 @@ let serve ?(on_ready = fun () -> ()) settings =
     mkdir_p settings.state_dir;
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let journal, records = E.get_exn (Journal.open_append (Filename.concat settings.state_dir "jobs.jnl")) in
-    let sched = Scheduler.create ~strict:settings.strict ~default:settings.default_tenant () in
+    let sched = Scheduler.create ~strict:settings.strict () in
     List.iter (fun (name, cfg) -> Scheduler.add_tenant sched ~name cfg) settings.tenants;
     if Sys.file_exists settings.socket then Sys.remove settings.socket;
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -59,11 +59,13 @@ type policy = {
   retries : int;
   backoff : float;
   keep_going : bool;
-  max_respawns : int;
 }
 
-let default_policy =
-  { deadline = None; retries = 2; backoff = 0.05; keep_going = true; max_respawns = 4 }
+let default_policy = { deadline = None; retries = 2; backoff = 0.05; keep_going = true }
+
+(* replacement workers spawned for lost (hung) ones before the
+   supervisor degrades to sequential in-caller execution *)
+let max_respawns = 4
 
 type stats = { retried : int; timeouts : int; respawns : int; degraded : bool }
 
@@ -141,7 +143,7 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
     let retry_later = ref [] in
     let stop = ref false in
     let n_workers = if caller_works then min jobs n - 1 else min jobs n in
-    let cap = n_workers + policy.max_respawns in
+    let cap = n_workers + max_respawns in
     let running = Array.make cap None in
     let lost = Array.make cap false in
     let domains = Array.make cap None in
@@ -254,7 +256,7 @@ let supervise ?(jobs = 1) ?(policy = default_policy) ?(on_done = fun _ _ -> ()) 
                     schedule_retry now i
                   else resolve i (Timed_out (now -. t0))
                 end;
-                if !next_slot < cap && !respawns < policy.max_respawns then begin
+                if !next_slot < cap && !respawns < max_respawns then begin
                   let w' = !next_slot in
                   match try_spawn (worker w') with
                   | Some d ->

@@ -45,13 +45,12 @@ type policy = {
           [false]: after the first final failure, unstarted tasks are
           resolved as [Failed] (message ["cancelled"]); running tasks
           finish. *)
-  max_respawns : int;
-      (** replacement workers spawned for lost (hung) ones before the
-          supervisor degrades to sequential in-caller execution *)
 }
 
 (** [deadline = None], [retries = 2], [backoff = 0.05],
-    [keep_going = true], [max_respawns = 4]. *)
+    [keep_going = true]. The supervisor spawns at most 4 replacement
+    workers for lost (hung) ones before it degrades to sequential
+    in-caller execution. *)
 val default_policy : policy
 
 (** What the supervisor had to do (for observability and tests). *)

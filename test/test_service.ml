@@ -38,7 +38,6 @@ let sample_requests =
   [
     P.Hello { version = P.version; tenant = "alice" };
     P.Submit { digest = P.job_digest sample_spec; spec = sample_spec };
-    P.Ping;
   ]
 
 let feed_all ?(chunk = max_int) dec s =
@@ -73,7 +72,7 @@ let test_roundtrip () =
   Alcotest.(check int) "no residual bytes" 0 (P.buffered dec)
 
 let test_truncated () =
-  let wire = P.encode_request P.Ping in
+  let wire = P.encode_request (List.hd sample_requests) in
   (* every proper prefix must say "need more", never corrupt or a frame *)
   for n = 0 to String.length wire - 1 do
     let dec = P.decoder () in
@@ -107,7 +106,7 @@ let test_bit_flips () =
   done
 
 let test_oversized_length () =
-  let wire = P.encode_request P.Ping in
+  let wire = P.encode_request (List.hd sample_requests) in
   let b = Bytes.of_string wire in
   Bytes.set_int64_le b 8 (Int64.of_int (P.max_frame + 1));
   let dec = P.decoder () in

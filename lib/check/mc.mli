@@ -4,10 +4,10 @@
     guarded-action transition system over a small scope (2–3 processors,
     1–2 words, full timetag-wrap window) and explores every reachable
     state under a depth bound, hash-dedup'd on {!Scheme.S.snapshot} plus
-    the checker's guard state. Actions are guarded by the same
-    compiler-soundness rules as the fuzz generator, so every explored
-    path is a race-free trace with sound marks on which every scheme
-    must return golden values. Violations ({!Monitor} invariants,
+    the checker's guard state. Actions are guarded by {!Rules}, as the
+    fuzz generator's marks are drawn from it, so every explored path is
+    a race-free trace with sound marks on which every scheme must return
+    golden values. Violations ({!Monitor} invariants,
     scheme/BASE disagreement, memory-image drift at epoch boundaries)
     come back as an action sequence that {!replay} converts into a
     packed trace and runs through the timing engine. *)

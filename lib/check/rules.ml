@@ -56,7 +56,7 @@ let race r ~task ~write ~in_cs addr =
   if (in_cs && user <> -1) || ((not in_cs) && Bytes.get r.cs addr = '\001') then
     Some (Printf.sprintf "address %d mixes critical-section and plain accesses" addr)
   else
-    (* a write needs every other access gone, a read only the writer *)
+    (* a write races with another task's access, a read only with its write *)
     let other = if in_cs then -1 else if write then user else r.writer.(addr) in
     if other = -1 || other = task then None
     else

@@ -63,10 +63,18 @@
     benchmark use) cannot inline across modules, so each such call would
     otherwise be an indirect call through a module block.
 
-    {!run_boxed} replays a boxed {!Trace.t} through the same timing model,
-    with a {!Hscd_util.Minheap} ready queue. Only tests call it: it is the
-    independent reference the packed path is checked against, bit for
-    bit. *)
+    Every epoch's barrier checks the clock arithmetic: summed over the
+    processors the epoch used, the clocks' advance past the epoch's start
+    must equal its compute cycles, access latencies and lock waits, plus
+    [lock_cycles] per lock acquire and per self-scheduling fetch and
+    [2 * lock_cycles] per migrated tail resumed. Each term but the
+    latencies is a per-epoch delta of a {!Metrics} counter, or follows
+    from one: an epoch's fetches are its tasks plus its migrated tails
+    when it is self-scheduled, none otherwise. A mismatch raises
+    [Internal]. The check costs one add per access and O(1) per used
+    processor per epoch. Its sums stay local: a field in {!result} or
+    {!Metrics.t} would change the marshalled bytes that the benchmark's
+    digests and the daemon's journals hold. *)
 
 module Config = Hscd_arch.Config
 module Event = Hscd_arch.Event
@@ -74,8 +82,6 @@ module Scheme = Hscd_coherence.Scheme
 module Kruskal_snir = Hscd_network.Kruskal_snir
 module Traffic = Hscd_network.Traffic
 module Deque = Hscd_util.Deque
-module Minheap = Hscd_util.Minheap
-module Symtab = Hscd_util.Symtab
 module Slab = Trace.Slab
 
 type violation = { epoch : int; proc : int; addr : int; expected : int; got : int }
@@ -274,6 +280,8 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
   let ready = Ready.create ~processors:cfg.processors in
   let ticket_waiter = Array.make (max 1 trace.Trace.p_max_tickets) (-1) in
   let stalls = Array.make cfg.processors 0 in
+  (* the epoch's summed access latencies, for the clock check *)
+  let latency = ref 0 in
   Array.iteri
     (fun epoch_no (epoch : Trace.pepoch) ->
       if !global >= Ready.clock_limit ready then
@@ -284,6 +292,11 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
       let tasks = epoch.Trace.p_tasks in
       let ntasks = Array.length tasks in
       let n_tickets = epoch.Trace.p_n_tickets in
+      (* the counters the clock check takes per-epoch deltas of *)
+      let start = !global in
+      let compute0 = metrics.compute_cycles and wait0 = metrics.lock_wait_cycles in
+      let acquires0 = metrics.lock_acquires and migrations0 = metrics.migrations in
+      latency := 0;
       n_touched := 0;
       n_idle := cfg.processors;
       Deque.clear dynamic_queue;
@@ -451,6 +464,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
               S.read sch ~proc ~addr ~array:(arr_of w) ~mark:rmark_table.(mark_of w)
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
+            latency := !latency + r.Scheme.latency;
             record_read metrics r;
             let golden = sget slots ((2 * i) + 1) in
             if r.Scheme.value <> golden then begin
@@ -468,6 +482,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
                 ~mark:(wmark_of (mark_of w))
             in
             p.s_clock <- p.s_clock + r.Scheme.latency;
+            latency := !latency + r.Scheme.latency;
             record_write metrics r
           end
           else if op = Event.Code.lock then begin
@@ -530,6 +545,7 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
       done;
       (* a processor never reset this epoch finishes at [!global] *)
       let finish = ref (!global + !max_stall) in
+      let advanced = ref 0 in
       for k = 0 to !n_touched - 1 do
         let i = touched.(k) in
         let p = procs.(i) in
@@ -540,9 +556,25 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
             "Engine.run: epoch %d ends with processor %d waiting for ticket %d, which no task \
              grants"
             epoch_no i p.s_next_ticket;
+        advanced := !advanced + (p.s_clock - start);
         let c = p.s_clock + stalls.(i) in
         if c > !finish then finish := c
       done;
+      (* clock check: each cycle a used processor advanced is one its
+         events account for; every queued task and migrated tail was
+         fetched once, and every tail resumed once *)
+      let resumes = metrics.migrations - migrations0 in
+      let fetches = if parallel && not (Schedule.is_static cfg) then ntasks + resumes else 0 in
+      let accounted =
+        metrics.compute_cycles - compute0 + !latency + (metrics.lock_wait_cycles - wait0)
+        + (cfg.lock_cycles * (metrics.lock_acquires - acquires0 + fetches))
+        + (2 * cfg.lock_cycles * resumes)
+      in
+      if !advanced <> accounted then
+        Hscd_util.Hscd_error.fail Internal
+          "Engine.run: epoch %d's processor clocks advanced %d cycles past its start, but its \
+           events account for %d"
+          epoch_no !advanced accounted;
       metrics.barriers <- metrics.barriers + 1;
       global := !finish + cfg.barrier_cycles;
       Kruskal_snir.set_load net (Traffic.window_load traffic ~now_cycle:!global))
@@ -554,251 +586,6 @@ let run (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.
   let memory_ok =
     let img = S.memory_image sch in
     let golden = trace.Trace.p_golden in
-    Array.length img = Array.length golden
-    &&
-    let ok = ref true in
-    Array.iteri (fun i v -> if golden.(i) <> v then ok := false) img;
-    !ok
-  in
-  {
-    cycles = !global;
-    metrics;
-    violations = List.rev !violations;
-    memory_ok;
-    network_load = Kruskal_snir.load net;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy boxed replay (equivalence baseline)                          *)
-(* ------------------------------------------------------------------ *)
-
-type work_item = {
-  rank : int;
-  w_task : Trace.task;
-  start : int;  (** first event index to execute (> 0 for migrated work) *)
-  w_tickets : int list;
-}
-
-type proc_state = {
-  pidx : int;  (** this processor's index — no identity scans *)
-  mutable clock : int;
-  pending : work_item Deque.t;  (** static assignment *)
-  mutable events : Event.t array;  (** current task's events *)
-  mutable idx : int;
-  mutable stop : int;  (** exclusive bound; < length when migrating away *)
-  mutable cur : work_item option;
-  mutable tickets : int list;  (** lock tickets of the current task *)
-}
-
-let assign_tickets (epoch : Trace.epoch) =
-  (* tickets in (rank, event) order so the engine can grant critical
-     sections in the golden interpreter's order *)
-  let counter = ref 0 in
-  let per_task =
-    Array.map
-      (fun (task : Trace.task) ->
-        Array.to_list task.events
-        |> List.filter_map (function
-             | Event.Lock ->
-               let t = !counter in
-               incr counter;
-               Some t
-             | _ -> None))
-      epoch.tasks
-  in
-  (per_task, !counter)
-
-let run_boxed (cfg : Config.t) (Scheme.Packed ((module S), sch)) ~(net : Kruskal_snir.t)
-    ~(traffic : Traffic.t) (trace : Trace.t) =
-  let metrics = Metrics.create () in
-  let violations = ref [] in
-  let nviol = ref 0 in
-  let global = ref 0 in
-  let prng = Hscd_util.Prng.of_int 0x5ca1ab1e in
-  (* the boxed stream carries array names; intern them exactly as the
-     packed form does so both paths hand schemes identical dense ids *)
-  let symtab = Trace.symtab_of_layout trace.Trace.layout in
-  let stalls = Array.make cfg.processors 0 in
-  Array.iteri
-    (fun epoch_no (epoch : Trace.epoch) ->
-      let ntasks = Array.length epoch.tasks in
-      let tickets, n_tickets = assign_tickets epoch in
-      let procs =
-        Array.init cfg.processors (fun pidx ->
-            { pidx; clock = !global; pending = Deque.create (); events = [||]; idx = 0;
-              stop = 0; cur = None; tickets = [] })
-      in
-      let item rank task = { rank; w_task = task; start = 0; w_tickets = tickets.(rank) } in
-      (* task distribution *)
-      let dynamic_queue = Deque.create ~capacity:(max 1 ntasks) () in
-      (match epoch.kind with
-      | Trace.Serial ->
-        Array.iteri (fun rank task -> Deque.push_back procs.(0).pending (item rank task)) epoch.tasks
-      | Trace.Parallel _ ->
-        if Schedule.is_static cfg then
-          Array.iteri
-            (fun rank task ->
-              let p = Schedule.static_proc cfg ~ntasks rank in
-              Deque.push_back procs.(p).pending (item rank task))
-            epoch.tasks
-        else Array.iteri (fun rank task -> Deque.push_back dynamic_queue (item rank task)) epoch.tasks);
-      (* critical-section tickets *)
-      let expected_ticket = ref 0 in
-      let lock_release = ref 0 in
-      let parallel = match epoch.kind with Trace.Parallel _ -> true | Trace.Serial -> false in
-      let start_task p ~dynamic (w : work_item) =
-        p.events <- w.w_task.events;
-        p.idx <- w.start;
-        p.cur <- Some w;
-        p.tickets <- w.w_tickets;
-        let len = Array.length p.events in
-        p.stop <- len;
-        if w.start > 0 then
-          (* resuming migrated work: reload task state on the new node *)
-          p.clock <- p.clock + (2 * cfg.lock_cycles);
-        (* decide here whether this task will migrate away mid-execution;
-           lock-holding tasks never migrate *)
-        if
-          dynamic && parallel && w.start = 0 && w.w_tickets = [] && len > 1
-          && cfg.migration_rate > 0.0
-          && Hscd_util.Prng.float prng < cfg.migration_rate
-        then p.stop <- 1 + Hscd_util.Prng.int prng (len - 1)
-      in
-      (* advance to the next task with events left; empty tasks are skipped *)
-      let rec try_refill p =
-        if p.idx < p.stop then true
-        else begin
-          (* migrating away: the unexecuted tail goes back to the shared
-             queue for another processor to pick up *)
-          (match p.cur with
-          | Some w when p.stop < Array.length p.events ->
-            metrics.migrations <- metrics.migrations + 1;
-            Deque.push_back dynamic_queue { w with start = p.stop }
-          | _ -> ());
-          p.cur <- None;
-          match Deque.pop_front p.pending with
-          | Some t ->
-            start_task p ~dynamic:false t;
-            try_refill p
-          | None -> (
-            match Deque.pop_front dynamic_queue with
-            | Some t ->
-              (* self-scheduling: fetching the shared iteration counter *)
-              p.clock <- p.clock + cfg.lock_cycles;
-              start_task p ~dynamic:true t;
-              try_refill p
-            | None -> false)
-        end
-      in
-      let blocked p =
-        (* blocked when the next event is a Lock whose ticket is not yet due *)
-        p.idx < p.stop
-        &&
-        match p.events.(p.idx) with
-        | Event.Lock -> ( match p.tickets with t :: _ -> t <> !expected_ticket | [] -> false)
-        | _ -> false
-      in
-      (* ready structure: min-clock heap of runnable processors; blocked
-         processors park in the slot of the ticket they wait for, workless
-         processors in the idle set *)
-      let ready = Minheap.create cfg.processors in
-      let ticket_waiter = Array.make (max 1 n_tickets) (-1) in
-      let idle = Array.make cfg.processors false in
-      let enqueue p =
-        if blocked p then ticket_waiter.(List.hd p.tickets) <- p.pidx
-        else Minheap.push ready ~key:p.clock p.pidx
-      in
-      (* refill p and put it wherever it now belongs: the heap, a ticket
-         slot, or the idle set *)
-      let activate p =
-        if try_refill p then begin
-          idle.(p.pidx) <- false;
-          enqueue p
-        end
-        else idle.(p.pidx) <- true
-      in
-      (* a migrated tail landed on an empty queue: idle processors claim
-         it in index order, like the linear scan used to *)
-      let wake_idle () =
-        if not (Deque.is_empty dynamic_queue) then
-          Array.iter (fun p -> if idle.(p.pidx) && not (Deque.is_empty dynamic_queue) then activate p) procs
-      in
-      Array.iter activate procs;
-      wake_idle ();
-      let rec loop () =
-        match Minheap.pop ready with
-        | None -> ()
-        | Some (_, pi) ->
-          let p = procs.(pi) in
-          let proc = p.pidx in
-          (match p.events.(p.idx) with
-          | Event.Compute n ->
-            p.clock <- p.clock + n;
-            metrics.compute_cycles <- metrics.compute_cycles + n
-          | Event.Read { addr; mark; value; array } ->
-            let r = S.read sch ~proc ~addr ~array:(Symtab.intern symtab array) ~mark in
-            p.clock <- p.clock + r.Scheme.latency;
-            record_read metrics r;
-            if r.Scheme.value <> value then begin
-              if !nviol < max_violations then
-                violations :=
-                  { epoch = epoch_no; proc; addr; expected = value; got = r.Scheme.value }
-                  :: !violations;
-              incr nviol
-            end
-          | Event.Write { addr; mark; value; array } ->
-            let r = S.write sch ~proc ~addr ~array:(Symtab.intern symtab array) ~value ~mark in
-            p.clock <- p.clock + r.Scheme.latency;
-            record_write metrics r
-          | Event.Lock ->
-            (match p.tickets with
-            | t :: rest ->
-              assert (t = !expected_ticket);
-              p.tickets <- rest
-            | [] -> ());
-            let ready_at = Int.max p.clock !lock_release in
-            metrics.lock_wait_cycles <- metrics.lock_wait_cycles + (ready_at - p.clock);
-            metrics.lock_acquires <- metrics.lock_acquires + 1;
-            p.clock <- ready_at + cfg.lock_cycles
-          | Event.Unlock ->
-            lock_release := p.clock;
-            incr expected_ticket;
-            (* unblock the processor waiting on the now-due ticket *)
-            if !expected_ticket < n_tickets then begin
-              let w = ticket_waiter.(!expected_ticket) in
-              if w >= 0 then begin
-                ticket_waiter.(!expected_ticket) <- -1;
-                Minheap.push ready ~key:procs.(w).clock w
-              end
-            end);
-          p.idx <- p.idx + 1;
-          if p.idx < p.stop then enqueue p
-          else begin
-            activate p;
-            wake_idle ()
-          end;
-          loop ()
-      in
-      loop ();
-      (* epoch boundary: scheme work (into the per-run stall scratch),
-         barrier, network-load update *)
-      S.epoch_boundary sch ~stalls;
-      let finish = ref !global in
-      for i = 0 to Array.length procs - 1 do
-        let c = procs.(i).clock + stalls.(i) in
-        if c > !finish then finish := c
-      done;
-      metrics.barriers <- metrics.barriers + 1;
-      global := !finish + cfg.barrier_cycles;
-      Kruskal_snir.set_load net (Traffic.window_load traffic ~now_cycle:!global))
-    trace.epochs;
-  metrics.cycles <- !global;
-  metrics.traffic <- Traffic.snapshot traffic;
-  metrics.scheme_stats <- S.stats sch;
-  metrics.violations <- !nviol;
-  let memory_ok =
-    let img = S.memory_image sch in
-    let golden = trace.golden_memory in
     Array.length img = Array.length golden
     &&
     let ok = ref true in

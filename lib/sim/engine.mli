@@ -62,22 +62,18 @@ end
 
 (** Native replay of the packed structure-of-arrays trace form. Raises a
     [Corrupt] {!Hscd_util.Hscd_error.Error} when an epoch ends with a processor
-    waiting for a lock ticket that no task grants. *)
+    waiting for a lock ticket that no task grants.
+
+    At each epoch's barrier it checks the clock arithmetic, summed over the
+    processors the epoch used: the clocks' advance past the epoch's start
+    equals compute cycles + access latencies + lock waits +
+    [lock_cycles] × (lock acquires + self-scheduling fetches) +
+    [2 * lock_cycles] × migrated tails resumed. A mismatch raises
+    [Internal], naming the epoch and both sums. *)
 val run :
   Hscd_arch.Config.t ->
   Hscd_coherence.Scheme.packed ->
   net:Hscd_network.Kruskal_snir.t ->
   traffic:Hscd_network.Traffic.t ->
   Trace.packed ->
-  result
-
-(** Reference replay of a boxed trace through the same timing model,
-    with a {!Hscd_util.Minheap} ready queue. Only tests call it, to check
-    that {!run} on [Trace.pack t] is bit-identical to it. *)
-val run_boxed :
-  Hscd_arch.Config.t ->
-  Hscd_coherence.Scheme.packed ->
-  net:Hscd_network.Kruskal_snir.t ->
-  traffic:Hscd_network.Traffic.t ->
-  Trace.t ->
   result

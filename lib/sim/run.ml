@@ -146,16 +146,6 @@ let simulate_packed ?(cfg = Config.default) kind (trace : Trace.packed) =
   let packed = pack kind cfg ~memory_words:(Trace.packed_memory_words trace) ~network ~traffic in
   Engine.run cfg packed ~net:network ~traffic trace
 
-(** One scheme over a boxed trace via the reference replay loop —
-    bit-identical to {!simulate_packed} on [Trace.pack trace]. Only tests
-    call it. *)
-let simulate_boxed ?(cfg = Config.default) kind (trace : Trace.t) =
-  let cfg = Config.validate cfg in
-  let network = Kruskal_snir.create cfg in
-  let traffic = Traffic.create cfg in
-  let packed = pack kind cfg ~memory_words:(Trace.memory_words trace) ~network ~traffic in
-  Engine.run_boxed cfg packed ~net:network ~traffic trace
-
 (** {!compile} as a [result]: sema/parse failures come back typed (kind
     [Parse]) instead of as exceptions. *)
 let compile_result ?cfg ?intertask ?cache program =

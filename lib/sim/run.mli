@@ -57,11 +57,6 @@ val compile :
 val simulate_packed :
   ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace.packed -> Engine.result
 
-(** One scheme over a boxed trace via the reference replay loop
-    ({!Engine.run_boxed}) — bit-identical to {!simulate_packed} on the
-    packed form. Only tests call it, as the differential reference. *)
-val simulate_boxed : ?cfg:Hscd_arch.Config.t -> scheme_kind -> Trace.t -> Engine.result
-
 (** {!compile} as a [result]: sema/parse failures come back as a typed
     {!Hscd_util.Hscd_error.t} (kind [Parse]) instead of an exception. *)
 val compile_result :

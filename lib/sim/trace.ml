@@ -521,5 +521,3 @@ let packed_access_counts (p : packed) =
     else if op = Event.Code.write then incr writes
   done;
   (!reads, !writes)
-
-let memory_words t = max 1 t.layout.Shape.total_words

@@ -99,7 +99,7 @@ val mark : packed -> int -> int
 val arr : packed -> int -> int
 
 (** Symtab seeded with the layout's arrays in base order — the canonical
-    id assignment shared by the packed and boxed replay paths. *)
+    id assignment shared by {!pack}, {!Builder} and the text loader. *)
 val symtab_of_layout : Hscd_lang.Shape.layout -> Hscd_util.Symtab.t
 
 (** Compile a boxed trace into the packed form, the only direction a
@@ -167,7 +167,4 @@ val packed_n_parallel_epochs : packed -> int
 
 (** (reads, writes) over the live slots. *)
 val packed_access_counts : packed -> int * int
-
-(** At least 1, for allocating scheme memory images. *)
-val memory_words : t -> int
 

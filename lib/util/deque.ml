@@ -40,8 +40,6 @@ let pop_front_or t ~empty =
     x
   end
 
-let pop_front t = if t.size = 0 then None else Some (pop_front_or t ~empty:t.buf.(0))
-
 let clear t =
   t.head <- 0;
   t.size <- 0

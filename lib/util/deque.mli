@@ -15,9 +15,6 @@ val is_empty : 'a t -> bool
 
 val push_back : 'a t -> 'a -> unit
 
-(** [None] when empty. *)
-val pop_front : 'a t -> 'a option
-
 (** The front element, removed, or [empty] when the deque is empty;
     allocates nothing. *)
 val pop_front_or : 'a t -> empty:'a -> 'a

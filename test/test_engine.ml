@@ -146,6 +146,32 @@ let test_timetag_width_monotone () =
   let m2 = miss 2 and m8 = miss 8 in
   Alcotest.(check bool) "2-bit tags miss at least as much" true (m2 >= m8)
 
+(* TPI's two-phase reset stalls every processor for
+   [two_phase_reset_cycles] at the barrier of the epoch that fires it, so
+   the stall adds exactly that many cycles per reset; 2-bit tags reset
+   every other epoch *)
+let test_reset_stall () =
+  List.iter
+    (fun (cname, cfg) ->
+      List.iter
+        (fun name ->
+          let program = (Option.get (Hscd_workloads.Programs.find ~small:true name)) () in
+          let t = (Run.compile ~cfg program).Run.packed_trace in
+          let run stall =
+            Run.simulate_packed ~cfg:{ cfg with two_phase_reset_cycles = stall } Run.TPI t
+          in
+          let with_stall = run 128 and without = run 0 in
+          let resets = with_stall.metrics.scheme_stats.two_phase_resets in
+          let what = Printf.sprintf "%s %s" name cname in
+          Alcotest.(check bool) (what ^ ": resets fire") true (resets > 0);
+          Alcotest.(check int) (what ^ ": 128 cycles per reset") (128 * resets)
+            (with_stall.cycles - without.cycles))
+        [ "jacobi1d"; "reduction"; "TRFD" ])
+    [
+      ("P=16 block", { Config.default with timetag_bits = 2 });
+      ("P=16 dynamic", { Config.default with timetag_bits = 2; scheduling = Config.Dynamic });
+    ]
+
 (* --- ready-queue behavior: hand-built traces straight into the engine --- *)
 
 module Event = Hscd_arch.Event
@@ -177,13 +203,16 @@ let test_ticket_block_unblock () =
       ]
   in
   let r = Run.simulate_packed ~cfg:cfg4 Run.TPI (Trace.pack trace) in
+  let l = cfg4.lock_cycles in
   Alcotest.(check int) "both locks granted" 2 r.metrics.lock_acquires;
-  Alcotest.(check bool) "proc 1 waited" true (r.metrics.lock_wait_cycles >= 100);
+  (* proc 1 acquires at proc 0's release, 100 + l *)
+  Alcotest.(check int) "proc 1 waited for the release" (100 + l) r.metrics.lock_wait_cycles;
   Alcotest.(check int) "no violations" 0 r.metrics.violations;
   Alcotest.(check bool) "memory ok" true r.memory_ok;
-  (* serialization: compute(100) + two lock acquisitions + barrier *)
-  Alcotest.(check bool) "cycles cover the serialized locks" true
-    (r.cycles >= 100 + (2 * cfg4.lock_cycles) + cfg4.barrier_cycles)
+  (* serialization: compute(100) + two lock acquisitions + compute(5) +
+     barrier *)
+  Alcotest.(check int) "cycles of the serialized locks" (105 + (2 * l) + cfg4.barrier_cycles)
+    r.cycles
 
 let test_empty_task_skip () =
   (* empty tasks interleaved with real ones: the refill path must skip
@@ -291,6 +320,7 @@ let suite =
     Alcotest.test_case "barrier accounting" `Quick test_barrier_accounting;
     Alcotest.test_case "parallel speedup" `Quick test_more_processors_not_slower;
     Alcotest.test_case "timetag width monotone" `Quick test_timetag_width_monotone;
+    Alcotest.test_case "two-phase reset stall" `Quick test_reset_stall;
     Alcotest.test_case "ready queue: ticket block/unblock" `Quick test_ticket_block_unblock;
     Alcotest.test_case "ready queue: empty tasks skipped" `Quick test_empty_task_skip;
     Alcotest.test_case "ready queue: empty tasks (dynamic)" `Quick test_empty_tasks_dynamic;

@@ -1,7 +1,8 @@
 (** Tests of {!Hscd_check.Rules}, the compiler's marking and race rules:
     the Time-Read window (one epoch tighter under migration), Normal
     reads only from a processor with a provably current copy, and the
-    race cases {!Golden.lint} rejects. *)
+    race cases {!Golden.lint} rejects. The compiler's marks on every
+    built-in program must pass them too. *)
 
 module Config = Hscd_arch.Config
 module Event = Hscd_arch.Event
@@ -115,10 +116,36 @@ let test_lint_races () =
          [ Event.Lock; wr ~mark:Event.Bypass_write 0; Event.Unlock ];
        |])
 
+(* the compiler's own marks are sound by the same rules, on every
+   built-in program at small scale under five configurations *)
+let test_compiler_marks_sound () =
+  List.iter
+    (fun (cname, cfg) ->
+      let cfg = Config.validate cfg in
+      List.iter
+        (fun name ->
+          let program = (Option.get (Hscd_workloads.Programs.find ~small:true name)) () in
+          let c = Hscd_sim.Run.compile ~cfg program in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s" name cname)
+            []
+            (Golden.mark_sound cfg
+               (Trace.of_program ~line_words:cfg.Config.line_words c.Hscd_sim.Run.marked)))
+        Hscd_workloads.Programs.names)
+    [
+      ("P=16 block", Config.default);
+      ("P=16 cyclic", { Config.default with scheduling = Config.Cyclic });
+      ("P=16 dynamic", { Config.default with scheduling = Config.Dynamic });
+      ("P=64 block", { Config.default with processors = 64 });
+      ( "P=16 dynamic+migration",
+        { Config.default with scheduling = Config.Dynamic; migration_rate = 0.3 } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "Time-Read window" `Quick test_window;
     Alcotest.test_case "migration window one epoch tighter" `Quick test_migration_window;
     Alcotest.test_case "Normal reads need a current copy" `Quick test_normal_read;
     Alcotest.test_case "lint rejects races" `Quick test_lint_races;
+    Alcotest.test_case "compiler marks are sound" `Quick test_compiler_marks_sound;
   ]

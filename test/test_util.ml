@@ -203,12 +203,11 @@ let test_deque_fifo () =
   done;
   check Alcotest.int "length" 100 (Hscd_util.Deque.length d);
   for i = 1 to 100 do
-    check Alcotest.(option int) "fifo order" (Some i) (Hscd_util.Deque.pop_front d)
+    check Alcotest.int "fifo order" i (Hscd_util.Deque.pop_front_or d ~empty:(-1))
   done;
-  check Alcotest.(option int) "empty" None (Hscd_util.Deque.pop_front d);
+  check Alcotest.int "empty" (-1) (Hscd_util.Deque.pop_front_or d ~empty:(-1));
   Hscd_util.Deque.push_back d 7;
-  check Alcotest.int "pop_front_or" 7 (Hscd_util.Deque.pop_front_or d ~empty:(-1));
-  check Alcotest.int "pop_front_or when empty" (-1) (Hscd_util.Deque.pop_front_or d ~empty:(-1));
+  check Alcotest.int "pop after empty" 7 (Hscd_util.Deque.pop_front_or d ~empty:(-1));
   Alcotest.(check bool) "is_empty" true (Hscd_util.Deque.is_empty d)
 
 let test_deque_wraparound () =
@@ -222,34 +221,11 @@ let test_deque_wraparound () =
       Queue.push i q
     end
     else
-      check
-        Alcotest.(option int)
-        "matches Queue" (Queue.take_opt q) (Hscd_util.Deque.pop_front d)
+      check Alcotest.int "matches Queue"
+        (Option.value (Queue.take_opt q) ~default:(-1))
+        (Hscd_util.Deque.pop_front_or d ~empty:(-1))
   done;
   check Alcotest.(list int) "drain" (List.of_seq (Queue.to_seq q)) (Hscd_util.Deque.to_list d)
-
-(* --- minheap --- *)
-
-let test_minheap_sorted () =
-  let h = Hscd_util.Minheap.create 4 in
-  let prng = Prng.of_int 5 in
-  let keys = List.init 200 (fun i -> (Prng.int prng 50, i)) in
-  List.iter (fun (k, v) -> Hscd_util.Minheap.push h ~key:k v) keys;
-  let rec drain acc = match Hscd_util.Minheap.pop h with None -> List.rev acc | Some kv -> drain (kv :: acc) in
-  let out = drain [] in
-  check Alcotest.int "all popped" 200 (List.length out);
-  (* sorted by key, ties by value — the engine's lowest-clock,
-     lowest-index processor order *)
-  check
-    Alcotest.(list (pair int int))
-    "heap order = sorted order" (List.sort compare keys) out
-
-let test_minheap_ties_by_value () =
-  let h = Hscd_util.Minheap.create 4 in
-  List.iter (fun v -> Hscd_util.Minheap.push h ~key:7 v) [ 3; 0; 2; 1 ];
-  let vs = List.init 4 (fun _ -> match Hscd_util.Minheap.pop h with Some (_, v) -> v | None -> -1) in
-  check Alcotest.(list int) "lowest index first" [ 0; 1; 2; 3 ] vs;
-  Alcotest.(check bool) "empty" true (Hscd_util.Minheap.is_empty h)
 
 let suite =
   [
@@ -269,6 +245,4 @@ let suite =
     Alcotest.test_case "table fbytes" `Quick test_table_fbytes;
     Alcotest.test_case "deque fifo" `Quick test_deque_fifo;
     Alcotest.test_case "deque wraparound" `Quick test_deque_wraparound;
-    Alcotest.test_case "minheap sorted" `Quick test_minheap_sorted;
-    Alcotest.test_case "minheap ties" `Quick test_minheap_ties_by_value;
   ]

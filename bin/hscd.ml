@@ -131,7 +131,7 @@ let print_metrics kind (r : Hscd_sim.Engine.result) =
     (Metrics.class_count m Hscd_coherence.Scheme.Conservative)
     (Metrics.class_count m Hscd_coherence.Scheme.Reset_inv)
     (Metrics.class_count m Hscd_coherence.Scheme.Uncached);
-  Printf.printf "           traffic r/w/coh/ctl %d/%d/%d/%d words, net load %.3f\n"
+  Printf.printf "           traffic r/w/coh/ctl %d/%d/%d/%d words, last-epoch net load %.3f\n"
     m.traffic.reads m.traffic.writes m.traffic.coherence m.traffic.control r.network_load
 
 let mark_cmd =

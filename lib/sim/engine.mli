@@ -13,7 +13,9 @@ type result = {
   metrics : Metrics.t;
   violations : violation list;  (** capped at {!max_violations} *)
   memory_ok : bool;  (** final scheme memory equals the golden memory *)
-  network_load : float;  (** last estimated utilization *)
+  network_load : float;
+      (** the load estimate set at the last barrier: per-link utilization
+          over the last epoch alone, not an average over the run *)
 }
 
 val max_violations : int

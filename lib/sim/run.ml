@@ -66,12 +66,28 @@ type compiled = {
 (* Compile cache: parameter sweeps hit [compile] once per point, but    *)
 (* most points share the reference stream — only the trace-relevant     *)
 (* knobs (line size, scheduling staticness, marking flags) change it.   *)
-(* The in-memory table shares [compiled] across a process.              *)
+(* The in-memory table shares [compiled] across a process. It holds at  *)
+(* most [compile_cache_budget_bytes] of slot slab and golden image and   *)
+(* evicts the least recently used entry first.                          *)
 (* ------------------------------------------------------------------ *)
 
-type cache_stats = { trace_generations : int; memory_hits : int }
+type cache_stats = {
+  trace_generations : int;
+  memory_hits : int;
+  evictions : int;
+  held_bytes : int;
+}
 
-let cache_table : (string, compiled) Hashtbl.t = Hashtbl.create 16
+(* 16 MiB holds two variant sets of the six full-scale Perfect models
+   (6.75 MiB each, 13.5 MiB) but not three (20.25 MiB). [experiment all]
+   compiles four variants (default, 16-word lines, no intertask marking,
+   dynamic scheduling) but only comes back to the default one, so it
+   keeps that set plus the one it is on, and generates each trace once. *)
+let compile_cache_budget_bytes = 16 * 1024 * 1024
+
+type entry = { compiled : compiled; bytes : int; mutable last_use : int }
+
+let cache_table : (string, entry) Hashtbl.t = Hashtbl.create 16
 
 (* Guards the table and the counters: [compile] may be called from pool
    worker domains. Trace generation stays outside the lock — concurrent
@@ -79,6 +95,44 @@ let cache_table : (string, compiled) Hashtbl.t = Hashtbl.create 16
 let cache_mu = Mutex.create ()
 let n_generations = ref 0
 let n_memory_hits = ref 0
+let n_evictions = ref 0
+let n_held_bytes = ref 0
+let use_clock = ref 0
+
+let tick () =
+  incr use_clock;
+  !use_clock
+
+(* what an entry keeps alive: 8 bytes per slab word and per golden word *)
+let entry_bytes c =
+  8 * (Trace.Slab.length c.packed_trace.Trace.slots + Array.length c.packed_trace.Trace.p_golden)
+
+(* Under [cache_mu]. A racing same-key insert replaces the entry, so its
+   old weight leaves the sum first. Eviction never takes [key] itself: an
+   entry over the budget is still cached, alone. *)
+let insert key c =
+  Option.iter (fun old -> n_held_bytes := !n_held_bytes - old.bytes) (Hashtbl.find_opt cache_table key);
+  let e = { compiled = c; bytes = entry_bytes c; last_use = tick () } in
+  Hashtbl.replace cache_table key e;
+  n_held_bytes := !n_held_bytes + e.bytes;
+  let oldest () =
+    Hashtbl.fold
+      (fun k e acc ->
+        if k = key then acc
+        else match acc with Some (_, o) when o.last_use <= e.last_use -> acc | _ -> Some (k, e))
+      cache_table None
+  in
+  let rec evict () =
+    if !n_held_bytes > compile_cache_budget_bytes then
+      match oldest () with
+      | None -> ()
+      | Some (k, e) ->
+        Hashtbl.remove cache_table k;
+        n_held_bytes := !n_held_bytes - e.bytes;
+        incr n_evictions;
+        evict ()
+  in
+  evict ()
 
 let set_compile_cache_dir = function
   | None -> ()
@@ -86,13 +140,21 @@ let set_compile_cache_dir = function
 
 let compile_cache_stats () =
   Mutex.protect cache_mu (fun () ->
-      { trace_generations = !n_generations; memory_hits = !n_memory_hits })
+      {
+        trace_generations = !n_generations;
+        memory_hits = !n_memory_hits;
+        evictions = !n_evictions;
+        held_bytes = !n_held_bytes;
+      })
 
 let reset_compile_cache () =
   Mutex.protect cache_mu (fun () ->
       Hashtbl.reset cache_table;
       n_generations := 0;
-      n_memory_hits := 0)
+      n_memory_hits := 0;
+      n_evictions := 0;
+      n_held_bytes := 0;
+      use_clock := 0)
 
 (* Key: digest of the printed (sema-checked, pre-marking) program plus the
    knobs that reach the reference stream. Timing-side parameters
@@ -121,9 +183,11 @@ let compile ?(cfg = Config.default) ?(intertask = true) ?(cache = true) (program
     | None -> None
     | Some k ->
       Mutex.protect cache_mu (fun () ->
-          let c = Hashtbl.find_opt cache_table k in
-          if Option.is_some c then incr n_memory_hits;
-          c)
+          Hashtbl.find_opt cache_table k
+          |> Option.map (fun e ->
+                 incr n_memory_hits;
+                 e.last_use <- tick ();
+                 e.compiled))
   in
   match hit with
   | Some c -> c
@@ -134,7 +198,7 @@ let compile ?(cfg = Config.default) ?(intertask = true) ?(cache = true) (program
       Trace.of_program_packed ~line_words:cfg.line_words m.Marking.program
     in
     let c = { marked = m.Marking.program; census = m.Marking.census; packed_trace } in
-    (match key with Some k -> Mutex.protect cache_mu (fun () -> Hashtbl.replace cache_table k c) | None -> ());
+    Option.iter (fun k -> Mutex.protect cache_mu (fun () -> insert k c)) key;
     c
 
 (** Back half: one scheme over a packed trace (the engine-native form —

@@ -27,8 +27,21 @@ type compiled = {
 }
 
 (** Compile-cache counters: traces actually generated by the interpreter
-    vs. served from the in-memory table. *)
-type cache_stats = { trace_generations : int; memory_hits : int }
+    vs. served from the in-memory table, entries evicted to stay within
+    {!compile_cache_budget_bytes}, and the bytes the table holds now. *)
+type cache_stats = {
+  trace_generations : int;
+  memory_hits : int;
+  evictions : int;
+  held_bytes : int;
+}
+
+(** 16 MiB: what the in-memory table may hold, weighing an entry at 8
+    bytes per word of its slot slab and of its golden image. An insert
+    evicts the least recently used entries (a hit counts as a use) until
+    the table fits, but never the entry it inserts, so an entry larger
+    than the budget is still cached, alone. *)
+val compile_cache_budget_bytes : int
 
 val compile_cache_stats : unit -> cache_stats
 
@@ -45,7 +58,8 @@ val set_compile_cache_dir : string option -> unit
     policy), and stream the trace straight into the packed form. [cache]
     (default on) consults the compile cache — keyed on program text, line
     size, scheduling staticness and marking flags, so parameter sweeps
-    regenerate each reference stream exactly once. *)
+    regenerate each reference stream once while it stays within
+    {!compile_cache_budget_bytes}. *)
 val compile :
   ?cfg:Hscd_arch.Config.t ->
   ?intertask:bool ->

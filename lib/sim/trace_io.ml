@@ -81,12 +81,15 @@ let save path p =
 
 (* The header lines ([words], [array], [golden]) come before the first
    [epoch] line, which fixes the layout; from there each line streams
-   into [Trace.Builder] as it is read, checked at that line. *)
+   into [Trace.Builder] as it is read, checked at that line. The golden
+   image is allocated only then, once [words] is checked against the
+   declared arrays. *)
 type loader = {
   b : Trace.Builder.t;
   arrays : (string, Shape.t) Hashtbl.t;
-  mutable words : int;
-  mutable golden : int array;  (* [||] until the words line *)
+  mutable words : int option;  (* [None] until the words line *)
+  mutable golden_lines : (int * int) list;  (* (index, value), newest first *)
+  mutable golden : int array;  (* [||] until the layout is fixed *)
   mutable ids : Hscd_util.Symtab.t;  (* array ids, once the layout is fixed *)
   mutable at : [ `Header | `Epoch | `Task ];  (* the innermost section open *)
 }
@@ -98,8 +101,8 @@ let int_field s =
 
 (* fields the replay indexes by: a trace is input from outside *)
 let word_field l what s =
-  let i = int_field s in
-  if i < 0 || i >= l.words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i l.words;
+  let i = int_field s and words = Option.value l.words ~default:0 in
+  if i < 0 || i >= words then Err.fail Err.Parse "Trace_io: %s %d outside words %d" what i words;
   i
 
 let header = "hscd-trace 1"
@@ -118,14 +121,26 @@ let check_header line =
 let header_line l what =
   if l.at <> `Header then Err.fail Err.Parse "Trace_io: %s line after the first epoch" what
 
+(* A generated layout pads its last array to a line, and a line is at
+   most [Config.max_line_words] words; a [words] past that is memory no
+   access can reach, so it is refused before anything is sized by it. *)
+let check_extent l words =
+  let top = Hashtbl.fold (fun _ (a : Shape.t) m -> max m (a.base + a.size)) l.arrays 0 in
+  let extent = Hscd_util.Ints.round_up top Hscd_arch.Config.max_line_words in
+  if words > extent then
+    Err.fail Err.Parse "Trace_io: words %d past the declared arrays' extent of %d" words extent
+
 (* end what is open; at the first epoch line (or the end of a file
    without one), fix the layout *)
 let close l =
   match l.at with
   | `Header ->
-    let layout = { Shape.arrays = l.arrays; total_words = l.words } in
+    let words = Option.value l.words ~default:0 in
+    check_extent l words;
+    let layout = { Shape.arrays = l.arrays; total_words = words } in
     Trace.Builder.init l.b layout;
-    if Array.length l.golden = 0 then l.golden <- [| 0 |];
+    l.golden <- Array.make (max 1 words) 0;
+    List.iter (fun (i, v) -> l.golden.(i) <- v) (List.rev l.golden_lines);
     l.ids <- Trace.symtab_of_layout layout
   | `Epoch -> Trace.Builder.epoch_end l.b
   | `Task ->
@@ -155,13 +170,12 @@ let parse_line l line =
   | [ "hscd-trace"; _ ] -> Err.fail Err.Parse "Trace_io: %s header past line 1" header
   | [ "words"; n ] ->
     header_line l "words";
-    if Array.length l.golden > 0 then Err.fail Err.Parse "Trace_io: words given twice";
+    if Option.is_some l.words then Err.fail Err.Parse "Trace_io: words given twice";
     let n = int_field n in
     if n < 0 then Err.fail Err.Parse "Trace_io: negative words";
     if n > Trace.max_memory_words then
       Err.fail Err.Parse "Trace_io: %d words past the limit of %d" n Trace.max_memory_words;
-    l.words <- n;
-    l.golden <- Array.make (max 1 n) 0
+    l.words <- Some n
   | "array" :: name :: base :: dims ->
     header_line l "array";
     if Hashtbl.length l.arrays = Trace.max_arrays then
@@ -174,8 +188,9 @@ let parse_line l line =
     Hashtbl.replace l.arrays name { Shape.name; dims; size = Shape.size_of_dims dims; base }
   | [ "golden"; i; v ] ->
     header_line l "golden";
-    if Array.length l.golden = 0 then Err.fail Err.Parse "Trace_io: golden before words";
-    l.golden.(word_field l "golden index" i) <- int_field v
+    if Option.is_none l.words then Err.fail Err.Parse "Trace_io: golden before words";
+    let i = word_field l "golden index" i in
+    l.golden_lines <- (i, int_field v) :: l.golden_lines
   | [ "epoch"; "serial" ] -> begin_epoch l Trace.Serial
   | [ "epoch"; "parallel"; lo; hi ] ->
     begin_epoch l (Trace.Parallel { lo = int_field lo; hi = int_field hi })
@@ -206,7 +221,8 @@ let load path =
     {
       b = Trace.Builder.create ();
       arrays = Hashtbl.create 16;
-      words = 0;
+      words = None;
+      golden_lines = [];
       golden = [||];
       ids = Hscd_util.Symtab.create ();
       at = `Header;

@@ -16,7 +16,10 @@
     v}
     The header is line 1 and only line 1. The [words], [array] and
     [golden] lines come before the first [epoch] line, which fixes the
-    address map, and [words] comes once, before any [golden] line. *)
+    address map, and [words] comes once, before any [golden] line.
+    [words] may exceed the declared arrays' extent (the largest
+    [base + size]) only by the padding of one line, so by at most the
+    extent rounded up to [Config.max_line_words]. *)
 
 (** Write [p] in the text format. A boxed trace is saved as
     [save path (Trace.pack t)]. *)
@@ -30,7 +33,9 @@ val save : string -> Trace.packed -> unit
     named as such at line 1, its bytes not echoed), a header line after
     the first epoch, an event outside a task, a field the replay would
     index out of range (an address or golden index outside [words], an
-    undeclared array), a negative compute count or a line past a
+    undeclared array), a [words] past the declared arrays' extent
+    (named at the first [epoch] line, if the file has
+    one), a negative compute count or a line past a
     slot-field limit of {!Trace.packed}; [Io] for OS failures. *)
 val load : string -> Trace.packed
 

@@ -8,9 +8,10 @@
 # TRFD is a Perfect Club model with compute slots. VC is the one scheme
 # that reads a slot's array id, so with it every field of a slot passes
 # through the loader and the replay.
-# Last, two malformed-input checks: a load error names the file, and an
-# epoch's declared iteration range sizes nothing (the replay runs in a
-# subshell under a 1.2 GB address-space limit).
+# Last, three malformed-input checks: a load error names the file, an
+# epoch's declared iteration range sizes nothing, and a declared `words`
+# past the arrays' extent is a parse error (exit 1), not an allocation
+# (both replays run in a subshell under a 1.2 GB address-space limit).
 set -eu
 hscd=$1
 expected=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
@@ -51,6 +52,14 @@ printf 'hscd-trace 1\nwords 4\narray A 0 4\nepoch parallel 0 1073741823\ntask 0\
   > "$dir/wide.txt"
 if ! (ulimit -v 1200000; exec "$hscd" replay "$dir/wide.txt" -s TPI) > /dev/null 2> "$dir/err.out"; then
   echo "replay of a two-task epoch declared over 2^30 iterations failed:"
+  cat "$dir/err.out"
+  exit 1
+fi
+printf 'hscd-trace 1\nwords 50000000\n' > "$dir/huge-words.txt"
+(ulimit -v 1200000; exec "$hscd" replay "$dir/huge-words.txt" -s TPI) > /dev/null 2> "$dir/err.out" \
+  && status=0 || status=$?
+if [ "$status" -ne 1 ] || ! grep -qF "$dir/huge-words.txt" "$dir/err.out"; then
+  echo "replay of a trace declaring 50000000 words exited $status, not 1 naming the file:"
   cat "$dir/err.out"
   exit 1
 fi

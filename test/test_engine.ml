@@ -275,11 +275,14 @@ let test_accounting_identities () =
         (fun (cname, cfg) ->
           let t = (Run.compile ~cfg program).Run.packed_trace in
           let reads, writes = Trace.packed_access_counts t in
-          let locks = ref 0 and compute = ref 0 in
+          let locks = ref 0 and compute = ref 0 and bypass_reads = ref 0 in
           for i = 0 to t.Trace.n_slots - 1 do
             let op = Trace.op t i in
             if op = Hscd_arch.Event.Code.lock then incr locks
             else if op = Hscd_arch.Event.Code.compute then compute := !compute + Trace.addr t i
+            else if op = Hscd_arch.Event.Code.read
+                    && Trace.mark t i = Hscd_arch.Event.Code.of_rmark Hscd_arch.Event.Bypass_read
+            then incr bypass_reads
           done;
           List.iter
             (fun kind ->
@@ -294,6 +297,24 @@ let test_accounting_identities () =
               check "barriers" (Trace.packed_n_epochs t) m.Metrics.barriers;
               check "lock acquires" !locks m.Metrics.lock_acquires;
               check "compute cycles" !compute m.Metrics.compute_cycles;
+              (* read traffic: SC fills a line on every read miss and on
+                 every write miss (write-allocate); TPI fetches one word
+                 for a Bypass read and a line for any other miss *)
+              let lw = cfg.Config.line_words in
+              let write_misses =
+                Metrics.writes m
+                - m.Metrics.write_classes.(Metrics.class_index Hscd_coherence.Scheme.Hit)
+                - m.Metrics.write_classes.(Metrics.class_index Hscd_coherence.Scheme.Uncached)
+              in
+              (match kind with
+              | Run.SC ->
+                check "read words" (lw * (Metrics.read_misses m + write_misses))
+                  m.Metrics.traffic.reads
+              | Run.TPI ->
+                check "read words"
+                  ((lw * (Metrics.read_misses m - !bypass_reads + write_misses)) + !bypass_reads)
+                  m.Metrics.traffic.reads
+              | _ -> ());
               (* one processor shares nothing; the compiler schemes'
                  self-invalidations at P=1 count as Conservative *)
               if cfg.Config.processors = 1 then

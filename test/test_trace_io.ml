@@ -124,7 +124,23 @@ let test_bad_input_rejected () =
   expect_parse
     ~line:(Printf.sprintf "%d: array a%d %d 1" (n + 3) n n)
     "arrays past the array-id field"
-    (Printf.sprintf "hscd-trace 1\nwords %d\n" (Trace.max_arrays + 1) ^ many_arrays)
+    (Printf.sprintf "hscd-trace 1\nwords %d\n" (Trace.max_arrays + 1) ^ many_arrays);
+  (* [words] passes the arrays' extent by at most one widest line's
+     padding: a two-line file must not size the golden image *)
+  let e =
+    parse_error ~line:"4: epoch serial" "words past the arrays' extent"
+      "hscd-trace 1\nwords 50000000\narray a 0 4\nepoch serial\n"
+  in
+  let names n = List.mem (string_of_int n) (String.split_on_char ' ' e.message) in
+  Alcotest.(check bool) ("names both sizes: " ^ e.message) true (names 50000000 && names 16);
+  expect_parse "words past no arrays" "hscd-trace 1\nwords 50000000\n";
+  let path = tmp "hscd_trace_padded.txt" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "hscd-trace 1\nwords 16\narray a 0 4\ngolden 15 7\n");
+  let p = Trace_io.load path in
+  Sys.remove path;
+  Alcotest.(check (array int)) "one line's padding loads" (Array.init 16 (fun i -> if i = 15 then 7 else 0))
+    p.Trace.p_golden
 
 (* the header is line 1 and only line 1 *)
 let test_header_missing () =
